@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fault-determinism race-hotpath race-suite fuzz-seed fuzz-snapshot refit-drill benchguard check bench bench-concurrent bench-all qps bench-lifecycle bench-batch bench-load bench-metro bench-temporal bench-calib bench-route
+.PHONY: all build vet test race fault-determinism race-hotpath race-suite fuzz-seed fuzz-snapshot refit-drill bench-smoke check bench bench-concurrent bench-all
 
 all: build
 
@@ -24,11 +24,11 @@ fault-determinism:
 
 # Concurrency regression suite for the online hot path: the CorrRow
 # singleflight (one Dijkstra under 32 hammering goroutines), the parallel
-# greedy equivalence corpus, mixed-slot System.Query under LRU eviction, the
-# legacy/sharded determinism check, and the PR-3 model hot-swap under 32
-# concurrent resilient clients — all under the race detector.
+# greedy equivalence corpus, mixed-slot System.Query under LRU eviction, and
+# the model hot-swap under 32 concurrent resilient clients — all under the
+# race detector.
 race-hotpath:
-	$(GO) test -race -run 'Singleflight|ConcurrentMixedRows|ParallelEquivalence|ParallelSharedOracle|ConcurrentQueryMixedSlots|DeterministicAcrossOracleEngines|HotSwapRaceUnderLoad' \
+	$(GO) test -race -run 'Singleflight|ConcurrentMixedRows|ParallelEquivalence|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad' \
 		./internal/corr/ ./internal/ocs/ ./internal/core/
 
 # Snapshot-codec fuzz harness. fuzz-seed replays the checked-in seed corpus
@@ -48,33 +48,11 @@ race-suite:
 	$(GO) test -race ./internal/core/ ./internal/corr/ ./internal/stream/ \
 		./internal/server/ ./internal/obs/
 
-# Guard against perf regressions: re-measure the sharded qps sweep, the
-# lifecycle latency suite, the batch-coalescing sweep ratio and the
-# admission-control overload replay, and diff them against the checked-in
-# baselines (BENCH_PR2.json / BENCH_PR3.json / BENCH_PR5.json /
-# BENCH_PR6.json); fails on >25% throughput loss, latency blowup, a sweep
-# ratio below the ≥2× coalescing target, coalesced estimates that diverge
-# from independent ones beyond the GSP epsilon, any alerting-class shed, a
-# broken QoS class order, a batch surge shed rate above the pinned ceiling,
-# or >25% alerting-p99 regression. The -pr7 gate validates the recorded
-# metropolitan baseline (100k-road e2e query under the 1s budget, multi-shard
-# sweep present) and re-runs a 5k-road sharded-pipeline smoke. The -pr8 gate
-# validates the recorded temporal baseline (the Kalman filter strictly beats
-# per-slot GSP under the sparsest probe level, every forecast SD fan widens
-# monotonically with the horizon) and re-runs the deterministic sparse
-# ablation cell fresh. The -pr9 gate validates the recorded calibration
-# baseline (at the 90% serving level the full tier's empirical coverage sits
-# within the binomial band of nominal and every degraded tier is
-# conservative, across ≥3 probe densities; the variance-minimizing OCS
-# objective beats the correlation objective on realized posterior variance)
-# and re-runs the coverage sweep and objective ablation fresh. The -pr10 gate
-# validates the recorded route baseline (at the 90% serving level the
-# route-level conformal ETA interval's coverage sits within the binomial band
-# at every probe density; the route-aware RouteVar OCS objective's realized
-# ETA variance is strictly below the correlation objective's at every budget)
-# and re-runs the route coverage sweep and route-OCS ablation fresh.
-benchguard:
-	$(GO) run ./cmd/benchguard -pr2 BENCH_PR2.json -pr3 BENCH_PR3.json -pr5 BENCH_PR5.json -pr6 BENCH_PR6.json -pr7 BENCH_PR7.json -pr8 BENCH_PR8.json -pr9 BENCH_PR9.json -pr10 BENCH_PR10.json
+# Smoke test of the serving benchmark: every workload briefly, every metric
+# BENCHMARK.json names, no failed answer. bench/ is its own module, so the
+# root `go test ./...` never runs it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # End-to-end lifecycle drill under the race detector: streamed reports are
 # folded into a refit, gated, published and hot-swapped; a corrupted
@@ -82,83 +60,20 @@ benchguard:
 refit-drill:
 	$(GO) test -race -run 'RefitDrill|RefitOnce|Refitter' -v ./internal/modelstore/
 
-check: vet build race fault-determinism race-hotpath race-suite fuzz-seed benchguard
+check: vet build race fault-determinism race-hotpath race-suite fuzz-seed bench-smoke
 
-# The perf-trajectory suite of PR 2: legacy (pre-PR mutex oracle, sequential
-# OCS) vs sharded singleflight engine at 1/4/16 concurrent clients, plus the
-# wall-clock sweep that records both numbers in BENCH_PR2.json. Save `go
-# test -bench` output per commit and compare with benchstat (see
-# EXPERIMENTS.md "Perf trajectory").
-bench: bench-concurrent qps
+# Go micro-benchmarks of the hot layers: concurrent OCS selection and oracle
+# row lookups, the row computation, the snapshot codec, the hot-swap and the
+# temporal filter. Save the output per commit and compare with benchstat (see
+# EXPERIMENTS.md "Perf trajectory"). Serving performance end to end is
+# measured by bench/ (see bench/README.md).
+bench: bench-concurrent
+	$(GO) test -run '^$$' -bench 'RowCompute|Snapshot|SwapModel|FilterStep|ForecastFrom' -benchmem \
+		./internal/corr/ ./internal/modelstore/ ./internal/core/ ./internal/temporal/
 
 bench-concurrent:
 	$(GO) test -run '^$$' -bench 'Concurrent|OracleRowThroughput' -benchmem -benchtime 2s .
 
-# Every benchmark in the repo (paper figures + ablations + perf suite).
+# Every benchmark of the root package (paper figures + ablations + perf suite).
 bench-all:
 	$(GO) test -bench=. -benchmem
-
-qps:
-	$(GO) run ./cmd/rtsebench -qps -out BENCH_PR2.json
-
-# The PR-3 lifecycle latency suite: snapshot save/load, hot-swap and the
-# refit drill, recorded as BENCH_PR3.json.
-bench-lifecycle:
-	$(GO) run ./cmd/rtsebench -lifecycle -out BENCH_PR3.json
-
-# The PR-5 coalescing suite: 32 same-slot queries sequential vs coalesced
-# through the Batcher (GSP sweep counts + warm-start economics), recorded as
-# BENCH_PR5.json.
-bench-batch:
-	$(GO) run ./cmd/rtsebench -batch -out BENCH_PR5.json
-
-# The PR-6 admission-control suite: the diurnal overload replay against the
-# QoS-enabled server (per-class shed rates, served tiers, latency quantiles),
-# recorded as BENCH_PR6.json.
-bench-load:
-	$(GO) run ./cmd/rtsebench -load -out BENCH_PR6.json
-
-# The PR-7 metropolitan-scale suite: a synthetic 100k-road metro network with
-# a phase-aliased model, the end-to-end sharded query latency vs the 1s
-# budget, and the shards × clients throughput sweep, recorded as
-# BENCH_PR7.json. Takes ~1 min; `make check` validates the recorded baseline
-# via benchguard instead of re-running this.
-bench-metro:
-	$(GO) run ./cmd/rtsebench -metro -out BENCH_PR7.json
-
-# The PR-8 cross-slot temporal suite: the sparsity ablation (per-slot GSP vs
-# the state-space filter), the forecast-vs-realized horizon curve, and the
-# filter step/fan micro-benchmark, recorded as BENCH_PR8.json.
-bench-temporal:
-	$(GO) run ./cmd/rtsebench -temporal -out BENCH_PR8.json
-
-# The PR-9 uncertainty-calibration suite: empirical interval coverage across
-# probe densities × service tiers × nominal levels (split-conformal
-# calibrated), plus the variance-minimizing OCS objective ablation, recorded
-# as BENCH_PR9.json.
-bench-calib:
-	$(GO) run ./cmd/rtsebench -calib -out BENCH_PR9.json
-
-# The PR-10 route-level ETA suite: interval coverage of the delta-method ETA
-# distribution across probe densities × nominal levels over a deterministic
-# OD-pair fleet (route-level conformal scale fitted on interleaved calibration
-# slots), plus the route-aware OCS objective ablation (correlation vs RouteVar
-# on realized ETA variance at equal budget), recorded as BENCH_PR10.json.
-bench-route:
-	$(GO) run ./cmd/rtsebench -route -out BENCH_PR10.json
-
-BENCH_PR2.json: qps
-
-BENCH_PR3.json: bench-lifecycle
-
-BENCH_PR5.json: bench-batch
-
-BENCH_PR6.json: bench-load
-
-BENCH_PR7.json: bench-metro
-
-BENCH_PR8.json: bench-temporal
-
-BENCH_PR9.json: bench-calib
-
-BENCH_PR10.json: bench-route

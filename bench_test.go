@@ -362,19 +362,14 @@ func benchCCDSlots(b *testing.B, parallel bool) {
 	}
 }
 
-// --- PR 2 perf trajectory: concurrent query throughput ------------------------
+// --- Concurrent query throughput -----------------------------------------------
 //
-// BenchmarkConcurrentQueries is the before/after proof of the sharded
-// singleflight oracle: 1/4/16 parallel clients issue OCS selection queries
-// against ONE System while the active slot advances every slotGroup queries
-// (the live-traffic pattern: every client asks about "now", and "now" moves).
-// The LRU is kept small so slot churn keeps producing cold rows. The legacy
-// engine is the pre-PR-2 global-mutex oracle (corr.MutexOracle) behind the
-// identical solver code; both engines return identical selections
-// (TestQueryDeterministicAcrossOracleEngines), so queries/s is comparable.
-//
-// `make bench` runs this suite; `rtsebench -qps` writes the wall-clock
-// numbers to BENCH_PR2.json.
+// BenchmarkConcurrentQueries measures the singleflight oracle under load:
+// 1/4/16 parallel clients issue OCS selection queries against ONE System
+// while the active slot advances every slotGroup queries (the live-traffic
+// pattern: every client asks about "now", and "now" moves). `make
+// bench-concurrent` runs this suite; serving throughput end to end is
+// measured by the benchmark in bench/.
 
 const (
 	benchSlotGroup = 64 // queries served before the active slot advances
@@ -416,28 +411,18 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	e := env(b)
 	pool := crowd.PlaceEverywhere(e.Net)
 	workerRoads := pool.Roads()
-	for _, engine := range []string{"legacy", "sharded"} {
-		for _, clients := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("oracle=%s/clients=%d", engine, clients), func(b *testing.B) {
-				// Default LRU covers a full day (288 slots), so the 48-slot
-				// cycle stays resident — matching the pre-PR oracle map,
-				// which was unbounded and never evicted. The comparison then
-				// isolates the per-lookup hot path; LRU churn is stressed
-				// separately in TestConcurrentQueryMixedSlots.
-				cfg := core.DefaultConfig()
-				if engine == "legacy" {
-					cfg.LegacyOracle = true
-					cfg.ParallelOCS = false // pre-PR-2 solver was sequential
-				} else {
-					cfg.PrewarmWorkers = true
-				}
-				sys, err := core.NewFromModel(e.Net, e.Sys.Model(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				concurrentQueryBench(b, sys, e.Query, workerRoads, clients)
-			})
-		}
+	for _, clients := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			// The default LRU covers a full day (288 slots), so the 48-slot
+			// cycle stays resident and the benchmark isolates the per-lookup
+			// hot path; LRU churn is stressed separately in
+			// TestConcurrentQueryMixedSlots.
+			sys, err := core.NewFromModel(e.Net, e.Sys.Model(), core.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			concurrentQueryBench(b, sys, e.Query, workerRoads, clients)
+		})
 	}
 }
 
@@ -449,9 +434,7 @@ func BenchmarkConcurrentPipeline(b *testing.B) {
 	day := e.EvalDays[0]
 	for _, clients := range []int{1, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			cfg := core.DefaultConfig()
-			cfg.PrewarmWorkers = true
-			sys, err := core.NewFromModel(e.Net, e.Sys.Model(), cfg)
+			sys, err := core.NewFromModel(e.Net, e.Sys.Model(), core.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -489,43 +472,35 @@ func BenchmarkConcurrentPipeline(b *testing.B) {
 }
 
 // BenchmarkOracleRowThroughput isolates the row-serving hot path: all
-// clients read correlations from one slot oracle (hot cache), legacy mutex
-// vs sharded lock-free.
+// clients read correlations from one slot oracle (hot cache, lock-free).
 func BenchmarkOracleRowThroughput(b *testing.B) {
 	e := env(b)
 	view := e.Sys.Model().At(e.Slot)
-	for _, engine := range []string{"legacy", "sharded"} {
-		for _, clients := range []int{1, 16} {
-			b.Run(fmt.Sprintf("oracle=%s/clients=%d", engine, clients), func(b *testing.B) {
-				var o corr.Source
-				if engine == "legacy" {
-					o = corr.NewMutexOracle(e.Net.Graph(), view, corr.NegLog)
-				} else {
-					o = corr.NewOracle(e.Net.Graph(), view, corr.NegLog)
-				}
-				n := e.Net.N()
-				var next atomic.Int64
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for {
-							i := next.Add(1) - 1
-							if i >= int64(b.N) {
-								return
-							}
-							src := int(i) % n
-							row := o.CorrRow(src)
-							_ = row[(src+c)%n]
+	for _, clients := range []int{1, 16} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			o := corr.NewOracle(e.Net.Graph(), view, corr.NegLog)
+			n := e.Net.N()
+			var next atomic.Int64
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for {
+						i := next.Add(1) - 1
+						if i >= int64(b.N) {
+							return
 						}
-					}(c)
-				}
-				wg.Wait()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-			})
-		}
+						src := int(i) % n
+						row := o.CorrRow(src)
+						_ = row[(src+c)%n]
+					}
+				}(c)
+			}
+			wg.Wait()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
+		})
 	}
 }
 

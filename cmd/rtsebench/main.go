@@ -1,71 +1,20 @@
 // Command rtsebench regenerates every table and figure of the paper's
-// evaluation (§VII) and prints them as text. By default it runs a reduced
-// configuration that finishes in seconds; -paper switches to the full
-// 607-road / 30-day setup.
+// evaluation (§VII), plus the temporal, calibration and route-ETA ablations
+// of the serving extensions, and prints them as text. By default it runs a
+// reduced configuration that finishes in seconds; -paper switches to the
+// full 607-road / 30-day setup.
 //
-//	rtsebench [-paper] [-rq N] [-only tableII,fig2,fig3,fig3dape,fig3theta,tableIII,fig4,fig5,fig6,ablate]
+//	rtsebench [-paper] [-rq N] [-only tableII,fig2,fig3,fig3dape,fig3theta,tableIII,fig4,fig5,fig6,ablate,temporal,calib,route]
 //
-// The -qps flag switches to the concurrent-throughput harness instead: it
-// sweeps client counts over the legacy (pre-PR-2) and sharded oracle engines
-// and writes the perf-trajectory JSON (default BENCH_PR2.json):
-//
-//	rtsebench -qps [-qps-duration 2s] [-qps-clients 1,4,16] [-out BENCH_PR2.json]
-//
-// The -lifecycle flag measures the model-lifecycle subsystem instead:
-// snapshot save/load latency (encode + checksums + atomic publish), hot-swap
-// latency, and the full refit drill, written as BENCH_PR3.json:
-//
-//	rtsebench -lifecycle [-lifecycle-iters 20] [-out BENCH_PR3.json]
-//
-// The -batch flag measures the PR-5 coalescing engine instead: total GSP
-// sweeps for N independent same-slot queries vs the same N coalesced through
-// the core.Batcher (plus the incremental warm-start economics), written as
-// BENCH_PR5.json:
-//
-//	rtsebench -batch [-batch-size 32] [-out BENCH_PR5.json]
-//
-// The -load flag replays a diurnal overload curve (demand derived from the
-// speedgen congestion profile) against a live QoS-enabled server and records
-// per-class shed rates, served tiers and latency quantiles, written as
-// BENCH_PR6.json for the benchguard -pr6 gate:
-//
-//	rtsebench -load [-load-steps 16] [-load-inflight 8] [-load-surge 3] [-out BENCH_PR6.json]
-//
-// The -metro flag runs the PR-7 metropolitan-scale harness instead: it
-// synthesizes a 100k-road metro network with a phase-aliased model, measures
-// the end-to-end sharded query latency against the 1-second budget, and
-// sweeps shard counts × client counts over the partitioned engine, written as
-// BENCH_PR7.json for the benchguard -pr7 gate:
-//
-//	rtsebench -metro [-metro-roads 100000] [-metro-shards 1,2,4] [-metro-clients 1,4,16] [-metro-duration 2s] [-out BENCH_PR7.json]
-//
-// The -temporal flag runs the PR-8 cross-slot state-space harness instead: a
-// sparsity sweep of per-slot GSP vs the Kalman filter, the forecast horizon
-// curve against realized truth, and the filter step/fan micro-benchmark,
-// written as BENCH_PR8.json for the benchguard -pr8 gate:
-//
-//	rtsebench -temporal [-temporal-slots 12] [-temporal-probes 4,12,24] [-temporal-horizon 4] [-out BENCH_PR8.json]
-//
-// The -calib flag runs the PR-9 uncertainty-calibration harness instead:
-// the interval-coverage sweep (densities × tiers × levels) plus the
-// variance-minimizing OCS ablation, written as BENCH_PR9.json for the
-// benchguard -pr9 gate:
-//
-//	rtsebench -calib [-calib-slots 6] [-calib-densities 4,8,16] [-calib-budgets 3,5,8] [-out BENCH_PR9.json]
-//
-// The -route flag runs the PR-10 route-level ETA harness instead: the
-// route-coverage sweep (OD-pair fleet, route-level conformal scale,
-// densities × levels) plus the route-aware OCS objective ablation, written
-// as BENCH_PR10.json for the benchguard -pr10 gate:
-//
-//	rtsebench -route [-route-pairs 6] [-route-slots 6] [-route-densities 8,16] [-route-budgets 5,10,20] [-out BENCH_PR10.json]
+// Every number is seeded, so two runs print the same tables (the figure
+// timings aside). Serving performance is measured by the benchmark in bench/,
+// not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -73,184 +22,71 @@ import (
 	"repro/internal/experiments"
 )
 
+// experimentNames are the -only names, in the order run prints them.
+var experimentNames = []string{
+	"tableii", "fig2", "fig3", "fig3dape", "fig3theta", "tableiii", "fig4",
+	"fig5", "fig6", "ablate", "temporal", "calib", "route",
+}
+
+// The ablations' sweep axes: the configurations the golden tests in
+// internal/experiments pin. The sparsest temporal probe level comes first.
+var (
+	temporalProbes = []int{4, 12, 24}
+	calibLevels    = []float64{0.5, 0.8, 0.9, 0.95}
+	calibDensities = []int{4, 8, 16}
+	calibBudgets   = []int{3, 5, 8}
+	routeDensities = []int{8, 16}
+	routeBudgets   = []int{5, 10, 20}
+)
+
+const (
+	temporalSlots   = 12 // consecutive slots walked per evaluation day
+	temporalHorizon = 4  // forecast fan depth
+	calibSlots      = 6  // scored slots per evaluation day (twice as many are walked)
+	routePairs      = 6  // OD pairs in the route fleet
+	routeSlots      = 6  // scored slots per evaluation day for the route sweep
+	ablationTheta   = 0.92
+)
+
 func main() {
 	paper := flag.Bool("paper", false, "run the full paper-scale configuration (607 roads, 30 days)")
-	only := flag.String("only", "", "comma-separated subset of experiments to run")
+	only := flag.String("only", "", "comma-separated subset of experiments to run: "+strings.Join(experimentNames, ","))
 	rq := flag.Int("rq", 0, "override the query size |R^q| (the paper uses 33 and 51)")
-	qps := flag.Bool("qps", false, "run the concurrent-throughput sweep instead of the experiment suite")
-	qpsDuration := flag.Duration("qps-duration", 2*time.Second, "wall-clock length of each (engine, clients) run")
-	qpsClients := flag.String("qps-clients", "1,4,16", "comma-separated concurrent client counts")
-	lifecycle := flag.Bool("lifecycle", false, "run the model-lifecycle latency harness instead of the experiment suite")
-	lifecycleIters := flag.Int("lifecycle-iters", 20, "samples per lifecycle operation")
-	batch := flag.Bool("batch", false, "run the batch-coalescing sweep harness instead of the experiment suite")
-	batchSize := flag.Int("batch-size", 32, "same-slot queries per coalesced batch")
-	load := flag.Bool("load", false, "run the diurnal overload replay against the QoS-enabled server instead of the experiment suite")
-	loadSteps := flag.Int("load-steps", 16, "diurnal steps in the -load replay")
-	loadInflight := flag.Int("load-inflight", 8, "server admission capacity (MaxInFlight) for -load")
-	loadSurge := flag.Float64("load-surge", 3, "peak offered concurrency as a multiple of MaxInFlight for -load")
-	metro := flag.Bool("metro", false, "run the metropolitan-scale shard harness instead of the experiment suite")
-	metroRoads := flag.Int("metro-roads", 100000, "road count for the -metro network")
-	metroShards := flag.String("metro-shards", "1,2,4", "comma-separated shard counts for the -metro sweep")
-	metroClients := flag.String("metro-clients", "1,4,16", "comma-separated client counts for the -metro sweep")
-	metroDuration := flag.Duration("metro-duration", 2*time.Second, "wall-clock length of each -metro sweep cell")
-	temporalMode := flag.Bool("temporal", false, "run the cross-slot state-space harness instead of the experiment suite")
-	temporalSlots := flag.Int("temporal-slots", 12, "consecutive slots walked per evaluation day for -temporal")
-	temporalProbes := flag.String("temporal-probes", "4,12,24", "comma-separated probe-sparsity levels for -temporal (sparsest first)")
-	temporalHorizon := flag.Int("temporal-horizon", 4, "forecast fan depth for -temporal")
-	calib := flag.Bool("calib", false, "run the uncertainty-calibration harness instead of the experiment suite")
-	routeMode := flag.Bool("route", false, "run the route-level ETA harness instead of the experiment suite")
-	routePairs := flag.Int("route-pairs", 6, "OD pairs in the -route fleet")
-	routeSlots := flag.Int("route-slots", 6, "scored slots per evaluation day for -route (twice as many are walked)")
-	routeDensities := flag.String("route-densities", "8,16", "comma-separated probe densities for -route")
-	routeBudgets := flag.String("route-budgets", "5,10,20", "comma-separated OCS budgets for the -route objective ablation")
-	calibSlots := flag.Int("calib-slots", 6, "scored slots per evaluation day for -calib (twice as many are walked)")
-	calibDensities := flag.String("calib-densities", "4,8,16", "comma-separated probe densities for -calib")
-	calibBudgets := flag.String("calib-budgets", "3,5,8", "comma-separated OCS budgets for the -calib objective ablation")
-	out := flag.String("out", "", "output path for the -qps / -lifecycle / -batch / -load / -metro / -temporal / -calib JSON report (defaults per mode)")
 	flag.Parse()
-	if *routeMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR10.json"
-		}
-		densities, err := parseClients(*routeDensities)
-		if err == nil {
-			var budgets []int
-			budgets, err = parseClients(*routeBudgets)
-			if err == nil {
-				err = runRoute(*paper, *routePairs, *routeSlots, densities, budgets, path)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *calib {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR9.json"
-		}
-		densities, err := parseClients(*calibDensities)
-		if err == nil {
-			var budgets []int
-			budgets, err = parseClients(*calibBudgets)
-			if err == nil {
-				err = runCalib(*paper, *calibSlots, densities, budgets, path)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *temporalMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR8.json"
-		}
-		probes, err := parseClients(*temporalProbes)
-		if err == nil {
-			err = runTemporal(*paper, *temporalSlots, *temporalHorizon, probes, path)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *metro {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR7.json"
-		}
-		shardCounts, err := parseClients(*metroShards)
-		if err == nil {
-			var clients []int
-			clients, err = parseClients(*metroClients)
-			if err == nil {
-				err = runMetro(*metroRoads, *metroDuration, shardCounts, clients, path)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *load {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR6.json"
-		}
-		if err := runLoad(*loadSteps, *loadInflight, *loadSurge, path); err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *batch {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR5.json"
-		}
-		if err := runBatch(*paper, *batchSize, path); err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *lifecycle {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR3.json"
-		}
-		if err := runLifecycle(*paper, *lifecycleIters, path); err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *qps {
-		path := *out
-		if path == "" {
-			path = "BENCH_PR2.json"
-		}
-		clients, err := parseClients(*qpsClients)
-		if err == nil {
-			err = runQPS(*paper, *qpsDuration, clients, path)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rtsebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*paper, *only, *rq); err != nil {
 		fmt.Fprintln(os.Stderr, "rtsebench:", err)
 		os.Exit(1)
 	}
 }
 
-// parseClients parses a comma-separated list of positive client counts.
-func parseClients(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -qps-clients entry %q", f)
+// parseOnly turns the -only list into a set of experiment names; an empty
+// list selects every experiment.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if name == "" {
+			continue
 		}
-		out = append(out, n)
+		known := false
+		for _, n := range experimentNames {
+			known = known || n == name
+		}
+		if !known {
+			return nil, fmt.Errorf("unknown experiment %q in -only (valid: %s)", name, strings.Join(experimentNames, ","))
+		}
+		want[name] = true
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-qps-clients is empty")
-	}
-	return out, nil
+	return want, nil
 }
 
 func run(paper bool, only string, querySize int) error {
+	want, err := parseOnly(only)
+	if err != nil {
+		return err
+	}
+	enabled := func(name string) bool { return len(want) == 0 || want[name] }
+
 	opt := experiments.Small()
 	budgets := []int{10, 15, 20, 25, 30}
 	fig5Sizes := []int{20, 40, 60, 80}
@@ -267,14 +103,6 @@ func run(paper bool, only string, querySize int) error {
 	if querySize > 0 {
 		opt.QuerySize = querySize
 	}
-
-	want := map[string]bool{}
-	if only != "" {
-		for _, name := range strings.Split(only, ",") {
-			want[strings.TrimSpace(strings.ToLower(name))] = true
-		}
-	}
-	enabled := func(name string) bool { return len(want) == 0 || want[name] }
 
 	fmt.Printf("CrowdRTSE experiment harness (paper=%v, roads=%d, days=%d)\n\n", paper, opt.Roads, opt.Days)
 
@@ -298,13 +126,13 @@ func run(paper bool, only string, querySize int) error {
 	}
 
 	var env *experiments.Env
-	needEnv := enabled("fig3") || enabled("fig3dape") || enabled("fig3theta") ||
-		enabled("tableiii") || enabled("fig4")
-	if needEnv {
-		var err error
-		env, err = experiments.NewEnv(opt)
-		if err != nil {
-			return err
+	for _, name := range []string{"fig3", "fig3dape", "fig3theta", "tableiii", "fig4", "ablate", "temporal", "calib", "route"} {
+		if enabled(name) {
+			env, err = experiments.NewEnv(opt)
+			if err != nil {
+				return err
+			}
+			break
 		}
 	}
 
@@ -380,18 +208,56 @@ func run(paper bool, only string, querySize int) error {
 	}
 
 	if enabled("ablate") {
-		if env == nil {
-			var err error
-			env, err = experiments.NewEnv(opt)
-			if err != nil {
-				return err
-			}
-		}
 		rows, err := experiments.AblateTransforms(env, budgets)
 		if err != nil {
 			return err
 		}
 		experiments.RenderAblateTransforms(os.Stdout, rows)
+		fmt.Println()
+	}
+
+	if enabled("temporal") {
+		ablation, err := experiments.TemporalAblation(env, temporalProbes, temporalSlots)
+		if err != nil {
+			return err
+		}
+		experiments.RenderTemporalAblation(os.Stdout, ablation)
+		fmt.Println()
+		forecast, err := experiments.TemporalForecast(env, temporalProbes[len(temporalProbes)/2], temporalSlots, temporalHorizon)
+		if err != nil {
+			return err
+		}
+		experiments.RenderTemporalForecast(os.Stdout, forecast)
+		fmt.Println()
+	}
+
+	if enabled("calib") {
+		res, err := experiments.CalibrationAblation(env, calibDensities, calibLevels, calibSlots)
+		if err != nil {
+			return err
+		}
+		experiments.RenderCalibration(os.Stdout, res)
+		fmt.Println()
+		varmin, err := experiments.VarMinAblation(env, calibBudgets, ablationTheta)
+		if err != nil {
+			return err
+		}
+		experiments.RenderVarMin(os.Stdout, varmin)
+		fmt.Println()
+	}
+
+	if enabled("route") {
+		cov, err := experiments.RouteETACoverage(env, routePairs, routeDensities, calibLevels, routeSlots)
+		if err != nil {
+			return err
+		}
+		experiments.RenderRouteCoverage(os.Stdout, cov)
+		fmt.Println()
+		rows, err := experiments.RouteOCSAblation(env, routePairs, routeBudgets, ablationTheta)
+		if err != nil {
+			return err
+		}
+		experiments.RenderRouteOCS(os.Stdout, rows)
 		fmt.Println()
 	}
 

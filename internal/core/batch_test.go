@@ -92,8 +92,16 @@ func TestBatchVsSequentialEquivalence(t *testing.T) {
 		t.Errorf("sweep amortization %0.2f× < 2× (sequential %d, batched %d)",
 			ratio, seqSweeps, batSweeps)
 	}
-	if g := batPipe.Batch.Groups.Value(); g == 0 {
+	groups := batPipe.Batch.Groups.Value()
+	if groups == 0 {
 		t.Error("no batch groups recorded")
+	}
+	// Each group runs one shared pass of the identical query, so it costs at
+	// most one sequential query's sweeps (warm-started later groups cost
+	// fewer). A batcher that coalesces but re-propagates per member fails here.
+	if perQuery := seqSweeps / batch; batSweeps > groups*perQuery {
+		t.Errorf("batched sweeps %d exceed %d groups × %d sweeps per query",
+			batSweeps, groups, perQuery)
 	}
 	if m := batPipe.Batch.Members.Value(); m != batch {
 		t.Errorf("batch members = %d, want %d", m, batch)

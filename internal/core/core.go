@@ -53,21 +53,6 @@ type Config struct {
 	// bytes across cached oracles; 0 disables the byte budget. The budget is
 	// re-enforced on every oracle access because rows accrete lazily.
 	OracleCacheBytes int64
-	// ParallelOCS evaluates greedy marginal gains across a goroutine pool
-	// and runs Hybrid-Greedy's two passes concurrently; results are
-	// bit-identical to the sequential solver (see ocs.Problem.Parallel).
-	// Small instances fall back to the sequential loop automatically.
-	ParallelOCS bool
-	// PrewarmWorkers additionally precomputes the worker roads' correlation
-	// rows before each OCS solve (query rows are always pre-warmed). Worth
-	// it when many concurrent queries share a slot; wasteful for one-shot
-	// queries over large worker pools.
-	PrewarmWorkers bool
-	// LegacyOracle selects the pre-PR-2 global-mutex correlation oracle.
-	// Retained exclusively as the perf-trajectory baseline for
-	// BenchmarkConcurrentQueries and `rtsebench -qps`; leave false in
-	// production paths.
-	LegacyOracle bool
 }
 
 // DefaultConfig returns the configuration used throughout the experiments.
@@ -78,7 +63,6 @@ func DefaultConfig() Config {
 		Transform:        corr.NegLog,
 		GSP:              gsp.DefaultOptions(),
 		OracleCacheSlots: DefaultOracleCacheSlots,
-		ParallelOCS:      true,
 	}
 }
 
@@ -215,23 +199,18 @@ func (s *System) SwapModel(model *rtf.Model, prewarm []tslot.Slot) (oldVersion, 
 // oracleAt returns st's cached correlation oracle for slot t, admitting it
 // into st's LRU. The oracle is built from st's model, so two states never
 // share correlation rows.
-func (s *System) oracleAt(st *modelState, t tslot.Slot) corr.Source {
-	return st.oracles.get(t, func() corr.Source {
-		view := st.model.At(t)
-		if s.cfg.LegacyOracle {
-			return corr.NewMutexOracle(s.net.Graph(), view, s.cfg.Transform)
-		}
+func (s *System) oracleAt(st *modelState, t tslot.Slot) *corr.Oracle {
+	return st.oracles.get(t, func() *corr.Oracle {
 		pipe := s.Obs()
-		return corr.NewOracle(s.net.Graph(), view, s.cfg.Transform,
+		return corr.NewOracle(s.net.Graph(), st.model.At(t), s.cfg.Transform,
 			corr.WithCSR(s.net.CSR()),
 			corr.WithRowObs(pipe.CorrRowCompute, pipe.Clock))
 	})
 }
 
 // Oracle returns the (cached) correlation oracle for slot t of the currently
-// serving model. The engine is the sharded singleflight oracle unless the
-// configuration pins the legacy baseline.
-func (s *System) Oracle(t tslot.Slot) corr.Source {
+// serving model.
+func (s *System) Oracle(t tslot.Slot) *corr.Oracle {
 	return s.oracleAt(s.current(), t)
 }
 
@@ -315,9 +294,8 @@ type SelectRequest struct {
 
 // Select solves OCS for the request. Before the solve it pre-warms the slot
 // oracle's query rows (the greedy correlation table) through the parallel
-// warm pool — and the worker rows too when Config.PrewarmWorkers is set — so
-// concurrent queries sharing a slot find the rows resident instead of
-// recomputing them.
+// warm pool, so concurrent queries sharing a slot find the rows resident
+// instead of recomputing them.
 func (s *System) Select(req SelectRequest) (ocs.Solution, error) {
 	return s.SelectCtx(context.Background(), req)
 }
@@ -341,12 +319,7 @@ func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequ
 	}
 	view := st.model.At(t)
 	oracle := s.oracleAt(st, t)
-	warm := query
-	if s.cfg.PrewarmWorkers {
-		warm = make([]int, 0, len(query)+len(workerRoads))
-		warm = append(append(warm, query...), workerRoads...)
-	}
-	oracle.Warm(warm)
+	oracle.Warm(query)
 	p := &ocs.Problem{
 		Query:    query,
 		Workers:  workerRoads,
@@ -355,11 +328,8 @@ func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequ
 		Theta:    theta,
 		Sigma:    view.Sigma,
 		Oracle:   oracle,
-		Parallel: s.cfg.ParallelOCS,
+		Parallel: true,
 		Metrics:  &s.Obs().OCS,
-		// The legacy engine reproduces the pre-PR-2 access pattern end to
-		// end: per-pair mutex lookups in the θ check, no row caching.
-		DirectCorr: s.cfg.LegacyOracle,
 	}
 	var sol ocs.Solution
 	var err error

@@ -30,7 +30,7 @@ type CacheReport struct {
 // cacheEntry pairs a slot with its oracle inside the LRU list.
 type cacheEntry struct {
 	slot   tslot.Slot
-	oracle corr.Source
+	oracle *corr.Oracle
 }
 
 // oracleCache is the bounded replacement for the old unbounded
@@ -63,7 +63,7 @@ func newOracleCache(maxEntries int, maxBytes int64) *oracleCache {
 
 // get returns the cached oracle for t, building it on a miss, and enforces
 // the budgets. The most recently used entry is never evicted.
-func (c *oracleCache) get(t tslot.Slot, build func() corr.Source) corr.Source {
+func (c *oracleCache) get(t tslot.Slot, build func() *corr.Oracle) *corr.Oracle {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[t]; ok {

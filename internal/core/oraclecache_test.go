@@ -113,7 +113,6 @@ func TestConcurrentQueryMixedSlots(t *testing.T) {
 	f := newFixture(t, 40, 5, 6)
 	cfg := DefaultConfig()
 	cfg.OracleCacheSlots = 3
-	cfg.PrewarmWorkers = true
 	sys, err := NewFromModel(f.net, f.sys.Model(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,41 +165,5 @@ func TestConcurrentQueryMixedSlots(t *testing.T) {
 	}
 	if rep.Misses == 0 || rep.Hits == 0 {
 		t.Errorf("cache counters flat: %+v", rep)
-	}
-}
-
-// TestQueryDeterministicAcrossOracleEngines checks the legacy baseline and
-// the sharded engine select identical roads for identical requests — the
-// precondition for the perf-trajectory comparison being apples-to-apples.
-func TestQueryDeterministicAcrossOracleEngines(t *testing.T) {
-	f := newFixture(t, 30, 4, 7)
-	legacyCfg := DefaultConfig()
-	legacyCfg.LegacyOracle = true
-	legacyCfg.ParallelOCS = false
-	legacy, err := NewFromModel(f.net, f.sys.Model(), legacyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := crowd.PlaceEverywhere(f.net)
-	query := []int{2, 7, 11, 19}
-	sreq := SelectRequest{
-		Slot: 30, Roads: query, WorkerRoads: pool.Roads(),
-		Budget: 10, Theta: 0.92, Selector: Hybrid, Seed: 1,
-	}
-	a, err := f.sys.Select(sreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := legacy.Select(sreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Value != b.Value || a.Cost != b.Cost || len(a.Roads) != len(b.Roads) {
-		t.Fatalf("engines disagree: sharded %+v, legacy %+v", a, b)
-	}
-	for i := range a.Roads {
-		if a.Roads[i] != b.Roads[i] {
-			t.Fatalf("engines disagree at road %d: %+v vs %+v", i, a, b)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/crowd"
+	"repro/internal/rtf"
 	"repro/internal/tslot"
 )
 
@@ -193,5 +194,20 @@ func TestSwapModelReplacesServingPointer(t *testing.T) {
 	}
 	if f.sys.Model() != next {
 		t.Fatal("swap installed a different model than the one passed")
+	}
+}
+
+// BenchmarkSwapModel times one hot-swap with a one-slot oracle pre-warm on an
+// 80-road system. Two prebuilt clones alternate so no clone is timed.
+func BenchmarkSwapModel(b *testing.B) {
+	f := newFixture(b, 80, 4, 47)
+	models := []*rtf.Model{f.sys.Model().Clone(), f.sys.Model().Clone()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := tslot.Slot(i % tslot.PerDay)
+		if _, _, err := f.sys.SwapModel(models[i%2], []tslot.Slot{slot}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

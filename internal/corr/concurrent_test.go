@@ -20,7 +20,7 @@ func seededOracleView(roads int, seed int64) (*network.Network, rtf.View) {
 	return net, m.At(0)
 }
 
-// TestCorrRowSingleflight is the regression test for the pre-PR-2
+// TestCorrRowSingleflight is the regression test for the
 // check-compute-store race: 32 goroutines hammer one row concurrently and
 // the Dijkstra must run exactly once (miss counter == 1), with every caller
 // receiving the same cached slice.
@@ -136,46 +136,5 @@ func TestWarmPrecomputesOnce(t *testing.T) {
 	o.Warm(roads)
 	if st2 := o.Stats(); st2.Misses != 6 {
 		t.Errorf("re-warm recomputed rows: misses = %d", st2.Misses)
-	}
-}
-
-// TestLegacyAndShardedAgree checks the two engines serve bitwise-identical
-// correlations — the precondition for using MutexOracle as a baseline.
-func TestLegacyAndShardedAgree(t *testing.T) {
-	net, view := seededOracleView(70, 21)
-	sharded := NewOracle(net.Graph(), view, NegLog)
-	legacy := NewMutexOracle(net.Graph(), view, NegLog)
-
-	for src := 0; src < net.N(); src += 3 {
-		a, b := sharded.CorrRow(src), legacy.CorrRow(src)
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("row %d differs at %d: sharded %v, legacy %v", src, j, a[j], b[j])
-			}
-		}
-	}
-	query := []int{0, 5, 10}
-	set := []int{20, 30, 40}
-	if a, b := sharded.SetSetCorr(query, set), legacy.SetSetCorr(query, set); a != b {
-		t.Errorf("SetSetCorr differs: %v vs %v", a, b)
-	}
-	if a, b := sharded.WeightedCorr(query, view.Sigma, set), legacy.WeightedCorr(query, view.Sigma, set); a != b {
-		t.Errorf("WeightedCorr differs: %v vs %v", a, b)
-	}
-}
-
-// TestLegacyStats sanity-checks the baseline's own counters.
-func TestLegacyStats(t *testing.T) {
-	net, view := seededOracleView(40, 5)
-	o := NewMutexOracle(net.Graph(), view, NegLog)
-	o.Warm([]int{1, 2, 3}) // no-op by design
-	if st := o.Stats(); st.Misses != 0 || st.ResidentRows != 0 {
-		t.Errorf("legacy Warm computed rows: %+v", st)
-	}
-	o.CorrRow(4)
-	o.CorrRow(4)
-	st := o.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.ResidentRows != 1 {
-		t.Errorf("legacy counters = %+v, want 1 miss / 1 hit / 1 resident", st)
 	}
 }

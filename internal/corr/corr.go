@@ -20,8 +20,7 @@
 // is a single atomic pointer load (no locks), misses go through a lock-striped
 // singleflight so that N concurrent queries for the same source road trigger
 // exactly one Dijkstra, and Warm precomputes rows through a worker pool ahead
-// of an OCS solve. MutexOracle (legacy.go) preserves the pre-PR-2 global-mutex
-// implementation as the perf-trajectory baseline.
+// of an OCS solve.
 package corr
 
 import (
@@ -60,31 +59,6 @@ func (t Transform) String() string {
 	default:
 		return fmt.Sprintf("Transform(%d)", int(t))
 	}
-}
-
-// Source is the read interface of a correlation oracle. Both the sharded
-// Oracle and the legacy MutexOracle satisfy it; OCS consumes this interface
-// so the two engines can be benchmarked head-to-head through identical
-// solver code. Implementations must be safe for concurrent use.
-type Source interface {
-	// Corr returns corr^t(i, j).
-	Corr(i, j int) float64
-	// CorrRow returns corr^t(src, j) for every road j; the slice is cached
-	// and must not be modified.
-	CorrRow(src int) []float64
-	// RoadSetCorr is Eq. (11), RoadSetCorr(i, set) = max_{j∈set} corr(i, j).
-	RoadSetCorr(i int, set []int) float64
-	// SetSetCorr is Eq. (12): Σ_{i∈query} corr(i, set).
-	SetSetCorr(query, set []int) float64
-	// WeightedCorr is Eq. (13), the OCS objective.
-	WeightedCorr(query []int, sigma []float64, set []int) float64
-	// BuildTable precomputes the correlation rows for every query road.
-	BuildTable(query []int) *Table
-	// Warm precomputes the rows for the given source roads ahead of a
-	// query. Out-of-range ids are ignored (warming is best-effort).
-	Warm(roads []int)
-	// Stats reports the cache counters accumulated so far.
-	Stats() CacheStats
 }
 
 // CacheStats are the row-cache counters of an oracle. Misses counts Dijkstra
@@ -186,8 +160,7 @@ type Oracle struct {
 	// csr is the packed topology the miss path runs Dijkstra on; injected
 	// via WithCSR or built lazily on the first miss. hw is the per-half-edge
 	// transformed weight array (−log ρ or 1/ρ), materialized once per oracle
-	// so every row computation is flat-array arithmetic — the map[int64]int
-	// edge lookup of the pre-CSR WeightFunc path is gone.
+	// so every row computation is flat-array arithmetic.
 	csr    *graph.CSR
 	hwOnce sync.Once
 	hw     []float64
@@ -400,78 +373,12 @@ func (o *Oracle) Stats() CacheStats {
 	}
 }
 
-// edgeWeightFn returns the transformed weight function for the path search.
-func edgeWeightFn(view rtf.View, tf Transform) graph.WeightFunc {
-	return func(u, v int) float64 {
-		rho := view.RhoEdge(u, v)
-		if rho <= 0 {
-			// Non-edges never reach here; a zero ρ would mean an unfitted model.
-			return math.Inf(1)
-		}
-		if tf == Reciprocal {
-			return 1 / rho
-		}
-		return -math.Log(rho)
-	}
-}
-
-// computeRow runs the Dijkstra of Eq. (8–10) and evaluates the ρ-product
-// along each node's tree path. Pure function of (g, view, tf, src): both
-// oracle engines share it, which is what makes singleflight sound — any
-// caller's computation yields the same row.
-func computeRow(g *graph.Graph, view rtf.View, tf Transform, src int) []float64 {
-	n := g.N()
-	_, parent := g.DijkstraTree(src, edgeWeightFn(view, tf))
-	row := make([]float64, n)
-	// Evaluate the ρ-product along each node's tree path iteratively:
-	// prod[v] = prod[parent[v]] · ρ(parent[v], v). Resolve lazily with an
-	// explicit stack to avoid recursion on long paths.
-	const unset = -1.0
-	for i := range row {
-		row[i] = unset
-	}
-	row[src] = 1
-	stack := make([]int, 0, 64)
-	for v := 0; v < n; v++ {
-		if row[v] != unset {
-			continue
-		}
-		if parent[v] < 0 {
-			row[v] = 0 // unreachable
-			continue
-		}
-		stack = stack[:0]
-		u := v
-		for row[u] == unset && parent[u] >= 0 {
-			stack = append(stack, u)
-			u = int(parent[u])
-		}
-		base := row[u]
-		if base == unset { // orphan chain (disconnected): all zero
-			base = 0
-			row[u] = 0
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			p := int(parent[w])
-			if base == 0 {
-				row[w] = 0
-				continue
-			}
-			row[w] = row[p] * view.RhoEdge(p, w)
-		}
-	}
-	// Eq. (7): adjacency overrides the path value.
-	for _, nb := range g.Neighbors(src) {
-		row[nb] = view.RhoEdge(src, int(nb))
-	}
-	return row
-}
-
-// computeRowCSR is the packed-substrate variant of computeRow: Dijkstra runs
-// over the flat half-edge weight array (no WeightFunc closure, no map edge
-// lookup) and the ρ-product along each tree path reads view.Rho by the
-// undirected edge id the search recorded — one indexed load per hop.
+// computeRowCSR runs the Dijkstra of Eq. (8–10) over the flat half-edge
+// weight array and evaluates the ρ-product along each node's tree path,
+// reading view.Rho by the undirected edge id the search recorded — one
+// indexed load per hop. It is a pure function of (c, view, hw, src), which is
+// what makes singleflight sound: any caller's computation yields the same
+// row. The tests compare it bit for bit against a map-based reference.
 func computeRowCSR(c *graph.CSR, view rtf.View, hw []float64, src int) []float64 {
 	n := c.N()
 	_, parent, parentEdge := c.DijkstraFlat(src, hw)
@@ -518,11 +425,6 @@ func computeRowCSR(c *graph.CSR, view rtf.View, hw []float64, src int) []float64
 	return row
 }
 
-// rowSource is the minimal dependency of the Eq. (11–13) helpers.
-type rowSource interface {
-	CorrRow(src int) []float64
-}
-
 // Corr returns corr^t(i, j).
 func (o *Oracle) Corr(i, j int) float64 {
 	if i == j {
@@ -534,26 +436,6 @@ func (o *Oracle) Corr(i, j int) float64 {
 // RoadSetCorr is Eq. (11): the maximum road–road correlation between road i
 // and any member of set. An empty set has correlation 0.
 func (o *Oracle) RoadSetCorr(i int, set []int) float64 {
-	return roadSetCorr(o, i, set)
-}
-
-// SetSetCorr is Eq. (12): Σ_{i∈query} corr(i, set).
-func (o *Oracle) SetSetCorr(query, set []int) float64 {
-	return setSetCorr(o, query, set)
-}
-
-// WeightedCorr is Eq. (13), the OCS objective: Σ_{i∈query} σ_i·corr(i, set),
-// where sigma is indexed by road id (pass the RTF view's Sigma).
-func (o *Oracle) WeightedCorr(query []int, sigma []float64, set []int) float64 {
-	return weightedCorr(o, query, sigma, set)
-}
-
-// BuildTable precomputes the correlation rows for every query road.
-func (o *Oracle) BuildTable(query []int) *Table {
-	return buildTable(o, query)
-}
-
-func roadSetCorr(o rowSource, i int, set []int) float64 {
 	row := o.CorrRow(i)
 	best := 0.0
 	for _, j := range set {
@@ -564,23 +446,27 @@ func roadSetCorr(o rowSource, i int, set []int) float64 {
 	return best
 }
 
-func setSetCorr(o rowSource, query, set []int) float64 {
+// SetSetCorr is Eq. (12): Σ_{i∈query} corr(i, set).
+func (o *Oracle) SetSetCorr(query, set []int) float64 {
 	var sum float64
 	for _, i := range query {
-		sum += roadSetCorr(o, i, set)
+		sum += o.RoadSetCorr(i, set)
 	}
 	return sum
 }
 
-func weightedCorr(o rowSource, query []int, sigma []float64, set []int) float64 {
+// WeightedCorr is Eq. (13), the OCS objective: Σ_{i∈query} σ_i·corr(i, set),
+// where sigma is indexed by road id (pass the RTF view's Sigma).
+func (o *Oracle) WeightedCorr(query []int, sigma []float64, set []int) float64 {
 	var sum float64
 	for _, i := range query {
-		sum += sigma[i] * roadSetCorr(o, i, set)
+		sum += sigma[i] * o.RoadSetCorr(i, set)
 	}
 	return sum
 }
 
-func buildTable(o rowSource, query []int) *Table {
+// BuildTable precomputes the correlation rows for every query road.
+func (o *Oracle) BuildTable(query []int) *Table {
 	t := &Table{Query: append([]int(nil), query...), Rows: make([][]float64, len(query))}
 	for qi, q := range query {
 		t.Rows[qi] = o.CorrRow(q)

@@ -4,52 +4,22 @@ import (
 	"testing"
 )
 
-// Before/after benchmark of the oracle row computation — the hot miss path.
-// "Map" is the pre-CSR implementation retained by the legacy MutexOracle:
-// Dijkstra through a WeightFunc closure whose every relaxation resolves the
-// edge id via the graph's map[int64]int, then a ρ-product pass through the
-// same map. "CSR" is the packed substrate: flat half-edge weights, edge ids
-// read from the packing, no map in the loop. Run with -benchmem; EXPERIMENTS
-// records the allocs/op and ns/op delta.
+// Benchmark of the oracle row computation — the hot miss path: Dijkstra over
+// the flat half-edge weights, edge ids read from the packing. Run with
+// -benchmem; EXPERIMENTS records the allocs/op and ns/op.
 
-func benchRowView(b *testing.B, n int) (rowBench, rowBench) {
-	b.Helper()
+func benchRows(b *testing.B, n int) {
 	net, view := seededOracleView(n, 1)
-	g := net.Graph()
-	c := g.BuildCSR()
-	o := &Oracle{g: g, view: view, tf: NegLog, csr: c}
+	c := net.Graph().BuildCSR()
+	o := &Oracle{g: net.Graph(), view: view, tf: NegLog, csr: c}
 	hw, _ := o.flatWeights()
-	mapPath := func(src int) []float64 { return computeRow(g, view, NegLog, src) }
-	csrPath := func(src int) []float64 { return computeRowCSR(c, view, hw, src) }
-	return mapPath, csrPath
-}
-
-type rowBench func(src int) []float64
-
-func benchRows(b *testing.B, f rowBench, n int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = f(i % n)
+		_ = computeRowCSR(c, view, hw, i%n)
 	}
 }
 
-func BenchmarkRowComputeMap600(b *testing.B) {
-	mapPath, _ := benchRowView(b, 600)
-	benchRows(b, mapPath, 600)
-}
+func BenchmarkRowComputeCSR600(b *testing.B) { benchRows(b, 600) }
 
-func BenchmarkRowComputeCSR600(b *testing.B) {
-	_, csrPath := benchRowView(b, 600)
-	benchRows(b, csrPath, 600)
-}
-
-func BenchmarkRowComputeMap5000(b *testing.B) {
-	mapPath, _ := benchRowView(b, 5000)
-	benchRows(b, mapPath, 5000)
-}
-
-func BenchmarkRowComputeCSR5000(b *testing.B) {
-	_, csrPath := benchRowView(b, 5000)
-	benchRows(b, csrPath, 5000)
-}
+func BenchmarkRowComputeCSR5000(b *testing.B) { benchRows(b, 5000) }

@@ -117,8 +117,8 @@ func TestFitScalesDeterministic(t *testing.T) {
 }
 
 // TestCalibrationRestoresSystemState: the ablation installs noise and scales
-// for its sweep but must leave the shared System untouched — benchguard runs
-// other gates on the same Env afterwards.
+// for its sweep but must leave the shared System untouched — rtsebench runs
+// other experiments on the same Env afterwards.
 func TestCalibrationRestoresSystemState(t *testing.T) {
 	env := calibEnv(t)
 	if _, err := CalibrationAblation(env, []int{4}, []float64{0.9}, 2); err != nil {

@@ -22,8 +22,8 @@ type TemporalRow struct {
 	// percent (positive = filter better).
 	WinPct float64
 	// ForecastSD is the mean-over-query-roads forecast SD at horizons
-	// 1..len from the filter's final state — the honesty curve the
-	// benchguard gate checks for monotonicity.
+	// 1..len from the filter's final state — the honesty curve
+	// TestGoldenTemporalAblation checks for monotonicity.
 	ForecastSD []float64
 }
 
@@ -172,7 +172,7 @@ const temporalWarmup = 3
 // at every slot against the truth that later materializes. Rows come back
 // indexed by horizon; skill over the prior should fade and MeanSD widen as
 // k grows — that pairing (less edge *and* admittedly less sure) is the
-// honesty property the benchguard gate pins.
+// honesty property TestGoldenTemporalForecastHorizon pins.
 func TemporalForecast(env *Env, probes, slots, horizon int) ([]ForecastRow, error) {
 	if horizon < 1 {
 		return nil, fmt.Errorf("experiments: forecast horizon %d < 1", horizon)

@@ -1,5 +1,5 @@
-// Package loadbench is the PR-6 load-replay harness behind `rtsebench -load`
-// and the `benchguard -pr6` gate. It replays a diurnal demand curve derived
+// Package loadbench is the admission-control overload replay. It replays a
+// diurnal demand curve derived
 // from the speedgen profiles — congested (slow) slots are rush hours, and
 // rush hours are when dashboards, alerting and batch consumers all query at
 // once — against a real HTTP server with admission control enabled, and
@@ -14,9 +14,9 @@
 // signal measures, stays pinned to the curve. The peak offers a calibrated
 // multiple of MaxInFlight and the controller must shed; the trough stays
 // under capacity and must serve everything at full fidelity. Shed clients
-// back off briefly (a client that ignores 429s would busy-spin). Both
-// binaries run this same code, so the benchguard -pr6 gate's fresh
-// measurement matches the recorded BENCH_PR6.json baseline by construction.
+// back off briefly (a client that ignores 429s would busy-spin).
+// TestRunReplay asserts the ladder's invariants on a short replay; serving
+// latency and throughput are measured by the benchmark in bench/.
 package loadbench
 
 import (
@@ -105,7 +105,7 @@ type ClassStats struct {
 	P99MS    float64        `json:"p99_ms"`
 }
 
-// Report is the BENCH_PR6.json schema.
+// Report is the outcome of one replay, JSON-ready.
 type Report struct {
 	Generated  string `json:"generated"`
 	GoVersion  string `json:"go_version"`

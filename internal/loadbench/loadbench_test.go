@@ -2,10 +2,11 @@ package loadbench
 
 import "testing"
 
-// TestRunReplay exercises one small replay end to end and checks the
-// structural invariants the benchguard gate relies on: alerting is never
-// shed, the class order holds, degraded tiers are labeled, and the server
-// recovers to full fidelity after the surge drains.
+// TestRunReplay exercises one small replay end to end and checks the QoS
+// ladder's structural invariants: alerting is never shed, the class order
+// holds, the batch shed rate at the surge stays under the ceiling, degraded
+// tiers are labeled, and the server recovers to full fidelity after the
+// surge drains.
 func TestRunReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load replay in -short mode")

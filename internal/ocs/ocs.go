@@ -73,7 +73,7 @@ type Problem struct {
 	Budget  int     // K, total payment budget
 	Theta   float64 // θ ∈ (0, 1], redundancy threshold
 	Sigma   []float64
-	Oracle  corr.Source
+	Oracle  *corr.Oracle
 
 	// Mode selects the objective: ObjCorrelation (Eq. 13, default),
 	// ObjVarianceMin (total posterior-variance reduction), or ObjRouteVar
@@ -93,17 +93,9 @@ type Problem struct {
 	// computed by the same float operations in the same order, and ties
 	// break toward the smaller road id under both schedules. Instances
 	// below parallelThreshold work units fall back to the sequential loop
-	// so small problems don't pay goroutine overhead. Requires Oracle to be
-	// safe for concurrent use (both corr engines are).
+	// so small problems don't pay goroutine overhead. The oracle is safe for
+	// concurrent use.
 	Parallel bool
-
-	// DirectCorr disables the row-cached θ-redundancy check and routes every
-	// pairwise correlation through Oracle.Corr, one oracle lookup per
-	// (selected, candidate) pair — the pre-PR-2 hot path. It exists only so
-	// the perf-trajectory benchmarks can measure the old access pattern
-	// against the same solver logic; selections are identical either way
-	// because CorrRow(i)[j] and Corr(i, j) are the same float.
-	DirectCorr bool
 
 	// Metrics, when non-nil, receives per-solve counters (invocations,
 	// selected road count, solve latency). Instrumentation happens once per
@@ -294,9 +286,9 @@ func (p *Problem) Feasible(set []int) bool {
 // candidate's marginal gain is Σ w_qi · max(0, score(qi, r) − best[qi]) in
 // O(|R^q|), where w is σ or σ² to match.
 type greedyState struct {
-	p        *Problem
-	tab      *corr.Table
-	best     []float64
+	p    *Problem
+	tab  *corr.Table
+	best []float64
 	// w[qi] is the query road's objective weight: σ under ObjCorrelation,
 	// σ² under ObjVarianceMin, w·σ² under ObjRouteVar.
 	w []float64
@@ -355,18 +347,9 @@ func (s *greedyState) gain(r int) float64 {
 }
 
 // redundant reports whether r violates the θ constraint against the current
-// selection (corr(r, R^c) > θ). The default path indexes the cached rows of
-// the selected roads — no oracle call in the inner loop; DirectCorr restores
-// the pre-PR per-pair lookup for the perf-trajectory baseline.
+// selection (corr(r, R^c) > θ). It indexes the cached rows of the selected
+// roads — no oracle call in the inner loop.
 func (s *greedyState) redundant(r int) bool {
-	if s.p.DirectCorr {
-		for _, sel := range s.selected {
-			if s.p.Oracle.Corr(sel, r) > s.p.Theta {
-				return true
-			}
-		}
-		return false
-	}
 	for _, row := range s.selRows {
 		if row[r] > s.p.Theta {
 			return true
@@ -377,9 +360,7 @@ func (s *greedyState) redundant(r int) bool {
 
 func (s *greedyState) add(r int) {
 	s.selected = append(s.selected, r)
-	if !s.p.DirectCorr {
-		s.selRows = append(s.selRows, s.p.Oracle.CorrRow(r))
-	}
+	s.selRows = append(s.selRows, s.p.Oracle.CorrRow(r))
 	s.cost += s.p.Costs[r]
 	s.value += s.gain(r)
 	for qi := range s.p.Query {

@@ -114,7 +114,6 @@ func New(net *network.Network, model *rtf.Model, cfg Config) (*Engine, error) {
 		// Zero-value Core: adopt the serving defaults so an engine built with
 		// just {Shards, Seed} works out of the box.
 		cfg.Core.GSP = gsp.DefaultOptions()
-		cfg.Core.ParallelOCS = true
 	}
 	if cfg.HaloHops < 0 {
 		return nil, fmt.Errorf("shard: negative halo depth %d", cfg.HaloHops)
