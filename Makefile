@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fault-determinism race-hotpath race-suite fuzz-seed fuzz-snapshot refit-drill bench-smoke check bench bench-concurrent bench-all
+.PHONY: all build vet fmt-check test race fault-determinism race-hotpath race-suite fuzz-seed fuzz-snapshot refit-drill bench-smoke bench-once check bench bench-concurrent bench-all
 
 all: build
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file is gofmt-clean: `gofmt -l` lists nothing.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -60,16 +64,23 @@ bench-smoke:
 refit-drill:
 	$(GO) test -race -run 'RefitDrill|RefitOnce|Refitter' -v ./internal/modelstore/
 
-check: vet build race fault-determinism race-hotpath race-suite fuzz-seed bench-smoke
+check: fmt-check vet build race fault-determinism race-hotpath race-suite fuzz-seed bench-smoke bench-once
+
+# The layer micro-benchmarks of `make bench`, one iteration each: a benchmark
+# that a refactor breaks fails here rather than in the next perf run.
+LAYER_BENCH = 'RowCompute|Snapshot|SwapModel|FilterStep|ForecastFrom|PlanETA'
+LAYER_BENCH_PKGS = ./internal/corr/ ./internal/modelstore/ ./internal/core/ ./internal/temporal/ ./internal/router/
+
+bench-once:
+	$(GO) test -run '^$$' -bench $(LAYER_BENCH) -benchtime 1x $(LAYER_BENCH_PKGS)
 
 # Go micro-benchmarks of the hot layers: concurrent OCS selection and oracle
-# row lookups, the row computation, the snapshot codec, the hot-swap and the
-# temporal filter. Save the output per commit and compare with benchstat (see
-# EXPERIMENTS.md "Perf trajectory"). Serving performance end to end is
-# measured by bench/ (see bench/README.md).
+# row lookups, the row computation, the snapshot codec, the hot-swap, the
+# temporal filter and route planning. Save the output per commit and compare
+# with benchstat (see EXPERIMENTS.md "Perf trajectory"). Serving performance
+# end to end is measured by bench/ (see bench/README.md).
 bench: bench-concurrent
-	$(GO) test -run '^$$' -bench 'RowCompute|Snapshot|SwapModel|FilterStep|ForecastFrom' -benchmem \
-		./internal/corr/ ./internal/modelstore/ ./internal/core/ ./internal/temporal/
+	$(GO) test -run '^$$' -bench $(LAYER_BENCH) -benchmem $(LAYER_BENCH_PKGS)
 
 bench-concurrent:
 	$(GO) test -run '^$$' -bench 'Concurrent|OracleRowThroughput' -benchmem -benchtime 2s .

@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/gsp"
+	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/tslot"
 )
@@ -14,6 +16,10 @@ import (
 func tierFixture(t *testing.T, seed int64) (*fixture, *Batcher, tslot.Slot, map[int]float64) {
 	t.Helper()
 	f := newFixture(t, 40, 6, seed)
+	// A frozen clock: cached entries are exactly zero slots old, so the
+	// cached tier's age widening never depends on how loaded the host is.
+	clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), 0)
+	f.sys.Instrument(obs.NewPipeline(obs.NewRegistry(), clock))
 	b, err := NewBatcher(f.sys, BatcherOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,54 +1,5 @@
 package graph
 
-// Layers performs a multi-source breadth-first traversal from sources and
-// partitions the remaining reachable nodes into layers by hop distance:
-// layers[0] holds nodes at distance 1 from the source set, layers[1] at
-// distance 2, and so on. The source nodes themselves are not included.
-//
-// This is the BFT scheduling step of GSP (Alg. 5): variables with the same
-// minimum hop-count toward the crowdsourced set V_{R^c} are updated in the
-// same loop, so information propagates outward one ring at a time.
-//
-// Nodes unreachable from every source are returned separately in unreachable
-// (sorted ascending); in the traffic-network setting those keep their
-// periodic mean during propagation.
-func (g *Graph) Layers(sources []int) (layers [][]int, unreachable []int) {
-	const unvisited = -1
-	dist := make([]int, len(g.adj))
-	for i := range dist {
-		dist[i] = unvisited
-	}
-	queue := make([]int32, 0, len(sources))
-	for _, s := range sources {
-		if s < 0 || s >= len(g.adj) || dist[s] == 0 {
-			continue
-		}
-		dist[s] = 0
-		queue = append(queue, int32(s))
-	}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for _, v := range g.adj[u] {
-			if dist[v] == unvisited {
-				dist[v] = du + 1
-				for len(layers) < du+1 {
-					layers = append(layers, nil)
-				}
-				layers[du] = append(layers[du], int(v))
-				queue = append(queue, v)
-			}
-		}
-	}
-	for u, d := range dist {
-		if d == unvisited {
-			unreachable = append(unreachable, u)
-		}
-	}
-	return layers, unreachable
-}
-
 // HopDistances returns, for every node, its minimum hop distance to the
 // source set (0 for sources, -1 for unreachable nodes).
 func (g *Graph) HopDistances(sources []int) []int {

@@ -9,7 +9,7 @@ import (
 func TestLayersSingleSource(t *testing.T) {
 	// 0-1-2-3 path, source {0}: layers are {1}, {2}, {3}.
 	g := Path(4)
-	layers, unreachable := g.Layers([]int{0})
+	layers, unreachable := g.BuildCSR().Layers([]int{0})
 	if len(unreachable) != 0 {
 		t.Fatalf("unreachable = %v", unreachable)
 	}
@@ -27,7 +27,7 @@ func TestLayersSingleSource(t *testing.T) {
 func TestLayersMultiSource(t *testing.T) {
 	// path 0-1-2-3-4, sources {0,4}: layer0={1,3}, layer1={2}.
 	g := Path(5)
-	layers, _ := g.Layers([]int{0, 4})
+	layers, _ := g.BuildCSR().Layers([]int{0, 4})
 	if len(layers) != 2 {
 		t.Fatalf("layers = %v", layers)
 	}
@@ -38,7 +38,7 @@ func TestLayersMultiSource(t *testing.T) {
 
 func TestLayersUnreachable(t *testing.T) {
 	g := mustGraph(t, 5, [2]int{0, 1}, [2]int{3, 4})
-	layers, unreachable := g.Layers([]int{0})
+	layers, unreachable := g.BuildCSR().Layers([]int{0})
 	if len(layers) != 1 || layers[0][0] != 1 {
 		t.Fatalf("layers = %v", layers)
 	}
@@ -49,7 +49,7 @@ func TestLayersUnreachable(t *testing.T) {
 
 func TestLayersInvalidAndDuplicateSources(t *testing.T) {
 	g := Path(3)
-	layers, unreachable := g.Layers([]int{-1, 0, 0, 99})
+	layers, unreachable := g.BuildCSR().Layers([]int{-1, 0, 0, 99})
 	if len(layers) != 2 {
 		t.Fatalf("layers = %v", layers)
 	}
@@ -60,7 +60,7 @@ func TestLayersInvalidAndDuplicateSources(t *testing.T) {
 
 func TestLayersNoSources(t *testing.T) {
 	g := Path(3)
-	layers, unreachable := g.Layers(nil)
+	layers, unreachable := g.BuildCSR().Layers(nil)
 	if len(layers) != 0 || len(unreachable) != 3 {
 		t.Fatalf("layers=%v unreachable=%v", layers, unreachable)
 	}
@@ -135,7 +135,7 @@ func TestLayersMatchDistancesProperty(t *testing.T) {
 			_ = g.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
 		src := int(sRaw) % n
-		layers, unreachable := g.Layers([]int{src})
+		layers, unreachable := g.BuildCSR().Layers([]int{src})
 		dist := g.HopDistances([]int{src})
 		covered := map[int]bool{src: true}
 		for li, layer := range layers {

@@ -115,28 +115,38 @@ func (c *CSR) Bytes() int64 {
 	return int64(len(c.offsets))*4 + int64(len(c.neigh))*4 + int64(len(c.edge))*4
 }
 
-// HalfEdgeWeights materializes a flat per-half-edge weight array from a
-// per-undirected-edge table: out[k] = edgeWeights[edge[k]]. The result is
-// what DijkstraFlat consumes — one contiguous float64 load per relaxation, no
-// closure call, no map.
-func (c *CSR) HalfEdgeWeights(edgeWeights []float64) []float64 {
-	out := make([]float64, len(c.edge))
-	for k, e := range c.edge {
-		out[k] = edgeWeights[e]
-	}
-	return out
+// DijkstraFlat computes single-source shortest paths under non-negative
+// per-half-edge weights w (aligned with the packed neighbor array: w[k] is
+// the weight of half-edge k). It returns the distance array, parent pointers
+// (-1 for src and unreachable nodes) and the undirected edge id used to reach
+// each node (-1 where parent is -1).
+//
+// This is the correlation-oracle miss path: every relaxation is a single
+// indexed load, with no callback and no map.
+func (c *CSR) DijkstraFlat(src int, w []float64) (dist []float64, parent, parentEdge []int32) {
+	return c.search(src, -1, 0, w, nil)
 }
 
-// DijkstraFlat computes single-source shortest paths under non-negative
-// per-half-edge weights w (aligned with the packed neighbor array, e.g. from
-// HalfEdgeWeights). It returns the distance array, parent pointers (-1 for
-// src and unreachable nodes) and the undirected edge id used to reach each
-// node (-1 where parent is -1).
-//
-// This is the CSR replacement of Graph.DijkstraTree on the correlation-oracle
-// miss path: the per-relaxation WeightFunc closure (which cost a map lookup
-// per edge in the ρ table) becomes a single indexed load.
-func (c *CSR) DijkstraFlat(src int, w []float64) (dist []float64, parent, parentEdge []int32) {
+// DijkstraFunc is the callback-priced entry of the same search, for costs
+// that depend on when a half-edge is entered. Labels start at start on src
+// and grow by cost(at, k, v) when half-edge k into v is relaxed from a node
+// settled at label at; a +Inf cost makes the half-edge impassable. The search
+// stops once dst is settled, so only labels settled by then are final.
+// Costs under which a later entry never arrives earlier (FIFO) keep
+// label-setting exact when they vary with time. Out-of-range endpoints leave
+// every label at +Inf.
+func (c *CSR) DijkstraFunc(src, dst int, start float64, cost func(at float64, k, v int32) float64) (arrive []float64, parent []int32) {
+	if dst < 0 || dst >= c.N() {
+		src = -1 // nothing is reachable from an invalid query
+	}
+	arrive, parent, _ = c.search(src, dst, start, nil, cost)
+	return arrive, parent
+}
+
+// search is the one label-setting shortest-path loop behind DijkstraFlat and
+// DijkstraFunc. Half-edge k costs w[k] when w is non-nil, else cost(du, k, v);
+// dst < 0 settles every reachable node. Negative costs panic.
+func (c *CSR) search(src, dst int, start float64, w []float64, cost func(at float64, k, v int32) float64) (dist []float64, parent, parentEdge []int32) {
 	n := c.N()
 	dist = make([]float64, n)
 	parent = make([]int32, n)
@@ -149,14 +159,14 @@ func (c *CSR) DijkstraFlat(src int, w []float64) (dist []float64, parent, parent
 	if src < 0 || src >= n {
 		return dist, parent, parentEdge
 	}
-	dist[src] = 0
+	dist[src] = start
 	done := make([]bool, n)
 	// Inline binary heap: container/heap boxes every pqItem into an
 	// interface{} on Push/Pop — one allocation per relaxation, which at metro
-	// scale is millions of allocations per oracle row. The hand-rolled heap
-	// keeps items in one growing slice and allocates only on capacity growth.
+	// scale is millions of allocations per search. The hand-rolled heap keeps
+	// items in one growing slice and allocates only on capacity growth.
 	h := make(flatHeap, 1, 64)
-	h[0] = pqItem{int32(src), 0}
+	h[0] = pqItem{int32(src), start}
 	for len(h) > 0 {
 		it := h.pop()
 		u := it.node
@@ -164,6 +174,9 @@ func (c *CSR) DijkstraFlat(src int, w []float64) (dist []float64, parent, parent
 			continue
 		}
 		done[u] = true
+		if int(u) == dst {
+			break
+		}
 		du := dist[u]
 		lo, hi := c.offsets[u], c.offsets[u+1]
 		for k := lo; k < hi; k++ {
@@ -171,9 +184,14 @@ func (c *CSR) DijkstraFlat(src int, w []float64) (dist []float64, parent, parent
 			if done[v] {
 				continue
 			}
-			wt := w[k]
+			var wt float64
+			if w != nil {
+				wt = w[k]
+			} else {
+				wt = cost(du, k, v)
+			}
 			if wt < 0 {
-				panic("graph: negative half-edge weight in DijkstraFlat")
+				panic("graph: negative half-edge weight in Dijkstra")
 			}
 			if nd := du + wt; nd < dist[v] {
 				dist[v] = nd
@@ -186,9 +204,36 @@ func (c *CSR) DijkstraFlat(src int, w []float64) (dist []float64, parent, parent
 	return dist, parent, parentEdge
 }
 
-// flatHeap is a min-heap of pqItems with non-boxing push/pop (compare
-// distHeap, which goes through container/heap's interface{} API and pays an
-// allocation per operation).
+// PathTo reconstructs the node sequence src..dst from the parent pointers of
+// a search from src. It returns nil if dst is unreachable.
+func PathTo(parent []int32, src, dst int) []int {
+	if dst < 0 || dst >= len(parent) {
+		return nil
+	}
+	var rev []int
+	for v := dst; v != src; {
+		rev = append(rev, v)
+		p := parent[v]
+		if p < 0 {
+			return nil
+		}
+		v = int(p)
+	}
+	rev = append(rev, src)
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// pqItem is a priority-queue entry of the search: a node and its label.
+type pqItem struct {
+	node int32
+	dist float64
+}
+
+// flatHeap is a min-heap of pqItems with non-boxing push/pop. Its sift rules
+// are container/heap's, so equal labels pop in the same order.
 type flatHeap []pqItem
 
 func (h *flatHeap) push(it pqItem) {
@@ -231,8 +276,19 @@ func (h *flatHeap) pop() pqItem {
 	return top
 }
 
-// Layers is the CSR variant of Graph.Layers: multi-source BFS partitioning
-// reachable non-source nodes into rings by hop distance.
+// Layers performs a multi-source breadth-first traversal from sources and
+// partitions the remaining reachable nodes into layers by hop distance:
+// layers[0] holds nodes at distance 1 from the source set, layers[1] at
+// distance 2, and so on. The source nodes themselves are not included;
+// out-of-range and duplicate sources are ignored.
+//
+// This is the BFT scheduling step of GSP (Alg. 5): variables with the same
+// minimum hop-count toward the crowdsourced set V_{R^c} are updated in the
+// same loop, so information propagates outward one ring at a time.
+//
+// Nodes unreachable from every source are returned separately in unreachable
+// (sorted ascending); in the traffic-network setting those keep their
+// periodic mean during propagation.
 func (c *CSR) Layers(sources []int) (layers [][]int, unreachable []int) {
 	const unvisited = -1
 	n := c.N()

@@ -9,9 +9,39 @@ import (
 
 func unitWeight(u, v int) float64 { return 1 }
 
+// halfEdgeWeights prices every half-edge of c with the symmetric edge weight
+// w, in the layout DijkstraFlat consumes.
+func halfEdgeWeights(c *CSR, w func(u, v int) float64) []float64 {
+	hw := make([]float64, c.NumHalfEdges())
+	for u := 0; u < c.N(); u++ {
+		lo, hi := c.Row(u)
+		for k := lo; k < hi; k++ {
+			v, _ := c.At(k)
+			hw[k] = w(u, int(v))
+		}
+	}
+	return hw
+}
+
+// flatDist runs DijkstraFlat from src under the edge weight w.
+func flatDist(g *Graph, src int, w func(u, v int) float64) (dist []float64, parent []int32) {
+	c := g.BuildCSR()
+	dist, parent, _ = c.DijkstraFlat(src, halfEdgeWeights(c, w))
+	return dist, parent
+}
+
+// distTo runs DijkstraFunc from src, stopping at dst, under the edge weight w
+// (not time-dependent: the label at the tail is ignored).
+func distTo(g *Graph, src, dst int, w func(u, v int) float64) float64 {
+	c := g.BuildCSR()
+	hw := halfEdgeWeights(c, w)
+	arrive, _ := c.DijkstraFunc(src, dst, 0, func(_ float64, k, _ int32) float64 { return hw[k] })
+	return arrive[dst]
+}
+
 func TestDijkstraUnitWeights(t *testing.T) {
 	g := Ring(6)
-	dist := g.Dijkstra(0, unitWeight)
+	dist, _ := flatDist(g, 0, unitWeight)
 	want := []float64{0, 1, 2, 3, 2, 1}
 	for i := range want {
 		if dist[i] != want[i] {
@@ -38,7 +68,7 @@ func TestDijkstraWeighted(t *testing.T) {
 		t.Fatalf("unexpected edge (%d,%d)", u, v)
 		return 0
 	}
-	dist, parent := g.DijkstraTree(0, w)
+	dist, parent := flatDist(g, 0, w)
 	if dist[1] != 3 {
 		t.Errorf("dist[1] = %v, want 3 (via node 2)", dist[1])
 	}
@@ -56,11 +86,11 @@ func TestDijkstraWeighted(t *testing.T) {
 
 func TestDijkstraUnreachable(t *testing.T) {
 	g := mustGraph(t, 4, [2]int{0, 1})
-	dist := g.Dijkstra(0, unitWeight)
+	dist, _ := flatDist(g, 0, unitWeight)
 	if !math.IsInf(dist[2], 1) || !math.IsInf(dist[3], 1) {
 		t.Errorf("unreachable distances = %v", dist)
 	}
-	_, parent := g.DijkstraTree(0, unitWeight)
+	_, parent := flatDist(g, 0, unitWeight)
 	if PathTo(parent, 0, 3) != nil {
 		t.Error("PathTo to unreachable node should be nil")
 	}
@@ -68,7 +98,7 @@ func TestDijkstraUnreachable(t *testing.T) {
 
 func TestDijkstraInvalidSource(t *testing.T) {
 	g := Path(3)
-	dist := g.Dijkstra(-1, unitWeight)
+	dist, _ := flatDist(g, -1, unitWeight)
 	for _, d := range dist {
 		if !math.IsInf(d, 1) {
 			t.Fatalf("invalid source: dist = %v", dist)
@@ -83,23 +113,26 @@ func TestDijkstraNegativePanics(t *testing.T) {
 			t.Error("negative weight did not panic")
 		}
 	}()
-	g.Dijkstra(0, func(u, v int) float64 { return -1 })
+	flatDist(g, 0, func(u, v int) float64 { return -1 })
 }
 
 func TestDijkstraTo(t *testing.T) {
 	g := Grid(4, 4)
-	if d := g.DijkstraTo(0, 15, unitWeight); d != 6 {
-		t.Errorf("DijkstraTo corner-to-corner = %v, want 6", d)
+	if d := distTo(g, 0, 15, unitWeight); d != 6 {
+		t.Errorf("DijkstraFunc corner-to-corner = %v, want 6", d)
 	}
-	if d := g.DijkstraTo(3, 3, unitWeight); d != 0 {
-		t.Errorf("DijkstraTo(v,v) = %v", d)
+	if d := distTo(g, 3, 3, unitWeight); d != 0 {
+		t.Errorf("DijkstraFunc(v,v) = %v", d)
 	}
-	if d := g.DijkstraTo(0, 99, unitWeight); !math.IsInf(d, 1) {
-		t.Errorf("DijkstraTo out of range = %v", d)
+	arrive, _ := g.BuildCSR().DijkstraFunc(0, 99, 0, func(float64, int32, int32) float64 { return 1 })
+	for _, d := range arrive {
+		if !math.IsInf(d, 1) {
+			t.Fatalf("DijkstraFunc out of range = %v", arrive)
+		}
 	}
 	g2 := mustGraph(t, 4, [2]int{0, 1})
-	if d := g2.DijkstraTo(0, 3, unitWeight); !math.IsInf(d, 1) {
-		t.Errorf("DijkstraTo unreachable = %v", d)
+	if d := distTo(g2, 0, 3, unitWeight); !math.IsInf(d, 1) {
+		t.Errorf("DijkstraFunc unreachable = %v", d)
 	}
 }
 
@@ -114,8 +147,9 @@ func TestPathToEdgeCases(t *testing.T) {
 }
 
 // Property: Dijkstra distances on random weighted graphs satisfy the
-// triangle inequality over every edge, and DijkstraTo agrees with the full
-// run. Weights are derived deterministically from endpoints.
+// triangle inequality over every edge, and DijkstraFunc stopped at dst agrees
+// with the full DijkstraFlat run. Weights are derived deterministically from
+// endpoints.
 func TestDijkstraProperties(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%25 + 2
@@ -130,7 +164,7 @@ func TestDijkstraProperties(t *testing.T) {
 			}
 			return float64((u*31+v*17)%13 + 1)
 		}
-		dist := g.Dijkstra(0, w)
+		dist, _ := flatDist(g, 0, w)
 		ok := true
 		g.Edges(func(u, v int) bool {
 			du, dv, wt := dist[u], dist[v], w(u, v)
@@ -148,7 +182,7 @@ func TestDijkstraProperties(t *testing.T) {
 			return false
 		}
 		dst := rng.Intn(n)
-		dTo := g.DijkstraTo(0, dst, w)
+		dTo := distTo(g, 0, dst, w)
 		if math.IsInf(dist[dst], 1) != math.IsInf(dTo, 1) {
 			return false
 		}
@@ -173,7 +207,7 @@ func TestPathWeightMatchesDistance(t *testing.T) {
 		}
 		return float64((u*7+v*13)%9 + 1)
 	}
-	dist, parent := g.DijkstraTree(0, w)
+	dist, parent := flatDist(g, 0, w)
 	for dst := 1; dst < g.N(); dst++ {
 		path := PathTo(parent, 0, dst)
 		if path == nil {

@@ -1,6 +1,6 @@
-// Route-level ETA over an uncertainty-carrying speed field (PR 10). The
-// planners in router.go consume a bare Field — a point estimate per (slot,
-// road). The serving stack now produces calibrated per-road posteriors
+// Route-level ETA over an uncertainty-carrying speed field (PR 10). Static
+// and Evaluate in router.go consume point estimates — one speed per road, or
+// a bare Field per (slot, road). The serving stack now produces calibrated per-road posteriors
 // (mean, SD, provenance) that widen across the forecast fan, so a route's
 // travel time is itself a distribution: each segment's traversal time
 // τ_r = 60·L_r/v_r inherits the speed uncertainty through the delta method,
@@ -15,7 +15,6 @@
 package router
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -67,83 +66,52 @@ type ETA struct {
 }
 
 // PlanETA plans the fastest src→dst route departing at departMinute over the
-// field's mean speeds (time-dependent Dijkstra, same conventions as
-// TimeDependent: first road free, entry-slot pricing) and integrates the
-// posterior along it. Edges whose entry slot the field cannot serve are
-// impassable; if that pruning is what disconnected dst, the error is
-// ErrHorizonExceeded rather than a plain no-route.
+// field's mean speeds (time-dependent Dijkstra: first road free, each road
+// priced at its entry slot) and integrates the posterior along it. Edges
+// whose entry slot the field cannot serve are impassable; if that pruning is
+// what disconnected dst, the error is ErrHorizonExceeded rather than a plain
+// no-route.
 func PlanETA(net *network.Network, field DistField, departMinute float64, src, dst int) (ETA, error) {
 	if field == nil {
 		return ETA{}, fmt.Errorf("router: nil field")
 	}
-	if departMinute < 0 || departMinute >= 24*60 {
-		return ETA{}, fmt.Errorf("router: departure minute %v outside the day", departMinute)
+	if err := checkDepart(departMinute); err != nil {
+		return ETA{}, err
 	}
 	if err := checkEndpoints(net, src, dst); err != nil {
 		return ETA{}, err
 	}
-	g := net.Graph()
-	n := g.N()
-	arrive := make([]float64, n)
-	parent := make([]int32, n)
-	done := make([]bool, n)
-	for i := range arrive {
-		arrive[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	arrive[src] = departMinute
 	overflowed := false
-	h := &timeHeap{{node: int32(src), at: departMinute}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(timeItem)
-		u := int(it.node)
-		if done[u] {
-			continue
+	route, ok := plan(net, src, dst, departMinute, func(at float64, _, v int32) float64 {
+		d, ok := field(entrySlot(at), int(v))
+		if !ok {
+			// Beyond the served horizon: the edge is impassable from
+			// here, but remember why in case dst ends up unreachable.
+			overflowed = true
+			return math.Inf(1)
 		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		now := arrive[u]
-		slot := tslot.OfMinute(int(now) % (24 * 60))
-		for _, nb := range g.Neighbors(u) {
-			v := int(nb)
-			if done[v] {
-				continue
-			}
-			d, ok := field(slot, v)
-			if !ok {
-				// Beyond the served horizon: the edge is impassable from
-				// here, but remember why in case dst ends up unreachable.
-				overflowed = true
-				continue
-			}
-			at := now + travelMinutes(net, v, d.Mean)
-			if at < arrive[v] {
-				arrive[v] = at
-				parent[v] = int32(u)
-				heap.Push(h, timeItem{node: nb, at: at})
-			}
-		}
-	}
-	if math.IsInf(arrive[dst], 1) {
+		return travelMinutes(net, int(v), d.Mean)
+	})
+	if !ok {
 		if overflowed {
 			return ETA{}, fmt.Errorf("router: no route from %d to %d within the horizon: %w", src, dst, ErrHorizonExceeded)
 		}
 		return ETA{}, fmt.Errorf("router: no route from %d to %d", src, dst)
 	}
-	route := Route{Roads: rebuild(parent, src, dst), Minutes: arrive[dst] - departMinute}
 	return IntegrateETA(net, field, departMinute, route)
 }
 
 // IntegrateETA walks an existing route under the field and returns its ETA
 // distribution. The first road's traversal is not counted (the vehicle is
-// already on it), matching Static/TimeDependent/Evaluate; each remaining
+// already on it), matching Static/PlanETA/Evaluate; each remaining
 // road is priced at its entry slot, so the integration advances through the
 // forecast fan as the trip crosses slot boundaries.
 func IntegrateETA(net *network.Network, field DistField, departMinute float64, route Route) (ETA, error) {
 	if field == nil {
 		return ETA{}, fmt.Errorf("router: nil field")
+	}
+	if err := checkDepart(departMinute); err != nil {
+		return ETA{}, err
 	}
 	if len(route.Roads) == 0 {
 		return ETA{}, fmt.Errorf("router: empty route")
@@ -154,14 +122,14 @@ func IntegrateETA(net *network.Network, field DistField, departMinute float64, r
 		Segments:     make([]SegmentETA, 0, len(route.Roads)-1),
 	}
 	now := departMinute
-	slots := map[tslot.Slot]struct{}{tslot.OfMinute(int(departMinute) % (24 * 60)): {}}
+	slots := map[tslot.Slot]struct{}{entrySlot(departMinute): {}}
 	var totalVar float64
 	for i := 1; i < len(route.Roads); i++ {
 		prev, cur := route.Roads[i-1], route.Roads[i]
 		if !net.Adjacent(prev, cur) {
 			return ETA{}, fmt.Errorf("router: route hop %d→%d not adjacent", prev, cur)
 		}
-		slot := tslot.OfMinute(int(now) % (24 * 60))
+		slot := entrySlot(now)
 		slots[slot] = struct{}{}
 		d, ok := field(slot, cur)
 		if !ok {

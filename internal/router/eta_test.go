@@ -46,34 +46,6 @@ func TestPlanETAKnownDistribution(t *testing.T) {
 	}
 }
 
-func TestPlanETAMatchesTimeDependentRoute(t *testing.T) {
-	net := diamondNet(t, [4]float64{1, 5, 5.5, 1})
-	jamStart := tslot.OfMinute(601)
-	mean := func(s tslot.Slot, road int) float64 {
-		if road == 1 && s >= jamStart {
-			return 5
-		}
-		return 60
-	}
-	field := func(s tslot.Slot, road int) (SpeedDist, bool) {
-		return SpeedDist{Mean: mean(s, road), SD: 1}, true
-	}
-	eta, err := PlanETA(net, field, 600, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	td, err := TimeDependent(net, mean, 600, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(eta.Minutes-td.Minutes) > 1e-9 {
-		t.Errorf("PlanETA %v vs TimeDependent %v", eta.Minutes, td.Minutes)
-	}
-	if len(eta.Route.Roads) != len(td.Roads) || eta.Route.Roads[1] != td.Roads[1] {
-		t.Errorf("routes differ: %v vs %v", eta.Route.Roads, td.Roads)
-	}
-}
-
 func TestPlanETASlotCrossing(t *testing.T) {
 	// 12 roads of 1 km at 12 km/h = 5 minutes each; a slot is 5 minutes, so
 	// every traversed segment enters a later slot than the previous one.

@@ -1,20 +1,22 @@
 // Package router plans routes over the traffic network using estimated
 // speed fields — the route-planning application the paper lists among RTSE
-// consumers (§I). Two planners are provided:
+// consumers (§I). Two planners are provided, both on the one CSR search of
+// package graph:
 //
 //   - Static: shortest travel time under one fixed speed field (e.g. the
 //     GSP estimate for the current slot).
-//   - TimeDependent: shortest travel time when speeds change as the trip
+//   - PlanETA: shortest travel time when speeds change as the trip
 //     progresses — each road is traversed at the speed of the slot the
-//     vehicle *enters* it. Traversal times are positive, so arrival times
-//     are FIFO-consistent and Dijkstra over arrival time is exact.
+//     vehicle *enters* it — integrated into an ETA distribution over the
+//     field's uncertainty (eta.go). Traversal times are positive, so arrival
+//     times are FIFO-consistent and Dijkstra over arrival time is exact.
 package router
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
+	"repro/internal/graph"
 	"repro/internal/network"
 	"repro/internal/tslot"
 )
@@ -50,69 +52,24 @@ func Static(net *network.Network, speeds []float64, src, dst int) (Route, error)
 	if err := checkEndpoints(net, src, dst); err != nil {
 		return Route{}, err
 	}
-	w := func(u, v int) float64 { return travelMinutes(net, v, speeds[v]) }
-	dist, parent := net.Graph().DijkstraTree(src, w)
-	if math.IsInf(dist[dst], 1) {
+	r, ok := plan(net, src, dst, 0, func(_ float64, _, v int32) float64 {
+		return travelMinutes(net, int(v), speeds[v])
+	})
+	if !ok {
 		return Route{}, fmt.Errorf("router: no route from %d to %d", src, dst)
 	}
-	return Route{Roads: rebuild(parent, src, dst), Minutes: dist[dst]}, nil
+	return r, nil
 }
 
-// TimeDependent plans the fastest route departing at departMinute under a
-// time-varying field. Each road's traversal time is evaluated at the slot
-// of its entry time.
-func TimeDependent(net *network.Network, field Field, departMinute float64, src, dst int) (Route, error) {
-	if field == nil {
-		return Route{}, fmt.Errorf("router: nil field")
-	}
-	if departMinute < 0 || departMinute >= 24*60 {
-		return Route{}, fmt.Errorf("router: departure minute %v outside the day", departMinute)
-	}
-	if err := checkEndpoints(net, src, dst); err != nil {
-		return Route{}, err
-	}
-	g := net.Graph()
-	n := g.N()
-	arrive := make([]float64, n)
-	parent := make([]int32, n)
-	done := make([]bool, n)
-	for i := range arrive {
-		arrive[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	arrive[src] = departMinute
-	h := &timeHeap{{node: int32(src), at: departMinute}}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(timeItem)
-		u := int(it.node)
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		if u == dst {
-			break
-		}
-		now := arrive[u]
-		// Entering neighbor v at time `now` (wrapping past midnight for
-		// overnight trips), traversal at the entry slot's speed.
-		slot := tslot.OfMinute(int(now) % (24 * 60))
-		for _, nb := range g.Neighbors(u) {
-			v := int(nb)
-			if done[v] {
-				continue
-			}
-			at := now + travelMinutes(net, v, field(slot, v))
-			if at < arrive[v] {
-				arrive[v] = at
-				parent[v] = int32(u)
-				heap.Push(h, timeItem{node: nb, at: at})
-			}
-		}
-	}
+// plan runs the CSR search from src with the clock starting at start, where
+// cost prices entering road v from a road left at minute at, and returns the
+// route to dst (ok=false when dst is unreachable).
+func plan(net *network.Network, src, dst int, start float64, cost func(at float64, k, v int32) float64) (Route, bool) {
+	arrive, parent := net.CSR().DijkstraFunc(src, dst, start, cost)
 	if math.IsInf(arrive[dst], 1) {
-		return Route{}, fmt.Errorf("router: no route from %d to %d", src, dst)
+		return Route{}, false
 	}
-	return Route{Roads: rebuild(parent, src, dst), Minutes: arrive[dst] - departMinute}, nil
+	return Route{Roads: graph.PathTo(parent, src, dst), Minutes: arrive[dst] - start}, true
 }
 
 // Evaluate replays a route under a (possibly different) field, returning the
@@ -121,6 +78,9 @@ func TimeDependent(net *network.Network, field Field, departMinute float64, src,
 func Evaluate(net *network.Network, field Field, departMinute float64, route Route) (float64, error) {
 	if field == nil {
 		return 0, fmt.Errorf("router: nil field")
+	}
+	if err := checkDepart(departMinute); err != nil {
+		return 0, err
 	}
 	if len(route.Roads) == 0 {
 		return 0, fmt.Errorf("router: empty route")
@@ -131,8 +91,7 @@ func Evaluate(net *network.Network, field Field, departMinute float64, route Rou
 		if !net.Adjacent(prev, cur) {
 			return 0, fmt.Errorf("router: route hop %d→%d not adjacent", prev, cur)
 		}
-		slot := tslot.OfMinute(int(now) % (24 * 60))
-		now += travelMinutes(net, cur, field(slot, cur))
+		now += travelMinutes(net, cur, field(entrySlot(now), cur))
 	}
 	return now - departMinute, nil
 }
@@ -144,34 +103,17 @@ func checkEndpoints(net *network.Network, src, dst int) error {
 	return nil
 }
 
-func rebuild(parent []int32, src, dst int) []int {
-	var rev []int
-	for v := dst; v != src; {
-		rev = append(rev, v)
-		v = int(parent[v])
+// checkDepart rejects a departure minute outside [0, 24·60) — NaN and ±Inf
+// included — before it can reach tslot.OfMinute.
+func checkDepart(departMinute float64) error {
+	if !(departMinute >= 0 && departMinute < 24*60) {
+		return fmt.Errorf("router: departure minute %v outside the day", departMinute)
 	}
-	rev = append(rev, src)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return nil
 }
 
-type timeItem struct {
-	node int32
-	at   float64
-}
-
-type timeHeap []timeItem
-
-func (h timeHeap) Len() int            { return len(h) }
-func (h timeHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h timeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x interface{}) { *h = append(*h, x.(timeItem)) }
-func (h *timeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// entrySlot is the slot of a trip-clock minute, wrapping past midnight for
+// overnight trips.
+func entrySlot(minute float64) tslot.Slot {
+	return tslot.OfMinute(int(minute) % (24 * 60))
 }

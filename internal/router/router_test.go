@@ -47,6 +47,18 @@ func constField(speed float64) Field {
 	return func(tslot.Slot, int) float64 { return speed }
 }
 
+// lift turns a point-estimate Field into a zero-SD DistField with no horizon
+// limit, so PlanETA plans on exactly the field's speeds. A nil Field lifts to
+// a nil DistField.
+func lift(f Field) DistField {
+	if f == nil {
+		return nil
+	}
+	return func(t tslot.Slot, road int) (SpeedDist, bool) {
+		return SpeedDist{Mean: f(t, road)}, true
+	}
+}
+
 func TestStaticKnownRoute(t *testing.T) {
 	net := lineNet(t, 4)
 	speeds := []float64{60, 60, 60, 60} // 1 km at 60 km/h = 1 minute/road
@@ -114,10 +126,11 @@ func TestTimeDependentMatchesStaticOnConstantField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	td, err := TimeDependent(net, field, 600, 0, 3)
+	eta, err := PlanETA(net, lift(field), 600, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	td := eta.Route
 	if math.Abs(st.Minutes-td.Minutes) > 1e-9 {
 		t.Errorf("static %v vs time-dependent %v", st.Minutes, td.Minutes)
 	}
@@ -138,35 +151,35 @@ func TestTimeDependentDetoursAroundUpcomingJam(t *testing.T) {
 		}
 		return 60
 	}
-	r, err := TimeDependent(net, field, 600, 0, 3)
+	eta, err := PlanETA(net, lift(field), 600, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Roads) != 3 || r.Roads[1] != 2 {
-		t.Fatalf("route = %v, want detour via 2", r.Roads)
+	if r := eta.Route.Roads; len(r) != 3 || r[1] != 2 {
+		t.Fatalf("route = %v, want detour via 2", r)
 	}
 	// Departing well before the jam, the direct branch wins.
-	early, err := TimeDependent(net, field, 300, 0, 3)
+	early, err := PlanETA(net, lift(field), 300, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if early.Roads[1] != 1 {
-		t.Fatalf("early route = %v, want direct via 1", early.Roads)
+	if early.Route.Roads[1] != 1 {
+		t.Fatalf("early route = %v, want direct via 1", early.Route.Roads)
 	}
 }
 
 func TestTimeDependentValidation(t *testing.T) {
 	net := lineNet(t, 3)
-	if _, err := TimeDependent(net, nil, 0, 0, 2); err == nil {
+	if _, err := PlanETA(net, lift(nil), 0, 0, 2); err == nil {
 		t.Error("nil field accepted")
 	}
-	if _, err := TimeDependent(net, constField(50), -5, 0, 2); err == nil {
+	if _, err := PlanETA(net, lift(constField(50)), -5, 0, 2); err == nil {
 		t.Error("negative departure accepted")
 	}
-	if _, err := TimeDependent(net, constField(50), 1e6, 0, 2); err == nil {
+	if _, err := PlanETA(net, lift(constField(50)), 1e6, 0, 2); err == nil {
 		t.Error("departure past midnight accepted")
 	}
-	if _, err := TimeDependent(net, constField(50), 0, 0, 99); err == nil {
+	if _, err := PlanETA(net, lift(constField(50)), 0, 0, 99); err == nil {
 		t.Error("bad dst accepted")
 	}
 }
@@ -194,6 +207,42 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
+// TestDepartMinuteValidation: a departure minute outside [0, 24·60) — NaN and
+// +Inf included — is an error from every entry that takes one, never a panic
+// in the slot lookup.
+func TestDepartMinuteValidation(t *testing.T) {
+	net := lineNet(t, 4)
+	route := Route{Roads: []int{0, 1, 2, 3}}
+	entries := map[string]func(depart float64) error{
+		"Evaluate": func(depart float64) error {
+			_, err := Evaluate(net, constField(60), depart, route)
+			return err
+		},
+		"IntegrateETA": func(depart float64) error {
+			_, err := IntegrateETA(net, constDist(60, 6), depart, route)
+			return err
+		},
+		"PlanETA": func(depart float64) error {
+			_, err := PlanETA(net, constDist(60, 6), depart, 0, 3)
+			return err
+		},
+	}
+	for name, call := range entries {
+		for _, depart := range []float64{-5, math.NaN(), 24 * 60, math.Inf(1)} {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s(depart=%v) panicked: %v", name, depart, p)
+					}
+				}()
+				if err := call(depart); err == nil {
+					t.Errorf("%s(depart=%v) accepted", name, depart)
+				}
+			}()
+		}
+	}
+}
+
 // Property: the time-dependent plan is never slower (under its own field)
 // than replaying the static plan computed from the departure slot's speeds.
 func TestTimeDependentDominatesStaticReplay(t *testing.T) {
@@ -217,13 +266,13 @@ func TestTimeDependentDominatesStaticReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		td, err := TimeDependent(net, field, depart, pair[0], pair[1])
+		eta, err := PlanETA(net, lift(field), depart, pair[0], pair[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if td.Minutes > stActual+1e-9 {
+		if td := eta.Route.Minutes; td > stActual+1e-9 {
 			t.Errorf("pair %v: time-dependent %v slower than static replay %v",
-				pair, td.Minutes, stActual)
+				pair, td, stActual)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"repro/internal/network"
+	"repro/internal/router"
 	"repro/internal/tslot"
 )
 
@@ -93,7 +94,7 @@ func Simulate(net *network.Network, field SpeedField, cfg Config) ([]Trip, []Fix
 		return nil, nil, fmt.Errorf("trajectory: negative speed noise")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := net.Graph()
+	speeds := make([]float64, net.N())
 	trips := make([]Trip, 0, cfg.Trips)
 	var fixes []Fix
 	for k := 0; k < cfg.Trips; k++ {
@@ -103,21 +104,16 @@ func Simulate(net *network.Network, field SpeedField, cfg Config) ([]Trip, []Fix
 			dst = (dst + 1) % net.N()
 		}
 		depart := float64(cfg.StartMinute) + rng.Float64()*float64(cfg.EndMinute-cfg.StartMinute)
-		// Route on free-flow-ish travel time at the departure slot.
+		// Route on the travel times of the departure slot's speeds.
 		slot0 := tslot.OfMinute(int(depart))
-		weight := func(u, v int) float64 {
-			s := field(slot0, v)
-			if s < 1 {
-				s = 1
-			}
-			return 60 * net.Road(v).LengthKM / s
+		for r := range speeds {
+			speeds[r] = field(slot0, r)
 		}
-		_, parent := g.DijkstraTree(src, weight)
-		path := pathTo(parent, src, dst)
-		if path == nil {
+		route, err := router.Static(net, speeds, src, dst)
+		if err != nil {
 			continue // disconnected pair; skip
 		}
-		trip := drive(net, field, path, depart)
+		trip := drive(net, field, route.Roads, depart)
 		fixes = append(fixes, sampleGPS(rng, net, field, &trip, cfg)...)
 		trips = append(trips, trip)
 	}
@@ -184,26 +180,6 @@ func roadAt(trip *Trip, tm float64) int {
 		}
 	}
 	return -1
-}
-
-func pathTo(parent []int32, src, dst int) []int {
-	if dst < 0 || dst >= len(parent) {
-		return nil
-	}
-	var rev []int
-	for v := dst; v != src; {
-		rev = append(rev, v)
-		p := parent[v]
-		if p < 0 {
-			return nil
-		}
-		v = int(p)
-	}
-	rev = append(rev, src)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // Record is one aggregated speed observation extracted from fixes.
