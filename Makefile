@@ -68,15 +68,16 @@ check: fmt-check vet build race fault-determinism race-hotpath race-suite fuzz-s
 
 # The layer micro-benchmarks of `make bench`, one iteration each: a benchmark
 # that a refactor breaks fails here rather than in the next perf run.
-LAYER_BENCH = 'RowCompute|Snapshot|SwapModel|FilterStep|ForecastFrom|PlanETA'
+LAYER_BENCH = 'RowCompute|Redundancy|SelectMetro|Snapshot|SwapModel|FilterStep|ForecastFrom|PlanETA'
 LAYER_BENCH_PKGS = ./internal/corr/ ./internal/modelstore/ ./internal/core/ ./internal/temporal/ ./internal/router/
 
 bench-once:
 	$(GO) test -run '^$$' -bench $(LAYER_BENCH) -benchtime 1x $(LAYER_BENCH_PKGS)
 
 # Go micro-benchmarks of the hot layers: concurrent OCS selection and oracle
-# row lookups, the row computation, the snapshot codec, the hot-swap, the
-# temporal filter and route planning. Save the output per commit and compare
+# row lookups, the row computation, the θ-redundancy query, a metro dispatch
+# select, the snapshot codec, the hot-swap, the temporal filter and route
+# planning. Save the output per commit and compare
 # with benchstat (see EXPERIMENTS.md "Perf trajectory"). Serving performance
 # end to end is measured by bench/ (see bench/README.md).
 bench: bench-concurrent

@@ -295,7 +295,8 @@ type SelectRequest struct {
 // Select solves OCS for the request. Before the solve it pre-warms the slot
 // oracle's query rows (the greedy correlation table) through the parallel
 // warm pool, so concurrent queries sharing a slot find the rows resident
-// instead of recomputing them.
+// instead of recomputing them. A request that fails validation computes no
+// row.
 func (s *System) Select(req SelectRequest) (ocs.Solution, error) {
 	return s.SelectCtx(context.Background(), req)
 }
@@ -310,47 +311,52 @@ func (s *System) SelectCtx(ctx context.Context, req SelectRequest) (ocs.Solution
 // and GSP propagation cannot straddle a hot-swap. The solve counts into the
 // attached instrument set via ocs.Problem.Metrics.
 func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequest) (ocs.Solution, error) {
-	t, query, workerRoads := req.Slot, req.Roads, req.WorkerRoads
-	budget, theta, sel, seed := req.Budget, req.Theta, req.Selector, req.Seed
+	t, sel := req.Slot, req.Selector
+	if !t.Valid() {
+		return ocs.Solution{}, fmt.Errorf("core: invalid slot %d", t)
+	}
 	tr := obs.FromContext(ctx)
 	var spanStart time.Time
 	if tr != nil {
 		spanStart = tr.Clock().Now()
 	}
-	view := st.model.At(t)
 	oracle := s.oracleAt(st, t)
-	oracle.Warm(query)
 	p := &ocs.Problem{
-		Query:    query,
-		Workers:  workerRoads,
+		Query:    req.Roads,
+		Workers:  req.WorkerRoads,
 		Costs:    s.net.Costs(),
-		Budget:   budget,
-		Theta:    theta,
-		Sigma:    view.Sigma,
+		Budget:   req.Budget,
+		Theta:    req.Theta,
+		Sigma:    st.model.At(t).Sigma,
 		Oracle:   oracle,
 		Parallel: true,
 		Metrics:  &s.Obs().OCS,
 	}
-	var sol ocs.Solution
-	var err error
 	switch sel {
-	case Hybrid:
-		sol, err = ocs.HybridGreedy(p)
+	case Hybrid, Ratio, Objective, RandomSel:
 	case VarMin:
 		p.Mode = ocs.ObjVarianceMin
-		sol, err = ocs.HybridGreedy(p)
 	case RouteVar:
 		p.Mode = ocs.ObjRouteVar
 		p.Weights = req.Weights
-		sol, err = ocs.HybridGreedy(p)
+	default:
+		return ocs.Solution{}, fmt.Errorf("core: unknown selector %d", sel)
+	}
+	if err := p.Validate(); err != nil {
+		return ocs.Solution{}, err
+	}
+	oracle.Warm(p.Query)
+	var sol ocs.Solution
+	var err error
+	switch sel {
 	case Ratio:
 		sol, err = ocs.RatioGreedy(p)
 	case Objective:
 		sol, err = ocs.ObjectiveGreedy(p)
 	case RandomSel:
-		sol, err = ocs.Random(p, rand.New(rand.NewSource(seed)))
-	default:
-		return ocs.Solution{}, fmt.Errorf("core: unknown selector %d", sel)
+		sol, err = ocs.Random(p, rand.New(rand.NewSource(req.Seed)))
+	default: // Hybrid and its VarMin and RouteVar objectives
+		sol, err = ocs.HybridGreedy(p)
 	}
 	if err == nil && tr != nil {
 		tr.Span("ocs_select", spanStart, spanAttrsOCS(&sol)...)

@@ -6,7 +6,8 @@
 // transformed edge weights. Road–set correlation (Eq. 11) is the max over the
 // set; set–set correlation (Eq. 12) sums road–set correlations over the
 // query; the periodicity-weighted correlation (Eq. 13) weights each queried
-// road by its σ_i^t — the OCS objective.
+// road by its σ_i^t — the OCS objective. Redundancy answers the OCS
+// θ-constraint (corr ≤ θ between selected roads) without computing a row.
 //
 // The paper's Eq. (9) converts edge weights to reciprocals 1/ρ and claims
 // the shortest reciprocal-sum path maximizes the product. That identity does

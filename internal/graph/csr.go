@@ -124,7 +124,9 @@ func (c *CSR) Bytes() int64 {
 // This is the correlation-oracle miss path: every relaxation is a single
 // indexed load, with no callback and no map.
 func (c *CSR) DijkstraFlat(src int, w []float64) (dist []float64, parent, parentEdge []int32) {
-	return c.search(src, -1, 0, w, nil)
+	st := c.newSearchState()
+	c.search(&st, src, -1, 0, math.Inf(1), w, nil)
+	return st.dist, st.parent, st.parentEdge
 }
 
 // DijkstraFunc is the callback-priced entry of the same search, for costs
@@ -139,41 +141,131 @@ func (c *CSR) DijkstraFunc(src, dst int, start float64, cost func(at float64, k,
 	if dst < 0 || dst >= c.N() {
 		src = -1 // nothing is reachable from an invalid query
 	}
-	arrive, parent, _ = c.search(src, dst, start, nil, cost)
-	return arrive, parent
+	st := c.newSearchState()
+	c.search(&st, src, dst, start, math.Inf(1), nil, cost)
+	return st.dist, st.parent
 }
 
-// search is the one label-setting shortest-path loop behind DijkstraFlat and
-// DijkstraFunc. Half-edge k costs w[k] when w is non-nil, else cost(du, k, v);
-// dst < 0 settles every reachable node. Negative costs panic.
-func (c *CSR) search(src, dst int, start float64, w []float64, cost func(at float64, k, v int32) float64) (dist []float64, parent, parentEdge []int32) {
+// Searcher runs repeated label-limited searches on one CSR in reused working
+// memory, for callers that ask many small questions of a large graph: after
+// the first search, a search that settles s nodes costs time proportional to
+// s and their degrees, not to N. Not safe for concurrent use.
+type Searcher struct {
+	c   *CSR
+	st  searchState
+	src int // source of the last search, -1 before the first
+}
+
+// NewSearcher allocates a searcher's O(N) working memory.
+func (c *CSR) NewSearcher() *Searcher {
+	s := &Searcher{c: c, st: c.newSearchState(), src: -1}
+	s.st.record = true
+	return s
+}
+
+// Limited searches from src under the half-edge weights w, settling nodes in
+// label order until the next one's label exceeds limit; +Inf settles every
+// reachable node. It returns the settled nodes in settle order, src first.
+//
+// Pushes are never pruned, only popping stops: up to that point the search
+// makes exactly the heap operations of DijkstraFlat's full search, so every
+// node it settles has the same label, parent and parent edge there. The
+// returned slice and Tree stay valid until the next call.
+func (s *Searcher) Limited(src int, w []float64, limit float64) []int32 {
+	s.reset()
+	s.src = src
+	s.c.search(&s.st, src, -1, 0, limit, w, nil)
+	return s.st.order
+}
+
+// Tree returns the parent and the undirected edge id through which the last
+// search settled v (-1, -1 for its source).
+func (s *Searcher) Tree(v int32) (parent, edge int32) {
+	return s.st.parent[v], s.st.parentEdge[v]
+}
+
+// reset restores the labels the last search set. A label is set only on the
+// source and when a settled node relaxes a neighbour, so the source, the
+// settled nodes and their neighbours cover every write.
+func (s *Searcher) reset() {
+	st := &s.st
+	if s.src >= 0 && s.src < len(st.dist) {
+		st.clear(int32(s.src))
+	}
+	for _, u := range st.order {
+		st.done[u] = false
+		lo, hi := s.c.offsets[u], s.c.offsets[u+1]
+		for k := lo; k < hi; k++ {
+			st.clear(s.c.neigh[k])
+		}
+	}
+	st.order = st.order[:0]
+}
+
+// searchState is the working memory of one search: labels, the
+// shortest-path tree, the settled flags and the heap. order records the
+// settle order when record is set, which only a Searcher needs.
+type searchState struct {
+	dist       []float64
+	parent     []int32
+	parentEdge []int32
+	done       []bool
+	heap       flatHeap
+	order      []int32
+	record     bool
+}
+
+// newSearchState allocates the state of a search over c: every label +Inf,
+// no tree, nothing settled.
+func (c *CSR) newSearchState() searchState {
 	n := c.N()
-	dist = make([]float64, n)
-	parent = make([]int32, n)
-	parentEdge = make([]int32, n)
+	dist, parent, parentEdge := make([]float64, n), make([]int32, n), make([]int32, n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = -1
 		parentEdge[i] = -1
 	}
-	if src < 0 || src >= n {
-		return dist, parent, parentEdge
+	return searchState{dist: dist, parent: parent, parentEdge: parentEdge,
+		done: make([]bool, n), heap: make(flatHeap, 0, 64)}
+}
+
+// clear unsets v's label and tree edge.
+func (st *searchState) clear(v int32) {
+	st.dist[v] = math.Inf(1)
+	st.parent[v] = -1
+	st.parentEdge[v] = -1
+}
+
+// search is the one label-setting shortest-path loop behind DijkstraFlat,
+// DijkstraFunc and Searcher.Limited, run on st, which must hold no labels.
+// Half-edge k costs w[k] when w is non-nil, else cost(du, k, v); dst < 0
+// settles every reachable node whose label is at most limit. Negative costs
+// panic.
+func (c *CSR) search(st *searchState, src, dst int, start, limit float64, w []float64, cost func(at float64, k, v int32) float64) {
+	if src < 0 || src >= c.N() {
+		return
 	}
+	dist, parent, parentEdge, done := st.dist, st.parent, st.parentEdge, st.done
+	record, order := st.record, st.order
 	dist[src] = start
-	done := make([]bool, n)
 	// Inline binary heap: container/heap boxes every pqItem into an
 	// interface{} on Push/Pop — one allocation per relaxation, which at metro
 	// scale is millions of allocations per search. The hand-rolled heap keeps
 	// items in one growing slice and allocates only on capacity growth.
-	h := make(flatHeap, 1, 64)
-	h[0] = pqItem{int32(src), start}
+	h := append(st.heap[:0], pqItem{int32(src), start})
 	for len(h) > 0 {
 		it := h.pop()
 		u := it.node
 		if done[u] {
 			continue
 		}
+		if it.dist > limit {
+			break
+		}
 		done[u] = true
+		if record {
+			order = append(order, u)
+		}
 		if int(u) == dst {
 			break
 		}
@@ -201,7 +293,7 @@ func (c *CSR) search(src, dst int, start float64, w []float64, cost func(at floa
 			}
 		}
 	}
-	return dist, parent, parentEdge
+	st.heap, st.order = h[:0], order
 }
 
 // PathTo reconstructs the node sequence src..dst from the parent pointers of

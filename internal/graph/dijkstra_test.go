@@ -225,3 +225,47 @@ func TestPathWeightMatchesDistance(t *testing.T) {
 		}
 	}
 }
+
+// TestSearcherLimitedMatchesFull reuses one Searcher across random sources
+// and label limits under asymmetric integer weights, zeros included, so
+// labels tie at the limit. Each search must settle exactly the nodes whose
+// full-search label is at most the limit, source first and in label order,
+// each with the full search's tree edge; a reset that missed a write of an
+// earlier search would break a later one.
+func TestSearcherLimitedMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g, _ := RoadNetwork(200, 3, rng)
+	c := g.BuildCSR()
+	w := make([]float64, c.NumHalfEdges())
+	for k := range w {
+		w[k] = float64(rng.Intn(4))
+	}
+	s := c.NewSearcher()
+	limits := []float64{0, 1, 2, 3, 5, 8, math.Inf(1)}
+	for i := 0; i < 300; i++ {
+		src, limit := rng.Intn(c.N()), limits[rng.Intn(len(limits))]
+		dist, parent, parentEdge := c.DijkstraFlat(src, w)
+		order := s.Limited(src, w, limit)
+		if len(order) == 0 || order[0] != int32(src) {
+			t.Fatalf("search %d from %d: settle order %v does not start at the source", i, src, order)
+		}
+		settled := make(map[int32]bool, len(order))
+		for j, v := range order {
+			settled[v] = true
+			if j > 0 && dist[v] < dist[order[j-1]] {
+				t.Fatalf("search %d from %d: %d settled after %d with a smaller label", i, src, v, order[j-1])
+			}
+			if p, e := s.Tree(v); p != parent[v] || e != parentEdge[v] {
+				t.Fatalf("search %d from %d: %d settled through (%d, %d), full search (%d, %d)", i, src, v, p, e, parent[v], parentEdge[v])
+			}
+		}
+		for v, d := range dist {
+			if (d <= limit) != settled[int32(v)] {
+				t.Fatalf("search %d from %d, limit %v: node %d with label %v settled=%v", i, src, limit, v, d, settled[int32(v)])
+			}
+		}
+	}
+	if order := s.Limited(-1, w, math.Inf(1)); len(order) != 0 {
+		t.Errorf("out-of-range source settled %v", order)
+	}
+}

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -129,7 +130,7 @@ func (p *Problem) Validate() error {
 	if p.Budget <= 0 {
 		return fmt.Errorf("ocs: budget %d must be positive", p.Budget)
 	}
-	if p.Theta <= 0 || p.Theta > 1 {
+	if !(p.Theta > 0 && p.Theta <= 1) {
 		return fmt.Errorf("ocs: θ = %v outside (0,1]", p.Theta)
 	}
 	if p.Mode > ObjRouteVar {
@@ -247,8 +248,9 @@ func (p *Problem) WeightedVarianceReduction(set []int, weights []float64) float6
 // Feasible reports whether the set satisfies the budget and pairwise
 // redundancy constraints (and is drawn from R^w). The worker membership set
 // is hoisted into the Problem by Validate, and the pairwise redundancy check
-// fetches each member's cached correlation row once instead of doing O(k²)
-// oracle lookups.
+// asks the oracle's θ-redundancy query once per member, computing no
+// correlation row. A set of two or more roads is infeasible under a θ
+// outside (0, 1].
 func (p *Problem) Feasible(set []int) bool {
 	allowed := p.workerSet
 	if allowed == nil {
@@ -269,10 +271,17 @@ func (p *Problem) Feasible(set []int) bool {
 	if cost > p.Budget {
 		return false
 	}
-	for i := 0; i < len(set); i++ {
-		row := p.Oracle.CorrRow(set[i])
-		for j := i + 1; j < len(set); j++ {
-			if row[set[j]] > p.Theta {
+	if len(set) < 2 {
+		return true
+	}
+	if !(p.Theta > 0 && p.Theta <= 1) {
+		return false
+	}
+	red := p.Oracle.Redundancy(p.Theta)
+	for i := 0; i < len(set)-1; i++ {
+		above := red.Above(set[i])
+		for _, r := range set[i+1:] {
+			if slices.Contains(above, int32(r)) {
 				return false
 			}
 		}
@@ -295,11 +304,12 @@ type greedyState struct {
 	// squared selects the corr² per-candidate score (both variance modes).
 	squared  bool
 	selected []int
-	// selRows[i] is the cached correlation row of selected[i], so the θ
-	// check in redundant() is a slice index instead of an oracle call per
-	// pair. Rows are immutable snapshots; appended only between rounds, so
-	// concurrent roundBest chunks read a stable slice.
-	selRows [][]float64
+	// red is this state's own θ-redundancy query handle; blocked[r] marks
+	// every road it placed above θ of some selected road, so redundant() is
+	// one index. Both change only in add, between rounds, so concurrent
+	// roundBest chunks read a stable slice.
+	red     *corr.Redundancy
+	blocked []bool
 	cost    int
 	value   float64
 }
@@ -311,6 +321,8 @@ func newGreedyState(p *Problem) *greedyState {
 		best:    make([]float64, len(p.Query)),
 		w:       make([]float64, len(p.Query)),
 		squared: p.Mode != ObjCorrelation,
+		red:     p.Oracle.Redundancy(p.Theta),
+		blocked: make([]bool, len(p.Sigma)),
 	}
 	for qi, q := range p.Query {
 		switch p.Mode {
@@ -347,20 +359,17 @@ func (s *greedyState) gain(r int) float64 {
 }
 
 // redundant reports whether r violates the θ constraint against the current
-// selection (corr(r, R^c) > θ). It indexes the cached rows of the selected
-// roads — no oracle call in the inner loop.
-func (s *greedyState) redundant(r int) bool {
-	for _, row := range s.selRows {
-		if row[r] > s.p.Theta {
-			return true
-		}
-	}
-	return false
-}
+// selection: corr(sel, r) > θ for some selected road sel.
+func (s *greedyState) redundant(r int) bool { return s.blocked[r] }
 
+// add selects r and blocks every road its θ-redundancy query returns.
 func (s *greedyState) add(r int) {
 	s.selected = append(s.selected, r)
-	s.selRows = append(s.selRows, s.p.Oracle.CorrRow(r))
+	for _, j := range s.red.Above(r) {
+		if int(j) < len(s.blocked) {
+			s.blocked[j] = true
+		}
+	}
 	s.cost += s.p.Costs[r]
 	s.value += s.gain(r)
 	for qi := range s.p.Query {
@@ -550,8 +559,9 @@ func ObjectiveGreedy(p *Problem) (Solution, error) {
 // HybridGreedy is Alg. 4: run Ratio-Greedy and Objective-Greedy and keep the
 // better solution. Theorem 2 proves the approximation ratio (1−1/e)/2. With
 // p.Parallel the two passes run concurrently — they share only the oracle,
-// which serves each correlation row through its own cache — and each pass
-// additionally parallelizes its per-round candidate scan on large instances.
+// whose query rows they read from its cache, and each owns its θ-redundancy
+// handle — and each pass additionally parallelizes its per-round candidate
+// scan on large instances.
 func HybridGreedy(p *Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err

@@ -56,6 +56,7 @@ func TestValidate(t *testing.T) {
 		{"zero budget", func(q *Problem) { q.Budget = 0 }},
 		{"theta zero", func(q *Problem) { q.Theta = 0 }},
 		{"theta above 1", func(q *Problem) { q.Theta = 1.5 }},
+		{"theta NaN", func(q *Problem) { q.Theta = math.NaN() }},
 		{"empty query", func(q *Problem) { q.Query = nil }},
 		{"query out of range", func(q *Problem) { q.Query = []int{99} }},
 		{"worker out of range", func(q *Problem) { q.Workers = []int{-1} }},
