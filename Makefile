@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fault-determinism race-hotpath race-suite fuzz-seed fuzz-snapshot refit-drill bench-smoke bench-once check bench bench-concurrent bench-all
+.PHONY: all build vet fmt-check test race fault-determinism race-hotpath race-suite fuzz-seed fuzz-snapshot refit-drill run-patterns bench-smoke bench-once check bench bench-concurrent bench-all
 
 all: build
 
@@ -20,26 +20,33 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The fault injector and the resilient pipeline promise bit-for-bit replay
-# under a fixed seed. Running every fault-related test twice in one process
-# catches hidden shared state (package-level RNGs, leaked counters).
+# The -run and -bench patterns of the targets below. run-patterns checks
+# that every alternative still selects a test or benchmark.
+FAULT_RUN = Fault
+HOTPATH_RUN = Singleflight|ConcurrentMixedRows|ParallelEquivalence|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad
+HOTPATH_PKGS = ./internal/corr/ ./internal/ocs/ ./internal/core/
+FUZZ_RUN = FuzzSnapshotRoundTrip
+REFIT_RUN = RefitDrill|RefitOnce|Refitter
+
+# The fault injector and the fault-tolerant query policy promise bit-for-bit
+# replay under a fixed seed. Running every fault-related test twice in one
+# process catches hidden shared state (package-level RNGs, leaked counters).
 fault-determinism:
-	$(GO) test -run Fault -count=2 ./...
+	$(GO) test -run '$(FAULT_RUN)' -count=2 ./...
 
 # Concurrency regression suite for the online hot path: the CorrRow
 # singleflight (one Dijkstra under 32 hammering goroutines), the parallel
 # greedy equivalence corpus, mixed-slot System.Query under LRU eviction, and
-# the model hot-swap under 32 concurrent resilient clients — all under the
-# race detector.
+# the model hot-swap under 32 concurrent fault-tolerant query clients — all
+# under the race detector.
 race-hotpath:
-	$(GO) test -race -run 'Singleflight|ConcurrentMixedRows|ParallelEquivalence|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad' \
-		./internal/corr/ ./internal/ocs/ ./internal/core/
+	$(GO) test -race -run '$(HOTPATH_RUN)' $(HOTPATH_PKGS)
 
 # Snapshot-codec fuzz harness. fuzz-seed replays the checked-in seed corpus
 # (fast, deterministic — part of `make check`); fuzz-snapshot explores new
 # inputs for a bounded time.
 fuzz-seed:
-	$(GO) test -run FuzzSnapshotRoundTrip ./internal/modelstore/
+	$(GO) test -run '$(FUZZ_RUN)' ./internal/modelstore/
 
 fuzz-snapshot:
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/modelstore/
@@ -62,17 +69,38 @@ bench-smoke:
 # folded into a refit, gated, published and hot-swapped; a corrupted
 # candidate is refused; the operator rolls back and reloads forward.
 refit-drill:
-	$(GO) test -race -run 'RefitDrill|RefitOnce|Refitter' -v ./internal/modelstore/
+	$(GO) test -race -run '$(REFIT_RUN)' -v ./internal/modelstore/
 
-check: fmt-check vet build race fault-determinism race-hotpath race-suite fuzz-seed bench-smoke bench-once
+# A renamed test silently drops out of a -run or -bench pass. For every
+# alternative of every pattern above (and LAYER_BENCH below), `go test -list`
+# must name at least one test or benchmark in the target's packages.
+run-patterns:
+	@set -e; \
+	check() { \
+		pat=$$1; shift; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			out=$$($(GO) test -list "$$alt" "$$@"); \
+			if ! echo "$$out" | grep -qvE '^(ok|\?) '; then \
+				echo "run-patterns: '$$alt' selects nothing in $$*"; exit 1; \
+			fi; \
+		done; \
+	}; \
+	check '$(FAULT_RUN)' ./...; \
+	check '$(HOTPATH_RUN)' $(HOTPATH_PKGS); \
+	check '$(FUZZ_RUN)' ./internal/modelstore/; \
+	check '$(REFIT_RUN)' ./internal/modelstore/; \
+	check '$(LAYER_BENCH)' $(LAYER_BENCH_PKGS); \
+	echo "run-patterns: every alternative selects a test or benchmark"
+
+check: fmt-check vet build run-patterns race fault-determinism race-hotpath race-suite fuzz-seed bench-smoke bench-once
 
 # The layer micro-benchmarks of `make bench`, one iteration each: a benchmark
 # that a refactor breaks fails here rather than in the next perf run.
-LAYER_BENCH = 'RowCompute|Redundancy|SelectMetro|Snapshot|SwapModel|FilterStep|ForecastFrom|PlanETA'
+LAYER_BENCH = RowCompute|Redundancy|SelectMetro|Snapshot|SwapModel|FilterStep|ForecastFrom|PlanETA
 LAYER_BENCH_PKGS = ./internal/corr/ ./internal/modelstore/ ./internal/core/ ./internal/temporal/ ./internal/router/
 
 bench-once:
-	$(GO) test -run '^$$' -bench $(LAYER_BENCH) -benchtime 1x $(LAYER_BENCH_PKGS)
+	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchtime 1x $(LAYER_BENCH_PKGS)
 
 # Go micro-benchmarks of the hot layers: concurrent OCS selection and oracle
 # row lookups, the row computation, the θ-redundancy query, a metro dispatch
@@ -81,7 +109,7 @@ bench-once:
 # with benchstat (see EXPERIMENTS.md "Perf trajectory"). Serving performance
 # end to end is measured by bench/ (see bench/README.md).
 bench: bench-concurrent
-	$(GO) test -run '^$$' -bench $(LAYER_BENCH) -benchmem $(LAYER_BENCH_PKGS)
+	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchmem $(LAYER_BENCH_PKGS)
 
 bench-concurrent:
 	$(GO) test -run '^$$' -bench 'Concurrent|OracleRowThroughput' -benchmem -benchtime 2s .

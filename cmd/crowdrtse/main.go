@@ -11,8 +11,9 @@
 //	    [-dropout 0.3] [-blackouts 5,9] [-late 0.1] [-stale 0.05] [-garbage 0.02]
 //	    run the online pipeline (OCS → probe → GSP) against the last
 //	    recorded day as ground truth and print the estimates; with
-//	    -resilient (implied by any fault flag) the fault-tolerant pipeline
-//	    runs under the injected faults and reports its degradation
+//	    -resilient (implied by any fault flag) the query runs the
+//	    fault-tolerant policy (a task campaign with -rounds re-selection
+//	    rounds) under the injected faults and reports its degradation
 //	    diagnostics
 //	crowdrtse serve -data DIR -model model.gob [-addr :8080] [-days D]
 //	    [-timeout 5s] [-store DIR] [-refit 5m] [-alpha 0.1]
@@ -31,7 +32,8 @@
 //	    the QoS degradation ladder or shed with 429 + Retry-After; with
 //	    -shards N the network is partitioned into N halo-stitched shards
 //	    whose per-shard oracle-cache state shows up on /v1/healthz and
-//	    /v1/metrics
+//	    /v1/metrics; no request is served through the sharded engine yet,
+//	    so those caches stay cold
 //	crowdrtse model <save|load|list|rollback> [flags]
 //	    manage the versioned snapshot store directly:
 //	    save -data DIR -model model.gob -store DIR [-note TEXT]
@@ -246,7 +248,7 @@ func cmdQuery(args []string) error {
 	theta := fs.Float64("theta", 0.92, "redundancy threshold")
 	selName := fs.String("selector", "Hybrid", "Hybrid | Ratio | OBJ | Rand")
 	seed := fs.Int64("seed", 1, "probe/selector seed")
-	resilient := fs.Bool("resilient", false, "use the fault-tolerant pipeline (QueryResilient)")
+	resilient := fs.Bool("resilient", false, "use the fault-tolerant policy: a task campaign with re-selection rounds")
 	deadline := fs.Duration("deadline", 0, "per-query deadline (0 = none)")
 	rounds := fs.Int("rounds", 3, "max OCS re-selection rounds (resilient mode)")
 	dropout := fs.Float64("dropout", 0, "inject: worker dropout probability")
@@ -279,7 +281,7 @@ func cmdQuery(args []string) error {
 
 	anyFault := *dropout > 0 || *blackoutsRaw != "" || *late > 0 || *staleP > 0 || *garbage > 0
 	if !*resilient && !anyFault && *deadline == 0 {
-		res, err := sys.Query(core.QueryRequest{
+		res, err := sys.Query(context.Background(), core.QueryRequest{
 			Slot: slot, Roads: query, Budget: *budget, Theta: *theta,
 			Workers:  pool,
 			Selector: sel, Seed: *seed,
@@ -325,13 +327,13 @@ func cmdQuery(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	res, err := sys.QueryResilient(ctx, core.QueryRequest{
+	res, err := sys.Query(ctx, core.QueryRequest{
 		Slot: slot, Roads: query, Budget: *budget, Theta: *theta,
 		Workers:  inj.FilterPool(pool),
 		Selector: sel, Seed: *seed,
-		Campaign: &campCfg,
-		Truth:    inj.WrapTruth(truth),
-	}, core.ResilientOptions{MaxRounds: *rounds})
+		Campaign: &campCfg, Rounds: *rounds,
+		Truth: inj.WrapTruth(truth),
+	})
 	if err != nil {
 		return err
 	}
@@ -402,7 +404,7 @@ func cmdServe(args []string) error {
 	maxInFlight := fs.Int("max-inflight", 0, "concurrent requests treated as saturation (0 = qos default)")
 	latencyTarget := fs.Duration("latency-target", 0, "p95 request latency the QoS ladder aims for (0 = qos default)")
 	noAnon := fs.Bool("no-anonymous", false, "reject keyless requests with 401 instead of admitting them as the anonymous batch tenant")
-	shardN := fs.Int("shards", 0, "partition the network into N halo-stitched shards and surface per-shard state on /v1/healthz and /v1/metrics (0 = unsharded)")
+	shardN := fs.Int("shards", 0, "build an N-shard halo-stitched engine and surface its per-shard state on /v1/healthz and /v1/metrics; no request is served through it yet, so its caches stay cold (0 = unsharded)")
 	shardSeed := fs.Int64("shard-seed", 1, "partitioner seed (with -shards)")
 	var tenants []qos.TenantConfig
 	fs.Func("tenant", "tenant spec `key=K[,name=N,class=C,maxclass=C,rps=R,burst=B,quota=Q]` (repeatable; implies -qos)", func(spec string) error {

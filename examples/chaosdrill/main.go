@@ -56,12 +56,12 @@ func main() {
 		camp := inj.WrapCampaign(crowd.DefaultCampaign(1))
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		res, err := sys.QueryResilient(ctx, core.QueryRequest{
+		res, err := sys.Query(ctx, core.QueryRequest{
 			Slot: slot, Roads: query, Budget: 40, Theta: 0.92,
 			Workers: inj.FilterPool(pool), Seed: 1,
-			Campaign: &camp,
-			Truth:    inj.WrapTruth(truth),
-		}, core.ResilientOptions{MaxRounds: 3})
+			Campaign: &camp, Rounds: 3,
+			Truth: inj.WrapTruth(truth),
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,8 +78,8 @@ func main() {
 		if len(res.AbandonedRoads) > 0 {
 			fmt.Printf("abandoned roads: %v\n", res.AbandonedRoads)
 		}
-		fmt.Printf("degraded=%v fallbackPrior=%v deadlineHit=%v  query MAPE %.1f%%\n",
-			res.Degraded, res.FallbackPrior, res.DeadlineHit, 100*mape)
+		fmt.Printf("degraded=%v deadlineHit=%v  query MAPE %.1f%%\n",
+			res.Degraded, res.DeadlineHit, 100*mape)
 	}
 
 	history := func(r, lag int) float64 { return hist.At(evalDay, slot.Add(-lag), r) }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -52,7 +53,7 @@ func main() {
 	fmt.Println("time   probed  spent  MAPE(CrowdRTSE)  MAPE(periodic)  worst-road APE")
 	for minute := 6 * 60; minute <= 21*60; minute += 30 {
 		slot := tslot.OfMinute(minute)
-		res, err := sys.Query(core.QueryRequest{
+		res, err := sys.Query(context.Background(), core.QueryRequest{
 			Slot:    slot,
 			Roads:   query,
 			Budget:  20,

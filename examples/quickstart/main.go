@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -44,7 +45,7 @@ func main() {
 	//    measurement noise.
 	slot := tslot.OfMinute(8*60 + 30)
 	query := []int{3, 17, 42, 55, 81, 102, 133, 150, 177, 198}
-	res, err := sys.Query(core.QueryRequest{
+	res, err := sys.Query(context.Background(), core.QueryRequest{
 		Slot:    slot,
 		Roads:   query,
 		Budget:  25,

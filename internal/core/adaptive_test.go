@@ -1,11 +1,20 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/crowd"
 	"repro/internal/tslot"
 )
+
+// staged returns req under the adaptive-spending policy: the budget spread
+// over stages increments, stopping once every queried road's SD is at or
+// below targetSD.
+func staged(req QueryRequest, targetSD float64, stages int) QueryRequest {
+	req.TargetSD, req.Stages = targetSD, stages
+	return req
+}
 
 func TestQueryAdaptiveValidation(t *testing.T) {
 	f := newFixture(t, 30, 5, 40)
@@ -14,20 +23,20 @@ func TestQueryAdaptiveValidation(t *testing.T) {
 		Slot: 100, Roads: []int{1, 2}, Budget: 10, Theta: 0.92,
 		Workers: pool, Truth: f.truth(f.hist.Days-1, 100),
 	}
-	if _, err := f.sys.QueryAdaptive(req, 1, 0); err == nil {
-		t.Error("zero stages accepted")
+	if _, err := f.sys.Query(context.Background(), staged(req, 1, -1)); err == nil {
+		t.Error("negative stages accepted")
 	}
-	if _, err := f.sys.QueryAdaptive(req, -1, 2); err == nil {
+	if _, err := f.sys.Query(context.Background(), staged(req, -1, 2)); err == nil {
 		t.Error("negative target accepted")
 	}
 	bad := req
 	bad.Workers = nil
-	if _, err := f.sys.QueryAdaptive(bad, 1, 2); err == nil {
+	if _, err := f.sys.Query(context.Background(), staged(bad, 1, 2)); err == nil {
 		t.Error("nil workers accepted")
 	}
 	bad = req
 	bad.Slot = 999
-	if _, err := f.sys.QueryAdaptive(bad, 1, 2); err == nil {
+	if _, err := f.sys.Query(context.Background(), staged(bad, 1, 2)); err == nil {
 		t.Error("bad slot accepted")
 	}
 }
@@ -42,27 +51,27 @@ func TestQueryAdaptiveStopsEarlyOnLooseTarget(t *testing.T) {
 		Workers: pool, Truth: f.truth(day, slot), Seed: 42,
 	}
 	// Loose target: the prior σ already satisfies it → a single stage.
-	loose, err := f.sys.QueryAdaptive(req, 1e9, 4)
+	loose, err := f.sys.Query(context.Background(), staged(req, 1e9, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loose.StagesUsed != 1 {
-		t.Errorf("loose target used %d stages", loose.StagesUsed)
+	if loose.Rounds != 1 {
+		t.Errorf("loose target used %d stages", loose.Rounds)
 	}
 	if loose.Ledger.Spent > req.Budget/4 {
 		t.Errorf("loose target spent %d of %d", loose.Ledger.Spent, req.Budget)
 	}
 	// Strict target: keeps spending until the uncertainty hits zero (every
 	// queried road probed) or the stages run out.
-	strict, err := f.sys.QueryAdaptive(req, 0, 4)
+	strict, err := f.sys.Query(context.Background(), staged(req, 0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strict.StagesUsed <= loose.StagesUsed {
-		t.Errorf("strict target used %d stages, loose used %d", strict.StagesUsed, loose.StagesUsed)
+	if strict.Rounds <= loose.Rounds {
+		t.Errorf("strict target used %d stages, loose used %d", strict.Rounds, loose.Rounds)
 	}
-	if strict.StagesUsed < 4 && strict.MaxQuerySD > 0 {
-		t.Errorf("stopped at stage %d with MaxQuerySD %v > 0", strict.StagesUsed, strict.MaxQuerySD)
+	if strict.Rounds < 4 && strict.MaxQuerySD > 0 {
+		t.Errorf("stopped at stage %d with MaxQuerySD %v > 0", strict.Rounds, strict.MaxQuerySD)
 	}
 	if strict.Ledger.Spent < loose.Ledger.Spent {
 		t.Errorf("strict target spent less (%d) than loose (%d)", strict.Ledger.Spent, loose.Ledger.Spent)
@@ -88,7 +97,7 @@ func TestQueryAdaptiveObservationsAccumulate(t *testing.T) {
 		Slot: slot, Roads: []int{1, 7, 13, 22, 31, 40}, Budget: 30, Theta: 0.92,
 		Workers: pool, Truth: f.truth(day, slot), Seed: 44,
 	}
-	res, err := f.sys.QueryAdaptive(req, 0, 3)
+	res, err := f.sys.Query(context.Background(), staged(req, 0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +136,7 @@ func TestQueryAdaptiveBudgetBelowCheapestCost(t *testing.T) {
 	if req.Budget <= 0 {
 		t.Skip("synthetic network has a cost-1 road; nothing cheaper to test")
 	}
-	res, err := f.sys.QueryAdaptive(req, 0, 4)
+	res, err := f.sys.Query(context.Background(), staged(req, 0, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +172,7 @@ func TestQueryAdaptiveWithCampaign(t *testing.T) {
 		Workers: crowd.NewPool(ws), Truth: f.truth(day, slot), Seed: 48,
 		Campaign: &camp,
 	}
-	res, err := f.sys.QueryAdaptive(req, 0, 3)
+	res, err := f.sys.Query(context.Background(), staged(req, 0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +196,7 @@ func TestQueryAdaptiveWithCampaign(t *testing.T) {
 	lazy.AcceptProb = 0
 	reqLazy := req
 	reqLazy.Campaign = &lazy
-	res2, err := f.sys.QueryAdaptive(reqLazy, 0, 3)
+	res2, err := f.sys.Query(context.Background(), staged(reqLazy, 0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

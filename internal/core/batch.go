@@ -179,7 +179,7 @@ type flight[T any] struct {
 }
 
 // Estimate runs GSP at slot t from already-collected observations, like
-// System.EstimateCtx, with two amortizations: identical concurrent requests
+// System.Estimate, with two amortizations: identical concurrent requests
 // (same slot, same observations) share one propagation, and every pass is
 // warm-started from the slot's previous estimate so only the dirty frontier
 // around changed observations is swept. The result converges under the same
@@ -202,8 +202,7 @@ func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]f
 	b.estimate[key] = f
 	b.flightMu.Unlock()
 
-	st := b.sys.current()
-	f.res, f.err = b.sys.estimateStateWarm(ctx, st, t, observed, b.warmSeed(t))
+	f.res, f.err = b.sys.estimateState(ctx, b.sys.current(), t, observed, b.warmSeed(t))
 	if f.err == nil {
 		b.storeResult(t, f.res)
 		b.feedTemporal(t, observed, &f.res)
@@ -215,7 +214,7 @@ func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]f
 	return f.res, f.err
 }
 
-// Select solves OCS like System.SelectCtx, but identical concurrent requests
+// Select solves OCS like System.Select, but identical concurrent requests
 // (same slot, roads, workers, budget, θ, selector, seed) share one solve —
 // the request-level singleflight in front of the oracle's row-level one.
 func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
@@ -236,7 +235,7 @@ func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, 
 	b.selects[key] = f
 	b.flightMu.Unlock()
 
-	f.res, f.err = b.sys.SelectCtx(ctx, req)
+	f.res, f.err = b.sys.Select(ctx, req)
 	b.flightMu.Lock()
 	delete(b.selects, key)
 	b.flightMu.Unlock()
@@ -248,14 +247,20 @@ func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, 
 // Query: same-slot group coalescing
 // ---------------------------------------------------------------------------
 
-// batchKey groups coalescible queries: same slot, same θ, same selector.
+// batchKey groups coalescible queries: same slot, θ, selector and policy.
 // Roads are unioned, the budget pools to the largest member's, and the
 // leader's worker pool, probe configuration and seed drive the shared pass.
+// The policy is part of the key because one pass answers every member: a
+// three-round member folded into a one-round leader's pass would get the
+// one-round answer.
 type batchKey struct {
 	slot tslot.Slot
 	sel  Selector
-	// thetaBits is math.Float64bits(theta) — float keys must not be NaN-odd.
-	thetaBits uint64
+	// thetaBits and targetBits are math.Float64bits of θ and the target SD
+	// — float keys must not be NaN-odd.
+	thetaBits, targetBits uint64
+	stages, rounds        int
+	retryPartial          bool
 }
 
 type batchGroup struct {
@@ -269,11 +274,12 @@ type batchGroup struct {
 }
 
 // Query answers one online query through the coalescing engine. Concurrent
-// callers whose requests share (slot, θ, selector) are folded into one
-// shared select-probe-propagate pass: the queried road sets are unioned, the
-// budget pools to the largest member's, OCS and the oracle warm run once,
-// the crowd is probed once, and one (warm-started) GSP run is sliced back
-// per caller — QuerySpeeds holds exactly the caller's roads.
+// callers whose requests share (slot, θ, selector, policy) are folded into
+// one shared pass of the query round loop (RunQuery): the queried road sets
+// are unioned, the budget pools to the largest member's, OCS and the oracle
+// warm run once per round, the crowd is probed once per round, and one
+// (warm-started) GSP field is sliced back per caller — QuerySpeeds,
+// QueryProvenance and MaxQuerySD cover exactly the caller's roads.
 //
 // Members of a group must share the worker pool and truth source (the
 // leader's are used); the server guarantees this by construction. The
@@ -282,20 +288,8 @@ type batchGroup struct {
 // expired context abandons the shared pass for this caller without
 // cancelling it for the group.
 func (b *Batcher) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	if req.Workers == nil {
-		return nil, fmt.Errorf("core: query without a worker pool")
-	}
-	if req.Truth == nil {
-		return nil, fmt.Errorf("core: query without a truth source (workers need speeds to report)")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("core: invalid slot %d", req.Slot)
-	}
-	n := b.sys.net.N()
-	for _, r := range req.Roads {
-		if r < 0 || r >= n {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
+	if err := req.validate(b.sys.net.N()); err != nil {
+		return nil, err
 	}
 	g := b.join(req)
 	select {
@@ -306,13 +300,19 @@ func (b *Batcher) Query(ctx context.Context, req QueryRequest) (*QueryResult, er
 	if g.err != nil {
 		return nil, g.err
 	}
-	return sliceShared(g.shared, req.Roads)
+	out := *g.shared
+	out.answer(req.Roads)
+	return &out, nil
 }
 
 // join adds req to the slot's pending group, creating it (and arming its
 // window timer) when absent, and fires the group early at MaxBatch members.
 func (b *Batcher) join(req QueryRequest) *batchGroup {
-	key := batchKey{slot: req.Slot, sel: req.Selector, thetaBits: math.Float64bits(req.Theta)}
+	key := batchKey{
+		slot: req.Slot, sel: req.Selector,
+		thetaBits: math.Float64bits(req.Theta), targetBits: math.Float64bits(req.TargetSD),
+		stages: max(req.Stages, 1), rounds: max(req.Rounds, 1), retryPartial: req.RetryPartial,
+	}
 	b.mu.Lock()
 	g := b.pending[key]
 	if g == nil {
@@ -369,41 +369,12 @@ func (b *Batcher) run(g *batchGroup) {
 
 	// The shared pass runs under its own context: one member's deadline must
 	// not cancel the answer every other member is waiting for.
-	st := b.sys.current()
-	g.shared, g.err = b.sys.querySharedState(context.Background(), st, merged, b.warmSeed(merged.Slot))
+	g.shared, g.err = RunQuery(context.Background(),
+		pinned{b.sys, b.sys.current(), b.warmSeed(merged.Slot)}, merged)
 	if g.err == nil {
 		b.storeResult(merged.Slot, g.shared.Propagation)
 		b.feedTemporal(merged.Slot, g.shared.Propagation.Observed, &g.shared.Propagation)
 	}
-}
-
-// querySharedState is queryCtx pinned to a model state with a warm-start
-// seed for the GSP stage — the shared-pass body of the Batcher.
-func (s *System) querySharedState(ctx context.Context, st *modelState, req QueryRequest, initial *gsp.Result) (*QueryResult, error) {
-	pipe := s.Obs()
-	pipe.Queries.Inc()
-	queryStart := pipe.Clock.Now()
-	res, err := s.queryStateWarm(ctx, pipe, st, req, initial)
-	pipe.QueryLatency.Observe(pipe.Clock.Since(queryStart))
-	if err != nil {
-		pipe.QueryErrors.Inc()
-	}
-	return res, err
-}
-
-// sliceShared views a shared result through one member's road set. The
-// shared maps and slices are aliased, not copied.
-func sliceShared(shared *QueryResult, roads []int) (*QueryResult, error) {
-	qs := make(map[int]float64, len(roads))
-	for _, r := range roads {
-		if r < 0 || r >= len(shared.Speeds) {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
-		qs[r] = shared.Speeds[r]
-	}
-	out := *shared
-	out.QuerySpeeds = qs
-	return &out, nil
 }
 
 // unionRoads merges the members' queried road sets, sorted ascending so the

@@ -49,7 +49,7 @@ func TestBatchVsSequentialEquivalence(t *testing.T) {
 	seqSys, seqPipe := instrumented(t, f)
 	var seqResults []*QueryResult
 	for i := 0; i < batch; i++ {
-		res, err := seqSys.Query(mkReq())
+		res, err := seqSys.Query(context.Background(), mkReq())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,6 +174,66 @@ func TestBatchDistinctRoadsUnion(t *testing.T) {
 	}
 }
 
+// TestBatcherGroupsByPolicy: concurrent same-slot members that differ only
+// in their policy must not share a pass. Each gets the answer its own policy
+// implies — the rounds, selection, probes and spend of that policy run alone
+// — which fails if the group key omits the policy and one member's pass
+// answers both.
+func TestBatcherGroupsByPolicy(t *testing.T) {
+	f := newFixture(t, 60, 5, 48)
+	slot := tslot.Slot(120)
+	base := QueryRequest{
+		Slot: slot, Roads: []int{1, 5, 9, 13, 21, 34}, Budget: 30, Theta: 0.9,
+		Workers: crowd.PlaceEverywhere(f.net), Truth: f.truth(f.hist.Days-1, slot), Seed: 7,
+	}
+	reqs := []QueryRequest{base, staged(base, 0, 3)}
+
+	sys, pipe := instrumented(t, f)
+	b, err := NewBatcher(sys, BatcherOptions{Window: 50 * time.Millisecond, MaxBatch: len(reqs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*QueryResult, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func(i int, req QueryRequest) {
+			defer wg.Done()
+			got[i], errs[i] = b.Query(context.Background(), req)
+		}(i, req)
+	}
+	wg.Wait()
+	if g := pipe.Batch.Groups.Value(); g != uint64(len(reqs)) {
+		t.Errorf("%d shared passes for %d policies", g, len(reqs))
+	}
+	var wantRounds []int
+	for i, req := range reqs {
+		if errs[i] != nil {
+			t.Fatalf("member %d: %v", i, errs[i])
+		}
+		alone, _ := instrumented(t, f)
+		want, err := alone.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRounds = append(wantRounds, want.Rounds)
+		g := got[i]
+		if g.Rounds != want.Rounds || g.Ledger != want.Ledger || len(g.Probed) != len(want.Probed) {
+			t.Errorf("member %d: rounds %d spent %d probed %d, its policy alone gives %d/%d/%d",
+				i, g.Rounds, g.Ledger.Spent, len(g.Probed), want.Rounds, want.Ledger.Spent, len(want.Probed))
+		}
+		for r, v := range want.Probed {
+			if g.Probed[r] != v {
+				t.Errorf("member %d: probe of road %d = %v, alone %v", i, r, g.Probed[r], v)
+			}
+		}
+	}
+	if wantRounds[0] == wantRounds[1] {
+		t.Fatalf("both policies run %d rounds: the test cannot tell them apart", wantRounds[0])
+	}
+}
+
 func TestBatcherValidation(t *testing.T) {
 	f := newFixture(t, 20, 4, 43)
 	if _, err := NewBatcher(nil, BatcherOptions{}); err == nil {
@@ -252,7 +312,7 @@ func TestBatcherEstimateWarmStart(t *testing.T) {
 		t.Errorf("warm-start counter = %d, want 1", got)
 	}
 	// Equivalence with a cold run over obsB.
-	coldB, err := sys.Estimate(slot, obsB)
+	coldB, err := sys.Estimate(context.Background(), slot, obsB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,16 @@
 // Typical use:
 //
 //	sys, err := core.Train(net, history, core.DefaultConfig())
-//	res, err := sys.Query(core.QueryRequest{
+//	res, err := sys.Query(ctx, core.QueryRequest{
 //		Slot: slot, Roads: queried, Budget: 60, Theta: 0.92,
 //		Workers: pool, Truth: truth,
 //	})
 //	speeds := res.QuerySpeeds // road → estimated realtime speed
+//
+// System, Batcher and shard.Engine answer the same three ctx-first calls:
+// Select (OCS alone), Estimate (GSP alone) and Query (the whole pipeline:
+// RunQuery's round loop, whose request fields add adaptive stages and
+// fault-tolerant retry rounds).
 package core
 
 import (
@@ -22,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/corr"
-	"repro/internal/crowd"
 	"repro/internal/gsp"
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -296,18 +300,12 @@ type SelectRequest struct {
 // oracle's query rows (the greedy correlation table) through the parallel
 // warm pool, so concurrent queries sharing a slot find the rows resident
 // instead of recomputing them. A request that fails validation computes no
-// row.
-func (s *System) Select(req SelectRequest) (ocs.Solution, error) {
-	return s.SelectCtx(context.Background(), req)
-}
-
-// SelectCtx is Select under a context: a trace attached to ctx receives an
-// "ocs_select" span.
-func (s *System) SelectCtx(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
+// row. A trace attached to ctx receives an "ocs_select" span.
+func (s *System) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
 	return s.selectState(ctx, s.current(), req)
 }
 
-// selectState is SelectCtx pinned to one model state, so a query's OCS solve
+// selectState is Select pinned to one model state, so a query's OCS solve
 // and GSP propagation cannot straddle a hot-swap. The solve counts into the
 // attached instrument set via ocs.Problem.Metrics.
 func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequest) (ocs.Solution, error) {
@@ -365,30 +363,19 @@ func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequ
 }
 
 // Estimate runs GSP at slot t from already-collected observations,
-// returning the full-network speed field. Use Query for the complete
-// select-probe-propagate pipeline.
-func (s *System) Estimate(t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	return s.EstimateCtx(context.Background(), t, observed)
+// returning the full-network speed field; Query runs the complete
+// select-probe-propagate pipeline. When ctx expires, GSP stops sweeping and
+// returns the best-so-far field with Result.Aborted set.
+func (s *System) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
+	return s.estimateState(ctx, s.current(), t, observed, nil)
 }
 
-// EstimateCtx is Estimate under a deadline: when ctx expires, GSP stops
-// sweeping and returns the best-so-far field with Result.Aborted set.
-func (s *System) EstimateCtx(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	return s.estimateState(ctx, s.current(), t, observed)
-}
-
-// estimateState is EstimateCtx pinned to one model state. The propagation
-// counts into the attached instrument set and records a "gsp" span on any
-// trace carried by ctx.
-func (s *System) estimateState(ctx context.Context, st *modelState, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	return s.estimateStateWarm(ctx, st, t, observed, nil)
-}
-
-// estimateStateWarm is estimateState with an optional warm-start seed: when
-// initial is a previous full-network estimate, GSP runs the incremental
-// dirty-frontier engine (gsp.Options.WithInitial) instead of a cold pass.
-// The Batcher threads its per-slot previous results through here.
-func (s *System) estimateStateWarm(ctx context.Context, st *modelState, t tslot.Slot, observed map[int]float64, initial *gsp.Result) (gsp.Result, error) {
+// estimateState is Estimate pinned to one model state, with an optional
+// warm-start seed: when initial is a previous full-network estimate, GSP
+// runs the incremental dirty-frontier engine (gsp.Options.WithInitial)
+// instead of a cold pass. The propagation counts into the attached
+// instrument set and records a "gsp" span on any trace carried by ctx.
+func (s *System) estimateState(ctx context.Context, st *modelState, t tslot.Slot, observed map[int]float64, initial *gsp.Result) (gsp.Result, error) {
 	opt := s.cfg.GSP
 	opt.Metrics = &s.Obs().GSP
 	// Thread the heteroscedastic uncertainty knobs (PR 9) into every run:
@@ -399,149 +386,6 @@ func (s *System) estimateStateWarm(ctx context.Context, st *modelState, t tslot.
 		opt = opt.WithInitial(*initial)
 	}
 	return gsp.PropagateCtx(ctx, s.net, st.model.At(t), observed, opt)
-}
-
-// QueryRequest is one online realtime-speed query.
-type QueryRequest struct {
-	Slot   tslot.Slot
-	Roads  []int // R^q, the queried roads
-	Budget int   // K
-	Theta  float64
-	// Workers is the current worker pool; its distinct roads form R^w.
-	Workers *crowd.Pool
-	// Selector picks the OCS algorithm (default Hybrid).
-	Selector Selector
-	// Seed drives the Random selector and the probe noise.
-	Seed int64
-	// Probe configures answer generation (noise, aggregation).
-	Probe crowd.ProbeConfig
-	// Campaign, when non-nil, replaces the direct probe with the full task
-	// lifecycle (worker willingness, assignment rounds, partial tasks).
-	// Only fulfilled tasks feed GSP.
-	Campaign *crowd.CampaignConfig
-	// Truth supplies ground-truth speeds to the simulated workers.
-	Truth crowd.TruthFunc
-}
-
-// QueryResult is the answer to a query plus full diagnostics.
-type QueryResult struct {
-	Selected    ocs.Solution    // the crowdsourced roads R^c
-	Probed      map[int]float64 // aggregated crowd answers
-	Answers     []crowd.Answer  // raw per-worker answers
-	Speeds      []float64       // estimated speeds for every road
-	QuerySpeeds map[int]float64 // estimates restricted to R^q
-	Propagation gsp.Result      // GSP diagnostics
-	Ledger      crowd.Ledger    // budget accounting
-	// Campaign holds the task-lifecycle report when the query ran with a
-	// campaign configuration; nil for direct probes.
-	Campaign *crowd.CampaignReport
-}
-
-// Query executes the online pipeline: OCS → crowd probing → GSP.
-func (s *System) Query(req QueryRequest) (*QueryResult, error) {
-	return s.QueryCtx(context.Background(), req)
-}
-
-// QueryCtx is Query under a deadline: an expired context aborts the GSP
-// sweeps early (best-so-far field, Propagation.Aborted set) rather than
-// failing the query. For retry rounds and degraded-mode fallbacks use
-// QueryResilient.
-func (s *System) QueryCtx(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	pipe := s.Obs()
-	pipe.Queries.Inc()
-	queryStart := pipe.Clock.Now()
-	res, err := s.queryCtx(ctx, pipe, req)
-	pipe.QueryLatency.Observe(pipe.Clock.Since(queryStart))
-	if err != nil {
-		pipe.QueryErrors.Inc()
-	}
-	return res, err
-}
-
-func (s *System) queryCtx(ctx context.Context, pipe *obs.Pipeline, req QueryRequest) (*QueryResult, error) {
-	// Pin one model generation for the whole query: selection and
-	// propagation must see the same parameters even if a hot-swap lands
-	// mid-query (RCU — the swap retires this state only after we drop it).
-	return s.queryStateWarm(ctx, pipe, s.current(), req, nil)
-}
-
-// queryStateWarm is the shared online pipeline body: OCS → probe → GSP,
-// pinned to one model state, optionally seeding GSP with a previous
-// full-network estimate (the Batcher's warm-start path).
-func (s *System) queryStateWarm(ctx context.Context, pipe *obs.Pipeline, st *modelState, req QueryRequest, initial *gsp.Result) (*QueryResult, error) {
-	if req.Workers == nil {
-		return nil, fmt.Errorf("core: query without a worker pool")
-	}
-	if req.Truth == nil {
-		return nil, fmt.Errorf("core: query without a truth source (workers need speeds to report)")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("core: invalid slot %d", req.Slot)
-	}
-	probeCfg := req.Probe
-	if probeCfg.Seed == 0 {
-		probeCfg.Seed = req.Seed
-	}
-
-	sol, err := s.selectState(ctx, st, SelectRequest{
-		Slot: req.Slot, Roads: req.Roads, WorkerRoads: req.Workers.Roads(),
-		Budget: req.Budget, Theta: req.Theta, Selector: req.Selector, Seed: req.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: OCS: %w", err)
-	}
-	tr := obs.FromContext(ctx)
-	probeStart := pipe.Clock.Now()
-	ledger := crowd.Ledger{Budget: req.Budget}
-	var probed map[int]float64
-	var answers []crowd.Answer
-	var campaignReport *crowd.CampaignReport
-	if req.Campaign != nil {
-		campCfg := *req.Campaign
-		if campCfg.Seed == 0 {
-			// Mirror the Probe path: the request seed drives the campaign
-			// unless the campaign pins its own.
-			campCfg.Seed = req.Seed
-		}
-		probed, campaignReport, err = req.Workers.RunCampaign(sol.Roads, s.net.Costs(), req.Truth, campCfg, &ledger)
-		if err != nil {
-			return nil, fmt.Errorf("core: campaign: %w", err)
-		}
-		answers = campaignReport.Answers
-	} else {
-		probed, answers, err = req.Workers.Probe(sol.Roads, s.net.Costs(), req.Truth, probeCfg, &ledger)
-		if err != nil {
-			return nil, fmt.Errorf("core: probing: %w", err)
-		}
-	}
-	observeProbeRound(pipe, tr, probeStart, len(answers), ledger.Spent)
-	if len(probed) == 0 {
-		pipe.QueryDegraded.Inc()
-	}
-	prop, err := s.estimateStateWarm(ctx, st, req.Slot, probed, initial)
-	if err != nil {
-		return nil, fmt.Errorf("core: GSP: %w", err)
-	}
-	if prop.Aborted {
-		pipe.QueryDeadline.Inc()
-	}
-	qs := make(map[int]float64, len(req.Roads))
-	for _, r := range req.Roads {
-		if r < 0 || r >= len(prop.Speeds) {
-			return nil, fmt.Errorf("core: queried road %d out of range", r)
-		}
-		qs[r] = prop.Speeds[r]
-	}
-	return &QueryResult{
-		Selected:    sol,
-		Probed:      probed,
-		Answers:     answers,
-		Speeds:      prop.Speeds,
-		QuerySpeeds: qs,
-		Propagation: prop,
-		Ledger:      ledger,
-		Campaign:    campaignReport,
-	}, nil
 }
 
 // GSPEstimator adapts the system to the baselines.Estimator interface for
@@ -561,7 +405,7 @@ func (g *GSPEstimator) Name() string { return "GSP" }
 
 // Estimate implements baselines.Estimator.
 func (g *GSPEstimator) Estimate(observed map[int]float64) ([]float64, error) {
-	res, err := g.sys.Estimate(g.slot, observed)
+	res, err := g.sys.Estimate(context.TODO(), g.slot, observed)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,8 @@ const (
 )
 
 // Instrument attaches a pipeline instrument set to the system. Every query
-// path (Query, QueryAdaptive, QueryResilient) and every stage it drives (OCS,
-// probing, GSP, the correlation-row miss path) records into p from then on.
+// (whatever its policy) and every stage it drives (OCS, probing, GSP, the
+// correlation-row miss path) records into p from then on.
 // Safe to call concurrently with queries: in-flight queries keep the
 // instrument set they started with.
 func (s *System) Instrument(p *obs.Pipeline) {

@@ -18,8 +18,8 @@ type scriptOutcome struct {
 
 	plainLedgers  int
 	plainAnswers  int
-	adaptive      *AdaptiveResult
-	resilient     *ResilientResult
+	adaptive      *QueryResult
+	resilient     *QueryResult
 	adaptiveProbe int // probe rounds recorded for the adaptive query
 }
 
@@ -49,7 +49,7 @@ func runScriptedQueries(t *testing.T) scriptOutcome {
 	for _, sel := range []Selector{Hybrid, Ratio, Objective} {
 		r := req
 		r.Selector = sel
-		res, err := f.sys.Query(r)
+		res, err := f.sys.Query(context.Background(), r)
 		if err != nil {
 			t.Fatalf("query %v: %v", sel, err)
 		}
@@ -60,14 +60,14 @@ func runScriptedQueries(t *testing.T) scriptOutcome {
 	// One failing query: invalid slot counts as a query and an error.
 	bad := req
 	bad.Slot = tslot.Slot(-1)
-	if _, err := f.sys.Query(bad); err == nil {
+	if _, err := f.sys.Query(context.Background(), bad); err == nil {
 		t.Fatal("invalid slot should fail")
 	}
 
 	// One adaptive query (2 stages, impossible SD target so both stages run
 	// unless the data converges early — either way the diagnostics tell us).
 	probeBefore := pipe.ProbeRounds.Value()
-	ar, err := f.sys.QueryAdaptive(req, 0, 2)
+	ar, err := f.sys.Query(context.Background(), staged(req, 0, 2))
 	if err != nil {
 		t.Fatalf("adaptive: %v", err)
 	}
@@ -75,7 +75,10 @@ func runScriptedQueries(t *testing.T) scriptOutcome {
 	out.adaptiveProbe = int(pipe.ProbeRounds.Value() - probeBefore)
 
 	// One resilient query with the default campaign.
-	rr, err := f.sys.QueryResilient(context.Background(), req, ResilientOptions{})
+	camp := crowd.DefaultCampaign(req.Seed)
+	rreq := req
+	rreq.Rounds, rreq.Campaign = 3, &camp
+	rr, err := f.sys.Query(context.Background(), rreq)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -97,20 +100,18 @@ func TestPipelineCountsExactly(t *testing.T) {
 	}
 
 	// Query-level counters: 3 plain ok + 1 plain error, 1 adaptive, 1 resilient.
-	expect(obs.MQueries, 4)
-	expect(obs.MQueriesAdaptive, 1)
-	expect(obs.MQueriesResilient, 1)
+	expect(obs.MQueries, 4+1+1)
 	expect(obs.MQueryErrors, 1)
 	expect(obs.MQuerySeconds+"_count", 6)
 
 	// OCS: one solve per plain success, per adaptive stage, per resilient round.
-	wantSolves := float64(3 + o.adaptive.StagesUsed + o.resilient.Rounds)
+	wantSolves := float64(3 + o.adaptive.Rounds + o.resilient.Rounds)
 	expect(obs.MOCSSolves, wantSolves)
 	expect(obs.MOCSSeconds+"_count", wantSolves)
 
 	// GSP: one run per plain success, per adaptive stage, plus the resilient
 	// final propagation.
-	wantGSP := float64(3 + o.adaptive.StagesUsed + 1)
+	wantGSP := float64(3 + o.adaptive.Rounds + 1)
 	expect(obs.MGSPRuns, wantGSP)
 	expect(obs.MGSPSeconds+"_count", wantGSP)
 	if snap[obs.MGSPConverged]+snap[obs.MGSPAborted] > snap[obs.MGSPRuns] {
@@ -187,7 +188,7 @@ func TestTraceSpansCoverStages(t *testing.T) {
 	slot := tslot.Slot(60)
 	tr := obs.NewTrace("q-1", clock)
 	ctx := obs.WithTrace(context.Background(), tr)
-	_, err := f.sys.QueryCtx(ctx, QueryRequest{
+	_, err := f.sys.Query(ctx, QueryRequest{
 		Slot: slot, Roads: []int{2, 4}, Budget: 20, Theta: 0.9,
 		Workers: pool, Truth: f.truth(0, slot), Seed: 3,
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -130,7 +131,7 @@ func TestConcurrentQueryMixedSlots(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				slot := slots[(g+i)%len(slots)]
-				res, err := sys.Query(QueryRequest{
+				res, err := sys.Query(context.Background(), QueryRequest{
 					Slot:    slot,
 					Roads:   query,
 					Budget:  12,

@@ -59,17 +59,18 @@ func TestQueryResilientPriorProvenance(t *testing.T) {
 	slot := tslot.Slot(102)
 	camp := crowd.DefaultCampaign(1)
 	camp.AcceptProb = 0 // nobody ever answers
-	res, err := f.sys.QueryResilient(context.Background(), QueryRequest{
+	res, err := f.sys.Query(context.Background(), QueryRequest{
 		Slot: slot, Roads: []int{1, 5, 9}, Budget: 20, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(f.net),
 		Seed:    9, Campaign: &camp,
-		Truth: f.truth(day, slot),
-	}, ResilientOptions{MaxRounds: 2})
+		Truth:  f.truth(day, slot),
+		Rounds: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FallbackPrior {
-		t.Fatal("zero-probe run not flagged FallbackPrior")
+	if !res.Degraded {
+		t.Fatal("zero-probe run not flagged Degraded")
 	}
 	for r, p := range res.QueryProvenance {
 		if p != gsp.ProvPrior {

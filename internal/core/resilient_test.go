@@ -15,30 +15,32 @@ func TestQueryResilientValidation(t *testing.T) {
 	day := f.hist.Days - 1
 	good := QueryRequest{Slot: 100, Roads: []int{1, 2}, Budget: 10, Theta: 0.9,
 		Workers: crowd.PlaceEverywhere(f.net), Truth: f.truth(day, 100), Seed: 1}
+	camp := crowd.DefaultCampaign(good.Seed)
+	good.Rounds, good.Campaign = 3, &camp
 	bad := good
 	bad.Workers = nil
-	if _, err := f.sys.QueryResilient(context.Background(), bad, ResilientOptions{}); err == nil {
+	if _, err := f.sys.Query(context.Background(), bad); err == nil {
 		t.Error("nil workers accepted")
 	}
 	bad = good
 	bad.Truth = nil
-	if _, err := f.sys.QueryResilient(context.Background(), bad, ResilientOptions{}); err == nil {
+	if _, err := f.sys.Query(context.Background(), bad); err == nil {
 		t.Error("nil truth accepted")
 	}
 	bad = good
 	bad.Slot = -1
-	if _, err := f.sys.QueryResilient(context.Background(), bad, ResilientOptions{}); err == nil {
+	if _, err := f.sys.Query(context.Background(), bad); err == nil {
 		t.Error("invalid slot accepted")
 	}
 	// nil context is tolerated (treated as Background).
-	if _, err := f.sys.QueryResilient(nil, good, ResilientOptions{}); err != nil { //nolint:staticcheck
+	if _, err := f.sys.Query(nil, good); err != nil { //nolint:staticcheck
 		t.Errorf("nil context rejected: %v", err)
 	}
 }
 
 // chaosRun executes the acceptance scenario: 30% worker dropout, two
 // blackout roads inside the query set, and a per-query deadline.
-func chaosRun(t *testing.T, f *fixture, deadline time.Duration) *ResilientResult {
+func chaosRun(t *testing.T, f *fixture, deadline time.Duration) *QueryResult {
 	t.Helper()
 	day := f.hist.Days - 1
 	slot := tslot.Slot(102)
@@ -62,12 +64,13 @@ func chaosRun(t *testing.T, f *fixture, deadline time.Duration) *ResilientResult
 	camp = inj.WrapCampaign(camp)
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	res, err := f.sys.QueryResilient(ctx, QueryRequest{
+	res, err := f.sys.Query(ctx, QueryRequest{
 		Slot: slot, Roads: query, Budget: 40, Theta: 0.92,
 		Workers: inj.FilterPool(crowd.PlaceEverywhere(f.net)),
 		Seed:    7, Campaign: &camp,
-		Truth: inj.WrapTruth(f.truth(day, slot)),
-	}, ResilientOptions{MaxRounds: 3})
+		Truth:  inj.WrapTruth(f.truth(day, slot)),
+		Rounds: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestQueryResilientChaos(t *testing.T) {
 	if len(res.QuerySpeeds) != 8 || len(res.Speeds) != f.net.N() {
 		t.Fatalf("incomplete estimate: %d query speeds, %d speeds", len(res.QuerySpeeds), len(res.Speeds))
 	}
-	if res.Degraded || res.FallbackPrior {
+	if res.Degraded {
 		t.Error("chaos run flagged degraded despite successful probes")
 	}
 	if res.Rounds < 2 {
@@ -163,22 +166,23 @@ func TestQueryResilientTotalDropoutFallsBackToPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp := inj.WrapCampaign(crowd.DefaultCampaign(1))
-	res, err := f.sys.QueryResilient(context.Background(), QueryRequest{
+	res, err := f.sys.Query(context.Background(), QueryRequest{
 		Slot: 102, Roads: []int{1, 2, 3}, Budget: 20, Theta: 0.92,
 		Workers: inj.FilterPool(crowd.PlaceEverywhere(f.net)),
 		Seed:    3, Campaign: &camp,
-		Truth: inj.WrapTruth(f.truth(day, 102)),
-	}, ResilientOptions{})
+		Truth:  inj.WrapTruth(f.truth(day, 102)),
+		Rounds: 3,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Degraded || !res.FallbackPrior {
+	if !res.Degraded {
 		t.Fatal("total dropout not flagged degraded")
 	}
 	if res.Ledger.Spent != 0 || res.Rounds != 0 {
 		t.Errorf("spent %d over %d rounds with no workers", res.Ledger.Spent, res.Rounds)
 	}
-	prior := f.sys.PriorSpeeds(102)
+	prior, _ := f.sys.PriorField(102)
 	for i, v := range res.Speeds {
 		if v != prior[i] {
 			t.Fatalf("road %d: fallback %v != prior μ %v", i, v, prior[i])
@@ -193,11 +197,13 @@ func TestQueryResilientExpiredDeadline(t *testing.T) {
 	day := f.hist.Days - 1
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := f.sys.QueryResilient(ctx, QueryRequest{
+	camp := crowd.DefaultCampaign(3)
+	res, err := f.sys.Query(ctx, QueryRequest{
 		Slot: 102, Roads: []int{1, 2}, Budget: 20, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(f.net),
 		Seed:    3, Truth: f.truth(day, 102),
-	}, ResilientOptions{})
+		Rounds: 3, Campaign: &camp,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +233,12 @@ func TestQueryResilientNoFaultsSingleRound(t *testing.T) {
 			ws = append(ws, crowd.Worker{Road: r})
 		}
 	}
-	res, err := f.sys.QueryResilient(context.Background(), QueryRequest{
+	res, err := f.sys.Query(context.Background(), QueryRequest{
 		Slot: 102, Roads: []int{1, 2, 3, 4}, Budget: 25, Theta: 0.92,
 		Workers: crowd.NewPool(ws), Seed: 5, Campaign: &camp,
-		Truth: f.truth(day, 102),
-	}, ResilientOptions{MaxRounds: 4})
+		Truth:  f.truth(day, 102),
+		Rounds: 4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestSelectValidatesBeforeWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Select(req); err == nil {
+		if _, err := sys.Select(context.Background(), req); err == nil {
 			t.Errorf("%s: System.Select accepted the request", tc.name)
 		}
 		if _, err := b.Select(context.Background(), req); err == nil {
@@ -117,7 +117,7 @@ func TestSelectComputesOnlyQueryRows(t *testing.T) {
 		sys := w.system(t)
 		req := dispatchRequest(rng, w.net.N(), t0)
 		req.Roads = append(req.Roads, req.Roads[:3]...) // duplicates cost no row
-		sol, err := sys.Select(req)
+		sol, err := sys.Select(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkSelectMetro100k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Select(reqs[i]); err != nil {
+		if _, err := sys.Select(context.Background(), reqs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}

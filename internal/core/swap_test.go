@@ -114,7 +114,7 @@ func TestSwapModelPrewarm(t *testing.T) {
 }
 
 // TestHotSwapRaceUnderLoad is the acceptance test for zero-downtime swaps: 32
-// concurrent QueryResilient clients hammer the system while the main
+// concurrent fault-tolerant Query clients hammer the system while the main
 // goroutine hot-swaps model clones; every query must succeed (no torn state,
 // no nil fields, no stalls) under the race detector.
 func TestHotSwapRaceUnderLoad(t *testing.T) {
@@ -152,14 +152,16 @@ func TestHotSwapRaceUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for q := 0; q < queriesPerClient; q++ {
 				slot := tslot.Slot(90 + (c+q)%8)
-				res, err := f.sys.QueryResilient(context.Background(), QueryRequest{
+				camp := crowd.DefaultCampaign(int64(c*100 + q))
+				res, err := f.sys.Query(context.Background(), QueryRequest{
 					Slot:   slot,
 					Roads:  []int{c % f.net.N(), (c + 7) % f.net.N()},
 					Budget: 12, Theta: 0.9,
 					Workers: pool,
 					Truth:   f.truth(day, slot),
 					Seed:    int64(c*100 + q),
-				}, ResilientOptions{MaxRounds: 2})
+					Rounds:  2, Campaign: &camp,
+				})
 				if err != nil || res == nil || res.Speeds == nil {
 					failed.Add(1)
 					t.Errorf("client %d query %d failed: %v", c, q, err)

@@ -42,7 +42,7 @@ func TestEstimateTierFull(t *testing.T) {
 	if res.Tier != qos.TierFull || res.VarianceInflation != 1.0 {
 		t.Fatalf("full tier labeled %s ×%v", res.Tier, res.VarianceInflation)
 	}
-	want, err := f.sys.Estimate(slot, observed)
+	want, err := f.sys.Estimate(context.Background(), slot, observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestEstimateTierCachedFallsThrough(t *testing.T) {
 	if res.Tier != qos.TierPrior {
 		t.Fatalf("cold cached request labeled %s, want prior fallthrough", res.Tier)
 	}
-	mu := f.sys.PriorSpeeds(cold)
+	mu, _ := f.sys.PriorField(cold)
 	for i := range mu {
 		if res.Speeds[i] != mu[i] {
 			t.Fatalf("road %d: fallthrough speed %v != prior %v", i, res.Speeds[i], mu[i])

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -57,7 +58,7 @@ func TestNoAlertsOnNormalDay(t *testing.T) {
 	slot := tslot.Slot(100)
 	day := hist.Days - 1
 	pool := crowd.PlaceEverywhere(net)
-	res, err := sys.Query(core.QueryRequest{
+	res, err := sys.Query(context.Background(), core.QueryRequest{
 		Slot: slot, Roads: []int{1, 5, 9}, Budget: 20, Theta: 0.92,
 		Workers: pool, Truth: func(r int) float64 { return hist.At(day, slot, r) },
 	})
@@ -107,7 +108,7 @@ func TestDetectsInjectedIncident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Estimate(slot, probed)
+	res, err := sys.Estimate(context.Background(), slot, probed)
 	if err != nil {
 		t.Fatal(err)
 	}

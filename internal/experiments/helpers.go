@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/crowd"
@@ -30,7 +31,7 @@ func everywherePool(env *Env) *crowd.Pool { return crowd.PlaceEverywhere(env.Net
 // selectAndProbe runs OCS with the given selector and probes the selection
 // against day's ground truth, returning the aggregated observations.
 func selectAndProbe(env *Env, pool *crowd.Pool, sel core.Selector, budget int, theta float64, day int) (map[int]float64, error) {
-	sol, err := env.Sys.Select(core.SelectRequest{
+	sol, err := env.Sys.Select(context.TODO(), core.SelectRequest{
 		Slot: env.Slot, Roads: env.Query, WorkerRoads: pool.Roads(),
 		Budget: budget, Theta: theta, Selector: sel, Seed: env.Seed + int64(day),
 	})

@@ -14,6 +14,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -134,7 +135,7 @@ func RouteETACoverage(env *Env, nPairs int, densities []int, levels []float64, s
 			depart := float64(t.StartMinute())
 			for _, d := range densities {
 				obs := probeSet(env, day, t, sched[i].permA, sched[i].noiseA, d)
-				res, err := env.Sys.Estimate(t, obs)
+				res, err := env.Sys.Estimate(context.TODO(), t, obs)
 				if err != nil {
 					return nil, err
 				}
@@ -232,7 +233,7 @@ func RouteOCSAblation(env *Env, nPairs int, budgets []int, theta float64) ([]Rou
 
 	// Plan once on the unprobed posterior: the trip the dispatcher is asked
 	// to firm up.
-	base, err := env.Sys.Estimate(env.Slot, nil)
+	base, err := env.Sys.Estimate(context.TODO(), env.Slot, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +282,7 @@ func RouteOCSAblation(env *Env, nPairs int, budgets []int, theta float64) ([]Rou
 					if run.sel == core.RouteVar {
 						req.Weights = pl.weights
 					}
-					sol, err := env.Sys.Select(req)
+					sol, err := env.Sys.Select(context.TODO(), req)
 					if err != nil {
 						return nil, err
 					}
@@ -291,7 +292,7 @@ func RouteOCSAblation(env *Env, nPairs int, budgets []int, theta float64) ([]Rou
 					if err != nil {
 						return nil, err
 					}
-					res, err := env.Sys.Estimate(env.Slot, probed)
+					res, err := env.Sys.Estimate(context.TODO(), env.Slot, probed)
 					if err != nil {
 						return nil, err
 					}

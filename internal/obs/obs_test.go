@@ -221,8 +221,7 @@ func TestPipelineRegistersEverything(t *testing.T) {
 	p.Stream.Accepted.Inc()
 	snap := reg.Snapshot()
 	for _, name := range []string{
-		MQueries, MQueriesAdaptive, MQueriesResilient, MQueryErrors,
-		MQueryDegraded, MQueryFallback, MQueryDeadline,
+		MQueries, MQueryErrors, MQueryDegraded, MQueryDeadline,
 		MOCSSolves, MOCSSelectedRoads, MProbeRounds, MProbeAnswers,
 		MBudgetSpent, MBudgetRecycled,
 		MGSPRuns, MGSPIterations, MGSPConverged, MGSPAborted,

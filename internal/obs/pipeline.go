@@ -5,14 +5,11 @@ import "sync"
 // Metric names of the online pipeline. Exported so the server's healthz
 // rollup, the exposition tests and the documentation agree on one spelling.
 const (
-	MQueries          = "crowdrtse_queries_total"
-	MQueriesAdaptive  = "crowdrtse_queries_adaptive_total"
-	MQueriesResilient = "crowdrtse_queries_resilient_total"
-	MQueryErrors      = "crowdrtse_query_errors_total"
-	MQueryDegraded    = "crowdrtse_query_degraded_total"
-	MQueryFallback    = "crowdrtse_query_fallback_prior_total"
-	MQueryDeadline    = "crowdrtse_query_deadline_total"
-	MQuerySeconds     = "crowdrtse_query_seconds"
+	MQueries       = "crowdrtse_queries_total"
+	MQueryErrors   = "crowdrtse_query_errors_total"
+	MQueryDegraded = "crowdrtse_query_degraded_total"
+	MQueryDeadline = "crowdrtse_query_deadline_total"
+	MQuerySeconds  = "crowdrtse_query_seconds"
 
 	MOCSSolves        = "crowdrtse_ocs_select_total"
 	MOCSSelectedRoads = "crowdrtse_ocs_selected_roads_total"
@@ -144,15 +141,12 @@ type StreamMetrics struct {
 type Pipeline struct {
 	Clock Clock
 
-	// Query-level counters (core.Query / QueryAdaptive / QueryResilient).
-	Queries          *Counter
-	QueriesAdaptive  *Counter
-	QueriesResilient *Counter
-	QueryErrors      *Counter
-	QueryDegraded    *Counter
-	QueryFallback    *Counter
-	QueryDeadline    *Counter
-	QueryLatency     *Histogram
+	// Query-level counters (core.RunQuery, whatever the policy).
+	Queries       *Counter
+	QueryErrors   *Counter
+	QueryDegraded *Counter
+	QueryDeadline *Counter
+	QueryLatency  *Histogram
 
 	// Stage instruments, shared with the stage packages.
 	OCS OCSMetrics
@@ -185,15 +179,12 @@ func NewPipeline(reg *Registry, clock Clock) *Pipeline {
 		clock = SystemClock()
 	}
 	p := &Pipeline{
-		Clock:            clock,
-		Queries:          reg.Counter(MQueries, "online queries served by the plain pipeline"),
-		QueriesAdaptive:  reg.Counter(MQueriesAdaptive, "online queries served by the adaptive-budget pipeline"),
-		QueriesResilient: reg.Counter(MQueriesResilient, "online queries served by the fault-tolerant pipeline"),
-		QueryErrors:      reg.Counter(MQueryErrors, "queries that returned an error"),
-		QueryDegraded:    reg.Counter(MQueryDegraded, "queries answered with zero successful probes"),
-		QueryFallback:    reg.Counter(MQueryFallback, "queries that fell back to the periodicity prior"),
-		QueryDeadline:    reg.Counter(MQueryDeadline, "queries cut short by a context deadline"),
-		QueryLatency:     reg.Histogram(MQuerySeconds, "end-to-end online query latency", nil),
+		Clock:         clock,
+		Queries:       reg.Counter(MQueries, "online queries served by the query pipeline"),
+		QueryErrors:   reg.Counter(MQueryErrors, "queries that returned an error"),
+		QueryDegraded: reg.Counter(MQueryDegraded, "queries answered with zero successful probes (the periodicity prior)"),
+		QueryDeadline: reg.Counter(MQueryDeadline, "queries cut short by a context deadline"),
+		QueryLatency:  reg.Histogram(MQuerySeconds, "end-to-end online query latency", nil),
 		OCS: OCSMetrics{
 			Solves:   reg.Counter(MOCSSolves, "OCS solver invocations"),
 			Selected: reg.Counter(MOCSSelectedRoads, "crowdsourced roads selected by OCS"),

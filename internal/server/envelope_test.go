@@ -214,6 +214,40 @@ func TestEstimateObservedOverrides(t *testing.T) {
 	}
 }
 
+// TestObservedOverridePlausibility: an observation override passes the rule
+// reports do (0 ≤ v ≤ the collector's MaxSpeed) on /v1/estimate and on every
+// /v1/query entry. An implausible one is a 400 naming the road and value,
+// and it never reaches GSP or the slot's warm-start seed.
+func TestObservedOverridePlausibility(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	for _, v := range []float64{-40, 1e6, 160.0001} {
+		entry := map[string]interface{}{"slot": 12, "roads": []int{3, 4}, "observed": map[string]float64{"3": v}}
+		for _, c := range []struct {
+			path string
+			body interface{}
+		}{
+			{"/v1/estimate", entry},
+			{"/v1/query", map[string]interface{}{"queries": []interface{}{entry}}},
+		} {
+			resp := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				b, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				t.Fatalf("%s override %v: status %d, want 400: %s", c.path, v, resp.StatusCode, b)
+			}
+			env := decodeEnvelope(t, resp)
+			if msg := env.Error.Message; !strings.Contains(msg, "observed road 3") || !strings.Contains(msg, fmt.Sprint(v)) {
+				t.Errorf("%s override %v: message %q does not name the road and value", c.path, v, msg)
+			}
+		}
+	}
+	var est estimateResponse
+	decode(t, postJSON(t, ts.URL+"/v1/estimate", map[string]interface{}{"slot": 12, "roads": []int{4}}), &est)
+	if est.WarmStarted {
+		t.Error("a rejected override seeded the slot's warm start")
+	}
+}
+
 // TestBatchQueryEndpoint: entries sharing a slot coalesce; results preserve
 // order and slice per entry.
 func TestBatchQueryEndpoint(t *testing.T) {

@@ -100,7 +100,7 @@ func TestAlertPredicates(t *testing.T) {
 	if err := sys.SetObsNoise(core.DefaultObsNoise(sys.Network())); err != nil {
 		t.Fatal(err)
 	}
-	prior := sys.PriorSpeeds(100)
+	prior, _ := sys.PriorField(100)
 	// Road 4 crawls at 5 km/h; road 7 reports its prior (free flow).
 	for road, speed := range map[int]float64{4: 5, 7: prior[7]} {
 		resp := postJSON(t, ts.URL+"/v1/report", map[string]interface{}{

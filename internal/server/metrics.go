@@ -205,7 +205,7 @@ type obsRollup struct {
 func (s *Server) rollup() *obsRollup {
 	p := s.pipe
 	return &obsRollup{
-		Queries:         p.Queries.Value() + p.QueriesAdaptive.Value() + p.QueriesResilient.Value(),
+		Queries:         p.Queries.Value(),
 		QueryErrors:     p.QueryErrors.Value(),
 		QueryDegraded:   p.QueryDegraded.Value(),
 		QueryP95Seconds: p.QueryLatency.Quantile(0.95),

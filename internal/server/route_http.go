@@ -27,12 +27,10 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/qos"
 	"repro/internal/router"
 	"repro/internal/stattest"
 	"repro/internal/tslot"
@@ -145,11 +143,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if depart == 0 {
 		depart = float64(slot.StartMinute())
 	}
-	tier := qos.TierFull
-	ai := admissionFrom(r.Context())
-	if ai != nil {
-		tier = ai.Decision.Tier
-	}
+	tier, ai := admittedTier(r.Context())
 	res, err := s.batcher.RouteETA(r.Context(), core.RouteETARequest{
 		Slot: slot, Src: req.Src, Dst: req.Dst, DepartMinute: depart,
 		Horizon: horizon, Observed: s.collector.Observations(slot), Tier: tier,
@@ -201,42 +195,22 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if req.Budget > 0 {
-		probes, status, err := s.routeProbes(w, r, &req, slot, sel, res.ETA, ai)
-		if err != nil {
-			if status != http.StatusTooManyRequests {
-				// The 429 quota envelope is already written by routeProbes.
-				writeErr(w, r, status, "%v", err)
-			}
+		if out.Probes = s.routeProbes(w, r, &req, slot, sel, res.ETA); out.Probes == nil {
 			return
 		}
-		out.Probes = probes
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 // routeProbes runs the route-aware OCS selection for a budgeted route: the
-// planned path's sensitivity weights drive core.RouteVar, and the budget is
-// charged against the tenant's probe quota first (429 + Retry-After on
-// exhaustion, refunded if the solve fails). A 429 is written by this helper;
-// every other error is returned for the caller's envelope.
-func (s *Server) routeProbes(w http.ResponseWriter, r *http.Request, req *routeRequest, slot tslot.Slot, sel core.Selector, eta router.ETA, ai *admissionInfo) (*routeProbeJSON, int, error) {
-	s.mu.RLock()
-	workerRoads := s.pool.Roads()
-	s.mu.RUnlock()
-	if len(workerRoads) == 0 {
-		return nil, http.StatusConflict, fmt.Errorf("no workers registered")
-	}
+// planned path's sensitivity weights drive core.RouteVar through the charged
+// select path (quota charge, refund on failure). On nil the error envelope
+// has been written.
+func (s *Server) routeProbes(w http.ResponseWriter, r *http.Request, req *routeRequest, slot tslot.Slot, sel core.Selector, eta router.ETA) *routeProbeJSON {
 	theta := req.Theta
 	if theta == 0 {
 		theta = defaultRouteTheta
 	}
-	if ai != nil && s.qosCtl != nil {
-		if ok, retry := s.qosCtl.ConsumeProbeBudget(ai.Tenant, req.Budget); !ok {
-			writeQuotaExhausted(w, r, ai.Tenant, req.Budget, retry.Seconds())
-			return nil, http.StatusTooManyRequests, fmt.Errorf("probe budget quota exhausted")
-		}
-	}
-	weights := s.batcher.RouteWeights(eta)
 	query := make([]int, 0, len(eta.Segments))
 	seen := make(map[int]bool, len(eta.Segments))
 	for _, seg := range eta.Segments {
@@ -245,18 +219,15 @@ func (s *Server) routeProbes(w http.ResponseWriter, r *http.Request, req *routeR
 			query = append(query, seg.Road)
 		}
 	}
-	sol, err := s.batcher.Select(r.Context(), core.SelectRequest{
-		Slot: slot, Roads: query, WorkerRoads: workerRoads,
+	sol, ok := s.selectCharged(w, r, core.SelectRequest{
+		Slot: slot, Roads: query,
 		Budget: req.Budget, Theta: theta, Selector: sel, Seed: req.Seed,
-		Weights: weights,
+		Weights: s.batcher.RouteWeights(eta),
 	})
-	if err != nil {
-		if ai != nil && s.qosCtl != nil {
-			s.qosCtl.RefundProbeBudget(ai.Tenant, req.Budget)
-		}
-		return nil, http.StatusBadRequest, err
+	if !ok {
+		return nil
 	}
 	return &routeProbeJSON{
 		Objective: sel.String(), Roads: sol.Roads, Value: sol.Value, Cost: sol.Cost,
-	}, http.StatusOK, nil
+	}
 }

@@ -62,6 +62,7 @@ import (
 	"repro/internal/modelstore"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/ocs"
 	"repro/internal/qos"
 	"repro/internal/shard"
 	"repro/internal/stattest"
@@ -135,8 +136,8 @@ type Server struct {
 	qosCtl *qos.Controller
 
 	// shards is the optional graph-partitioned engine (AttachShards); it only
-	// feeds the observability surfaces — request routing through the engine
-	// stays with the embedder that built it.
+	// feeds the observability surfaces. No handler serves through it yet, so
+	// under `serve` its caches stay cold.
 	shards *shard.Engine
 }
 
@@ -409,35 +410,48 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "slot %d out of range", req.Slot)
 		return
 	}
-	s.mu.RLock()
-	workerRoads := s.pool.Roads()
-	s.mu.RUnlock()
-	if len(workerRoads) == 0 {
-		writeErr(w, r, http.StatusConflict, "no workers registered")
-		return
-	}
-	// Probes cost real crowdsourcing money: charge the requested budget
-	// against the tenant's quota before the oracle does any work.
-	if ai := admissionFrom(r.Context()); ai != nil && s.qosCtl != nil {
-		if ok, retry := s.qosCtl.ConsumeProbeBudget(ai.Tenant, req.Budget); !ok {
-			writeQuotaExhausted(w, r, ai.Tenant, req.Budget, retry.Seconds())
-			return
-		}
-	}
-	sol, err := s.batcher.Select(r.Context(), core.SelectRequest{
-		Slot: slot, Roads: req.Roads, WorkerRoads: workerRoads,
+	sol, ok := s.selectCharged(w, r, core.SelectRequest{
+		Slot: slot, Roads: req.Roads,
 		Budget: req.Budget, Theta: req.Theta, Selector: sel, Seed: req.Seed,
 	})
-	if err != nil {
-		// No probes were bought — refund the quota charge so a failing
-		// request (bad θ, empty query) can't drain a tenant's budget.
-		if ai := admissionFrom(r.Context()); ai != nil && s.qosCtl != nil {
-			s.qosCtl.RefundProbeBudget(ai.Tenant, req.Budget)
-		}
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, selectResponse{Roads: sol.Roads, Value: sol.Value, Cost: sol.Cost})
+}
+
+// selectCharged is the one charged OCS path (/v1/select and budgeted
+// /v1/route): it selects among the registered workers' roads (409 when
+// none), charges req.Budget against the tenant's probe quota before the
+// oracle does any work (429 + Retry-After when exhausted) — probes cost real
+// crowdsourcing money — and refunds the charge when the solve fails (400),
+// so a bad θ or an empty query cannot drain a tenant's budget. On false the
+// error envelope has been written.
+func (s *Server) selectCharged(w http.ResponseWriter, r *http.Request, req core.SelectRequest) (ocs.Solution, bool) {
+	s.mu.RLock()
+	req.WorkerRoads = s.pool.Roads()
+	s.mu.RUnlock()
+	if len(req.WorkerRoads) == 0 {
+		writeErr(w, r, http.StatusConflict, "no workers registered")
+		return ocs.Solution{}, false
+	}
+	ai := admissionFrom(r.Context())
+	charged := ai != nil && s.qosCtl != nil
+	if charged {
+		if ok, retry := s.qosCtl.ConsumeProbeBudget(ai.Tenant, req.Budget); !ok {
+			writeQuotaExhausted(w, r, ai.Tenant, req.Budget, retry.Seconds())
+			return ocs.Solution{}, false
+		}
+	}
+	sol, err := s.batcher.Select(r.Context(), req)
+	if err != nil {
+		if charged {
+			s.qosCtl.RefundProbeBudget(ai.Tenant, req.Budget)
+		}
+		writeErr(w, r, http.StatusBadRequest, "%v", err)
+		return ocs.Solution{}, false
+	}
+	return sol, true
 }
 
 // healthResponse is the /v1/healthz body. Status is "ok" or "degraded";
@@ -639,24 +653,17 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 		if id < 0 || id >= n {
 			return nil, http.StatusBadRequest, fmt.Errorf("observed road %d out of range", id)
 		}
+		// An override feeds GSP and the slot's warm-start seed like a
+		// report, so it must pass the rule reports do.
+		if err := s.collector.CheckSpeed(v); err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("observed road %d: %v", id, err)
+		}
 		observed[id] = v
 	}
 
-	// The admission decision (when QoS is enabled) picks the service tier;
-	// without it every request runs the full pipeline, exactly as pre-QoS.
-	tier := qos.TierFull
-	ai := admissionFrom(ctx)
-	if ai != nil {
-		tier = ai.Decision.Tier
-	}
-	res, err := s.batcher.EstimateTier(ctx, tier, slot, observed)
+	res, ai, err := s.estimateAdmitted(ctx, slot, observed)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
-	}
-	if ai != nil && s.qosCtl != nil {
-		// Record the served tier when execution degraded past the decision
-		// (cached → prior fallthrough on a cold slot).
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
 	}
 	// A prior-tier answer is the periodicity prior regardless of how many
 	// observations arrived — it is degraded by construction.
@@ -700,6 +707,30 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 		}
 	}
 	return out, http.StatusOK, nil
+}
+
+// admittedTier is the service tier the request's admission decision picked,
+// and the decision; without QoS (nil decision) every request runs the full
+// pipeline.
+func admittedTier(ctx context.Context) (qos.Tier, *admissionInfo) {
+	ai := admissionFrom(ctx)
+	if ai == nil {
+		return qos.TierFull, nil
+	}
+	return ai.Decision.Tier, ai
+}
+
+// estimateAdmitted estimates the slot at the admitted tier and records the
+// tier actually served against the decision, since execution may degrade
+// past it (cached → prior fallthrough on a cold slot). It returns the
+// decision (nil without QoS) for the response's quality label.
+func (s *Server) estimateAdmitted(ctx context.Context, slot tslot.Slot, observed map[int]float64) (core.TierResult, *admissionInfo, error) {
+	tier, ai := admittedTier(ctx)
+	res, err := s.batcher.EstimateTier(ctx, tier, slot, observed)
+	if err == nil && ai != nil && s.qosCtl != nil {
+		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
+	}
+	return res, ai, err
 }
 
 type alertJSON struct {
@@ -749,18 +780,10 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	observed := s.collector.Observations(slot)
-	tier := qos.TierFull
-	ai := admissionFrom(r.Context())
-	if ai != nil {
-		tier = ai.Decision.Tier
-	}
-	res, err := s.batcher.EstimateTier(r.Context(), tier, slot, observed)
+	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
-	}
-	if ai != nil && s.qosCtl != nil {
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
 	}
 	alerts, err := detect.Scan(s.sys.Model().At(slot), res.Result, detect.DefaultConfig())
 	if err != nil {
@@ -863,18 +886,10 @@ func (s *Server) handleAlertPredicates(w http.ResponseWriter, r *http.Request) {
 	}
 
 	observed := s.collector.Observations(slot)
-	tier := qos.TierFull
-	ai := admissionFrom(r.Context())
-	if ai != nil {
-		tier = ai.Decision.Tier
-	}
-	res, err := s.batcher.EstimateTier(r.Context(), tier, slot, observed)
+	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
-	}
-	if ai != nil && s.qosCtl != nil {
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
 	}
 
 	out := alertsPredicateResponse{

@@ -41,7 +41,7 @@ func TestAttachShardsSurfaces(t *testing.T) {
 	for i := range workers {
 		workers[i] = i
 	}
-	if _, err := eng.Select(context.Background(), shard.SelectRequest{
+	if _, err := eng.Select(context.Background(), core.SelectRequest{
 		Slot: 30, Roads: []int{2, net.N() - 1}, WorkerRoads: workers,
 		Budget: 6, Theta: 0.92, Selector: core.Hybrid, Seed: 1,
 	}); err != nil {

@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/crowd"
 	"repro/internal/gsp"
 	"repro/internal/network"
 	"repro/internal/obs"
@@ -186,52 +185,44 @@ func (e *Engine) Owner(r int) int { return int(e.owner[r]) }
 // Network returns the global network.
 func (e *Engine) Network() *network.Network { return e.net }
 
-// Result is a merged full-network estimate. Speeds is indexed by global road
-// id; every entry was produced by the road's owning shard.
-type Result struct {
-	Speeds []float64
-	// Aborted is set when any shard's propagation hit the deadline.
-	Aborted bool
-	// PerShard holds each shard's own propagation diagnostics.
-	PerShard []gsp.Result
-}
-
 // Estimate runs GSP on every shard concurrently and stitches the owned
-// interiors into one global field. Observations are routed to every shard
+// interiors into one global gsp.Result: speeds, SD and provenance come from
+// each road's owner; the result converged when every shard did and aborted
+// when any shard hit the deadline. Observations are routed to every shard
 // that carries the road — its owner and any shard holding it in the halo —
-// which is exactly the boundary-stitching step: a probe just across the cut
-// still anchors this side's propagation.
-func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (Result, error) {
+// which is exactly the boundary-stitching step: a probe just across the
+// cut still anchors this side's propagation.
+func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
 	obsPerShard := e.routeObservations(observed)
-	res := Result{
-		Speeds:   make([]float64, e.net.N()),
-		PerShard: make([]gsp.Result, len(e.shards)),
-	}
+	per := make([]gsp.Result, len(e.shards))
 	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
 	for p := range e.shards {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			r, err := e.shards[p].batch.Estimate(ctx, t, obsPerShard[p])
-			res.PerShard[p], errs[p] = r, err
+			per[p], errs[p] = e.shards[p].batch.Estimate(ctx, t, obsPerShard[p])
 		}(p)
 	}
 	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			return Result{}, fmt.Errorf("shard %d: estimate: %w", p, err)
-		}
+	n := e.net.N()
+	res := gsp.Result{
+		Speeds:     make([]float64, n),
+		SD:         make([]float64, n),
+		Provenance: make([]gsp.Provenance, n),
+		Converged:  true,
 	}
 	for p, sh := range e.shards {
-		speeds := res.PerShard[p].Speeds
-		local := e.local[p]
+		if errs[p] != nil {
+			return gsp.Result{}, fmt.Errorf("shard %d: estimate: %w", p, errs[p])
+		}
+		r, local := &per[p], e.local[p]
 		for _, gid := range sh.owned {
-			res.Speeds[gid] = speeds[local[gid]]
+			li := local[gid]
+			res.Speeds[gid], res.SD[gid], res.Provenance[gid] = r.Speeds[li], r.SD[li], r.Provenance[li]
 		}
-		if res.PerShard[p].Aborted {
-			res.Aborted = true
-		}
+		res.Converged = res.Converged && r.Converged
+		res.Aborted = res.Aborted || r.Aborted
 	}
 	return res, nil
 }
@@ -257,24 +248,13 @@ func (e *Engine) routeObservations(observed map[int]float64) []map[int]float64 {
 	return out
 }
 
-// SelectRequest mirrors core.SelectRequest with global road ids.
-type SelectRequest struct {
-	Slot        tslot.Slot
-	Roads       []int
-	WorkerRoads []int
-	Budget      int
-	Theta       float64
-	Selector    core.Selector
-	Seed        int64
-}
-
-// Select solves OCS per shard and merges: query roads and worker candidates
-// are routed to their owning shard (a worker road is a candidate only where
-// it is owned, so no road can be selected twice), the budget is split
-// proportionally to each shard's queried-road count (largest-remainder,
-// shard order breaks ties — deterministic), and the per-shard selections are
-// concatenated in shard order.
-func (e *Engine) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
+// Select solves OCS per shard and merges, in global road ids: query roads
+// and worker candidates are routed to their owning shard (a worker road is
+// a candidate only where it is owned, so no road can be selected twice), the
+// budget is split proportionally to each shard's queried-road count
+// (largest-remainder, shard order breaks ties — deterministic), and the
+// per-shard selections are concatenated in shard order.
+func (e *Engine) Select(ctx context.Context, req core.SelectRequest) (ocs.Solution, error) {
 	k := len(e.shards)
 	queries := make([][]int, k)
 	workers := make([][]int, k)
@@ -304,11 +284,9 @@ func (e *Engine) Select(ctx context.Context, req SelectRequest) (ocs.Solution, e
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			sols[p], errs[p] = e.shards[p].batch.Select(ctx, core.SelectRequest{
-				Slot: req.Slot, Roads: queries[p], WorkerRoads: workers[p],
-				Budget: budgets[p], Theta: req.Theta,
-				Selector: req.Selector, Seed: req.Seed,
-			})
+			local := req
+			local.Roads, local.WorkerRoads, local.Budget = queries[p], workers[p], budgets[p]
+			sols[p], errs[p] = e.shards[p].batch.Select(ctx, local)
 		}(p)
 	}
 	wg.Wait()
@@ -366,76 +344,18 @@ func splitBudget(budget int, queries [][]int) []int {
 	return out
 }
 
-// QueryRequest is one sharded online query, in global road ids.
-type QueryRequest struct {
-	Slot     tslot.Slot
-	Roads    []int
-	Budget   int
-	Theta    float64
-	Workers  *crowd.Pool
-	Selector core.Selector
-	Seed     int64
-	Probe    crowd.ProbeConfig
-	Truth    crowd.TruthFunc
+// Query runs core's online pipeline (core.RunQuery) on the sharded engine:
+// each round selects per shard under a split budget (Select), probes the
+// crowd globally — a worker does not care which shard owns the road it
+// drives on — and propagates halo-stitched (Estimate). Policies, campaigns
+// and retry rounds behave as on core.System.
+func (e *Engine) Query(ctx context.Context, req core.QueryRequest) (*core.QueryResult, error) {
+	return core.RunQuery(ctx, e, req)
 }
 
-// QueryResult is the sharded pipeline's answer.
-type QueryResult struct {
-	Selected    ocs.Solution
-	Probed      map[int]float64
-	Speeds      []float64
-	QuerySpeeds map[int]float64
-	Ledger      crowd.Ledger
-	Propagation Result
-}
-
-// Query runs the sharded online pipeline: per-shard OCS under a split budget,
-// one global crowd probe of the merged selection, then halo-stitched
-// estimation. Probing stays global because the crowd is global — a worker
-// does not care which shard owns the road it drives on.
-func (e *Engine) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	if req.Workers == nil {
-		return nil, fmt.Errorf("shard: query without a worker pool")
-	}
-	if req.Truth == nil {
-		return nil, fmt.Errorf("shard: query without a truth source")
-	}
-	if !req.Slot.Valid() {
-		return nil, fmt.Errorf("shard: invalid slot %d", req.Slot)
-	}
-	sol, err := e.Select(ctx, SelectRequest{
-		Slot: req.Slot, Roads: req.Roads, WorkerRoads: req.Workers.Roads(),
-		Budget: req.Budget, Theta: req.Theta, Selector: req.Selector, Seed: req.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	probeCfg := req.Probe
-	if probeCfg.Seed == 0 {
-		probeCfg.Seed = req.Seed
-	}
-	ledger := crowd.Ledger{Budget: req.Budget}
-	probed, _, err := req.Workers.Probe(sol.Roads, e.net.Costs(), req.Truth, probeCfg, &ledger)
-	if err != nil {
-		return nil, fmt.Errorf("shard: probing: %w", err)
-	}
-	prop, err := e.Estimate(ctx, req.Slot, probed)
-	if err != nil {
-		return nil, err
-	}
-	qs := make(map[int]float64, len(req.Roads))
-	for _, r := range req.Roads {
-		qs[r] = prop.Speeds[r]
-	}
-	return &QueryResult{
-		Selected:    sol,
-		Probed:      probed,
-		Speeds:      prop.Speeds,
-		QuerySpeeds: qs,
-		Ledger:      ledger,
-		Propagation: prop,
-	}, nil
-}
+// Obs returns the instrument set the query loop counts into: shard 0's,
+// which Instrument attaches to every shard alike.
+func (e *Engine) Obs() *obs.Pipeline { return e.shards[0].sys.Obs() }
 
 // ShardReport is one shard's health rollup for /v1/healthz.
 type ShardReport struct {

@@ -2,18 +2,37 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
+	"repro/internal/faults"
+	"repro/internal/gsp"
 	"repro/internal/network"
+	"repro/internal/ocs"
 	"repro/internal/rtf"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
+
+// The unsharded system, its Batcher and the sharded engine answer the same
+// three ctx-first calls with core's types.
+var (
+	_ ctxEngine = (*core.System)(nil)
+	_ ctxEngine = (*core.Batcher)(nil)
+	_ ctxEngine = (*Engine)(nil)
+)
+
+type ctxEngine interface {
+	Select(context.Context, core.SelectRequest) (ocs.Solution, error)
+	Estimate(context.Context, tslot.Slot, map[int]float64) (gsp.Result, error)
+	Query(context.Context, core.QueryRequest) (*core.QueryResult, error)
+}
 
 // metroFixture builds a small metro network with a synthesized fitted model.
 func metroFixture(tb testing.TB, roads, districts int) (*network.Network, *rtf.Model, []speedgen.Profile) {
@@ -72,7 +91,7 @@ func TestFullHaloExactEquivalence(t *testing.T) {
 	for r := 0; r < net.N(); r += 9 {
 		observed[r] = profiles[r].Speed(slot) * 0.9
 	}
-	want, err := flat.Estimate(slot, observed)
+	want, err := flat.Estimate(context.Background(), slot, observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +105,19 @@ func TestFullHaloExactEquivalence(t *testing.T) {
 	for r := range want.Speeds {
 		if math.Abs(got.Speeds[r]-want.Speeds[r]) > 1e-9 {
 			t.Fatalf("road %d: sharded %v vs flat %v", r, got.Speeds[r], want.Speeds[r])
+		}
+	}
+	// The stitched SD and provenance come from the same owner shards.
+	if len(got.SD) != len(want.SD) || len(got.Provenance) != len(want.Provenance) {
+		t.Fatalf("SD/provenance length %d/%d, want %d/%d",
+			len(got.SD), len(got.Provenance), len(want.SD), len(want.Provenance))
+	}
+	for r := range want.SD {
+		if math.Abs(got.SD[r]-want.SD[r]) > 1e-9 {
+			t.Fatalf("road %d: sharded SD %v vs flat %v", r, got.SD[r], want.SD[r])
+		}
+		if got.Provenance[r] != want.Provenance[r] {
+			t.Fatalf("road %d: sharded provenance %s vs flat %s", r, got.Provenance[r], want.Provenance[r])
 		}
 	}
 
@@ -149,7 +181,7 @@ func TestHaloStitchedEquivalence(t *testing.T) {
 	for r := 0; r < net.N(); r += 7 {
 		observed[r] = profiles[r].Speed(slot) * 0.88
 	}
-	want, err := flat.Estimate(slot, observed)
+	want, err := flat.Estimate(context.Background(), slot, observed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +237,7 @@ func TestShardedSelect(t *testing.T) {
 	for r := range workers {
 		workers[r] = r
 	}
-	sol, err := eng.Select(context.Background(), SelectRequest{
+	sol, err := eng.Select(context.Background(), core.SelectRequest{
 		Slot: 10, Roads: query, WorkerRoads: workers, Budget: 48, Theta: 0.95,
 	})
 	if err != nil {
@@ -248,7 +280,9 @@ func TestSplitBudget(t *testing.T) {
 
 // TestConcurrentCrossShardQueries is the -race workout: queries whose road
 // sets straddle every shard, fired concurrently across slots, must neither
-// race nor deadlock in the per-shard Batchers.
+// race nor deadlock in the per-shard Batchers. One member per slot runs the
+// fault-tolerant policy — a fault-injected campaign over three rounds — and
+// must stay within its budget and never observe a road it abandoned.
 func TestConcurrentCrossShardQueries(t *testing.T) {
 	net, model, profiles := metroFixture(t, 400, 4)
 	eng, err := New(net, model, Config{Shards: 4, Seed: 7, Core: core.DefaultConfig()})
@@ -258,7 +292,8 @@ func TestConcurrentCrossShardQueries(t *testing.T) {
 	pool := crowd.PlaceEverywhere(net)
 	const goroutines = 8
 	var wg sync.WaitGroup
-	errCh := make(chan error, goroutines)
+	errCh := make(chan error, goroutines+3)
+	var recycled atomic.Int64
 	for gi := 0; gi < goroutines; gi++ {
 		wg.Add(1)
 		go func(gi int) {
@@ -269,7 +304,7 @@ func TestConcurrentCrossShardQueries(t *testing.T) {
 			for r := gi; r < net.N(); r += 20 {
 				query = append(query, r)
 			}
-			res, err := eng.Query(context.Background(), QueryRequest{
+			res, err := eng.Query(context.Background(), core.QueryRequest{
 				Slot: slot, Roads: query, Budget: 40, Theta: 0.95,
 				Workers: pool, Truth: truth, Seed: int64(gi + 1),
 				Probe: crowd.ProbeConfig{NoiseSD: 0.02},
@@ -283,10 +318,49 @@ func TestConcurrentCrossShardQueries(t *testing.T) {
 			}
 		}(gi)
 	}
+	for slot := tslot.Slot(90); slot < 93; slot++ {
+		wg.Add(1)
+		go func(slot tslot.Slot) {
+			defer wg.Done()
+			inj, err := faults.New(faults.Config{Seed: int64(slot), DropoutProb: 0.3, LatencyProb: 0.1})
+			if err != nil {
+				errCh <- err
+				return
+			}
+			camp := inj.WrapCampaign(crowd.DefaultCampaign(int64(slot)))
+			truth := func(r int) float64 { return profiles[r].Speed(slot) * 0.93 }
+			query := make([]int, 0, 20)
+			for r := int(slot) % 20; r < net.N(); r += 20 {
+				query = append(query, r)
+			}
+			const budget = 40
+			res, err := eng.Query(context.Background(), core.QueryRequest{
+				Slot: slot, Roads: query, Budget: budget, Theta: 0.95,
+				Workers: inj.FilterPool(pool), Truth: inj.WrapTruth(truth), Seed: int64(slot),
+				Campaign: &camp, Rounds: 3,
+			})
+			if err != nil {
+				errCh <- err
+				return
+			}
+			if res.Ledger.Spent > budget {
+				errCh <- fmt.Errorf("slot %d: spent %d of budget %d", slot, res.Ledger.Spent, budget)
+			}
+			for _, r := range res.AbandonedRoads {
+				if _, ok := res.Probed[r]; ok {
+					errCh <- fmt.Errorf("slot %d: abandoned road %d was observed", slot, r)
+				}
+			}
+			recycled.Add(int64(res.BudgetRecycled))
+		}(slot)
+	}
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	if recycled.Load() == 0 {
+		t.Error("no fault-tolerant member recycled budget: the sharded retry rounds went unexercised")
 	}
 	reps := eng.Reports()
 	if len(reps) != 4 {

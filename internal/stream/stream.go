@@ -116,8 +116,15 @@ func (c *Collector) validate(r Report) error {
 	if !r.Slot.Valid() {
 		return fmt.Errorf("stream: invalid slot %d", r.Slot)
 	}
-	if r.Speed < 0 || r.Speed > c.MaxSpeed || math.IsNaN(r.Speed) {
-		return fmt.Errorf("stream: implausible speed %v", r.Speed)
+	return c.CheckSpeed(r.Speed)
+}
+
+// CheckSpeed is the collector's plausibility rule for one speed: 0 ≤ v ≤
+// MaxSpeed. Add rejects reports that break it; the server holds per-request
+// observation overrides to the same rule.
+func (c *Collector) CheckSpeed(v float64) error {
+	if v < 0 || v > c.MaxSpeed || math.IsNaN(v) {
+		return fmt.Errorf("stream: implausible speed %v", v)
 	}
 	return nil
 }
