@@ -23,9 +23,10 @@ race:
 # The -run and -bench patterns of the targets below. run-patterns checks
 # that every alternative still selects a test or benchmark.
 FAULT_RUN = Fault
-HOTPATH_RUN = Singleflight|ConcurrentMixedRows|ParallelEquivalence|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad
+HOTPATH_RUN = Singleflight|ConcurrentMixedRows|LazyMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad
 HOTPATH_PKGS = ./internal/corr/ ./internal/ocs/ ./internal/core/
-FUZZ_RUN = FuzzSnapshotRoundTrip
+FUZZ_RUN = FuzzSnapshotRoundTrip|FuzzHandlers
+FUZZ_PKGS = ./internal/modelstore/ ./internal/server/
 REFIT_RUN = RefitDrill|RefitOnce|Refitter
 
 # The fault injector and the fault-tolerant query policy promise bit-for-bit
@@ -35,18 +36,19 @@ fault-determinism:
 	$(GO) test -run '$(FAULT_RUN)' -count=2 ./...
 
 # Concurrency regression suite for the online hot path: the CorrRow
-# singleflight (one Dijkstra under 32 hammering goroutines), the parallel
-# greedy equivalence corpus, mixed-slot System.Query under LRU eviction, and
-# the model hot-swap under 32 concurrent fault-tolerant query clients — all
-# under the race detector.
+# singleflight (one Dijkstra under 32 hammering goroutines), the greedy's
+# eager-reference equivalence corpus, concurrent greedy solves over one shared
+# oracle, mixed-slot System.Query under LRU eviction, and the model hot-swap
+# under 32 concurrent fault-tolerant query clients — all under the race
+# detector.
 race-hotpath:
 	$(GO) test -race -run '$(HOTPATH_RUN)' $(HOTPATH_PKGS)
 
-# Snapshot-codec fuzz harness. fuzz-seed replays the checked-in seed corpus
-# (fast, deterministic — part of `make check`); fuzz-snapshot explores new
-# inputs for a bounded time.
+# Fuzz harnesses of the snapshot codec and the HTTP request decoders.
+# fuzz-seed replays both seed corpora (fast, deterministic — part of `make
+# check`); fuzz-snapshot explores new snapshot inputs for a bounded time.
 fuzz-seed:
-	$(GO) test -run '$(FUZZ_RUN)' ./internal/modelstore/
+	$(GO) test -run '$(FUZZ_RUN)' $(FUZZ_PKGS)
 
 fuzz-snapshot:
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/modelstore/
@@ -73,21 +75,27 @@ refit-drill:
 
 # A renamed test silently drops out of a -run or -bench pass. For every
 # alternative of every pattern above (and LAYER_BENCH below), `go test -list`
-# must name at least one test or benchmark in the target's packages.
+# must name at least one test or benchmark in the target's packages, and
+# FUZZ_RUN must select a fuzz target in each of FUZZ_PKGS.
 run-patterns:
 	@set -e; \
+	selects() { $(GO) test -list "$$@" | grep -qvE '^(ok|\?) '; }; \
 	check() { \
 		pat=$$1; shift; \
 		for alt in $$(echo "$$pat" | tr '|' ' '); do \
-			out=$$($(GO) test -list "$$alt" "$$@"); \
-			if ! echo "$$out" | grep -qvE '^(ok|\?) '; then \
+			if ! selects "$$alt" "$$@"; then \
 				echo "run-patterns: '$$alt' selects nothing in $$*"; exit 1; \
 			fi; \
 		done; \
 	}; \
 	check '$(FAULT_RUN)' ./...; \
 	check '$(HOTPATH_RUN)' $(HOTPATH_PKGS); \
-	check '$(FUZZ_RUN)' ./internal/modelstore/; \
+	check '$(FUZZ_RUN)' $(FUZZ_PKGS); \
+	for pkg in $(FUZZ_PKGS); do \
+		if ! selects '$(FUZZ_RUN)' $$pkg; then \
+			echo "run-patterns: '$(FUZZ_RUN)' selects nothing in $$pkg"; exit 1; \
+		fi; \
+	done; \
 	check '$(REFIT_RUN)' ./internal/modelstore/; \
 	check '$(LAYER_BENCH)' $(LAYER_BENCH_PKGS); \
 	echo "run-patterns: every alternative selects a test or benchmark"

@@ -21,7 +21,6 @@ import (
 	"repro/internal/corr"
 	"repro/internal/crowd"
 	"repro/internal/experiments"
-	"repro/internal/gsp"
 	"repro/internal/network"
 	"repro/internal/ocs"
 	"repro/internal/rtf"
@@ -192,20 +191,6 @@ func BenchmarkFig4b_GSP(b *testing.B) {
 	}
 }
 
-func BenchmarkFig4b_GSPParallel(b *testing.B) {
-	e := env(b)
-	observed := benchObserved(b)
-	opt := gsp.DefaultOptions()
-	opt.Parallel = true
-	view := e.Sys.Model().At(e.Slot)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gsp.Propagate(e.Net, view, observed, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFig4b_LASSO(b *testing.B) {
 	e := env(b)
 	observed := benchObserved(b)
@@ -306,28 +291,6 @@ func benchCCD(b *testing.B, gradient bool) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(stats[0].Iterations), "iters")
-	}
-}
-
-// Lazy vs eager greedy: identical solutions (tested in internal/ocs), the
-// lazy heap skips most marginal-gain recomputations.
-func BenchmarkAblate_GreedyEager(b *testing.B) {
-	p := ocsProblem(b, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ocs.HybridGreedy(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblate_GreedyLazy(b *testing.B) {
-	p := ocsProblem(b, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ocs.LazyHybridGreedy(p); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -320,15 +320,14 @@ func (s *System) selectState(ctx context.Context, st *modelState, req SelectRequ
 	}
 	oracle := s.oracleAt(st, t)
 	p := &ocs.Problem{
-		Query:    req.Roads,
-		Workers:  req.WorkerRoads,
-		Costs:    s.net.Costs(),
-		Budget:   req.Budget,
-		Theta:    req.Theta,
-		Sigma:    st.model.At(t).Sigma,
-		Oracle:   oracle,
-		Parallel: true,
-		Metrics:  &s.Obs().OCS,
+		Query:   req.Roads,
+		Workers: req.WorkerRoads,
+		Costs:   s.net.Costs(),
+		Budget:  req.Budget,
+		Theta:   req.Theta,
+		Sigma:   st.model.At(t).Sigma,
+		Oracle:  oracle,
+		Metrics: &s.Obs().OCS,
 	}
 	switch sel {
 	case Hybrid, Ratio, Objective, RandomSel:
@@ -385,7 +384,7 @@ func (s *System) estimateState(ctx context.Context, st *modelState, t tslot.Slot
 	if initial != nil && len(initial.Speeds) == s.net.N() {
 		opt = opt.WithInitial(*initial)
 	}
-	return gsp.PropagateCtx(ctx, s.net, st.model.At(t), observed, opt)
+	return gsp.Propagate(ctx, s.net, st.model.At(t), observed, opt)
 }
 
 // GSPEstimator adapts the system to the baselines.Estimator interface for

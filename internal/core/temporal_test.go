@@ -75,8 +75,8 @@ func TestEstimateFeedsFilter(t *testing.T) {
 	}
 }
 
-// TestTemporalSeedsWarmStart: when the warm-start LRU has no entry for a
-// slot, the filtered posterior (predicted forward) seeds the GSP run, so the
+// TestTemporalSeedsWarmStart checks that when the warm-start LRU has no entry
+// for a slot, the filtered posterior (predicted forward) seeds the GSP run, so the
 // first estimate of a fresh slot still warm-starts.
 func TestTemporalSeedsWarmStart(t *testing.T) {
 	f := newFixture(t, 40, 5, 62)

@@ -81,9 +81,8 @@ func (c *CSR) N() int { return len(c.offsets) - 1 }
 // M returns the number of undirected edges.
 func (c *CSR) M() int { return c.m }
 
-// Row returns the half-edge index range [lo, hi) of node u. Iterate
-// Neighbors(u) and EdgeIDs(u) in lockstep, or index neigh/edge arrays via
-// At for a single flat loop:
+// Row returns the half-edge index range [lo, hi) of node u; At resolves each
+// half-edge in a single flat loop:
 //
 //	lo, hi := c.Row(u)
 //	for k := lo; k < hi; k++ {
@@ -97,10 +96,6 @@ func (c *CSR) At(k int32) (v, e int32) { return c.neigh[k], c.edge[k] }
 // Neighbors returns node u's adjacency as a zero-copy view into the packed
 // array, ascending. Must not be modified.
 func (c *CSR) Neighbors(u int) []int32 { return c.neigh[c.offsets[u]:c.offsets[u+1]] }
-
-// EdgeIDs returns the undirected edge ids aligned with Neighbors(u).
-// Must not be modified.
-func (c *CSR) EdgeIDs(u int) []int32 { return c.edge[c.offsets[u]:c.offsets[u+1]] }
 
 // Degree returns the number of neighbors of u.
 func (c *CSR) Degree(u int) int { return int(c.offsets[u+1] - c.offsets[u]) }

@@ -1,6 +1,7 @@
 package gsp_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -22,7 +23,7 @@ func ExamplePropagate() {
 	for i := 0; i+1 < 4; i++ {
 		m.SetRho(0, i, i+1, 0.9)
 	}
-	res, _ := gsp.Propagate(net, m.At(0), map[int]float64{0: 20}, gsp.DefaultOptions())
+	res, _ := gsp.Propagate(context.Background(), net, m.At(0), map[int]float64{0: 20}, gsp.DefaultOptions())
 	for i, v := range res.Speeds {
 		fmt.Printf("road %d: %.1f km/h\n", i, v)
 	}

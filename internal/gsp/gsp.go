@@ -12,11 +12,6 @@
 //
 // Roads with no probed road in their component keep μ (a fixed point of
 // Eq. 18). Convergence: the largest value change in a sweep falls below ε.
-//
-// The parallel engine exploits the observation of §VI ("Time Efficiency of
-// GSP"): two variables may be updated simultaneously iff they are in the
-// same BFS layer and non-adjacent. Each layer is greedily colored once; the
-// color classes are independent sets processed with a goroutine pool.
 package gsp
 
 import (
@@ -24,9 +19,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -39,16 +32,6 @@ import (
 type Options struct {
 	Epsilon  float64 // ε, convergence threshold on the max value change
 	MaxIters int     // sweep cap
-	Parallel bool    // use the layer-parallel engine
-	Workers  int     // goroutines for the parallel engine; 0 ⇒ GOMAXPROCS
-
-	// WarmStart, when non-nil, initializes the non-probed roads from a
-	// previous speed field instead of the periodic means — monitoring loops
-	// re-estimating every few minutes converge in fewer sweeps because
-	// consecutive slots' fields are close. The converged result is the same
-	// either way (the objective has a unique maximizer); only the sweep
-	// count changes. Must have one entry per road.
-	WarmStart []float64
 
 	// Initial, when non-nil, runs incremental delta propagation: the engine
 	// seeds from the previous Result's field, diffs the new observations
@@ -57,8 +40,8 @@ type Options struct {
 	// quiesces, full verification sweeps apply the exact cold-run convergence
 	// criterion (max change < Epsilon), so the returned field matches a cold
 	// run within Epsilon while the sweeps stay proportional to how much the
-	// observations actually moved. Set via WithInitial; takes precedence over
-	// WarmStart. Initial.Speeds must cover every road of the network.
+	// observations actually moved. Set via WithInitial. Initial.Speeds must
+	// cover every road of the network.
 	Initial *Result
 
 	// Metrics, when non-nil, receives the propagation counters (runs,
@@ -168,16 +151,11 @@ func (p Provenance) String() string {
 }
 
 // Propagate runs GSP for one slot. observed maps road id → probed speed
-// (the aggregated crowdsourced answers for R^c).
-func Propagate(net *network.Network, view rtf.View, observed map[int]float64, opt Options) (Result, error) {
-	return PropagateCtx(context.Background(), net, view, observed, opt)
-}
-
-// PropagateCtx is Propagate under a context: when ctx is cancelled or its
+// (the aggregated crowdsourced answers for R^c). When ctx is cancelled or its
 // deadline passes, the sweep loop stops after the current sweep and the
 // best-so-far field is returned with Result.Aborted set — a deadline is a
 // degraded answer, not an error.
-func PropagateCtx(ctx context.Context, net *network.Network, view rtf.View, observed map[int]float64, opt Options) (Result, error) {
+func Propagate(ctx context.Context, net *network.Network, view rtf.View, observed map[int]float64, opt Options) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -227,18 +205,12 @@ func PropagateCtx(ctx context.Context, net *network.Network, view rtf.View, obse
 	// Initialization (Alg. 5 line 2), optionally from a previous field.
 	speeds := make([]float64, n)
 	warm := opt.Initial
-	switch {
-	case warm != nil:
+	if warm != nil {
 		if len(warm.Speeds) != n {
 			return Result{}, fmt.Errorf("gsp: initial field covers %d roads, network has %d", len(warm.Speeds), n)
 		}
 		copy(speeds, warm.Speeds)
-	case opt.WarmStart != nil:
-		if len(opt.WarmStart) != n {
-			return Result{}, fmt.Errorf("gsp: warm start covers %d roads, network has %d", len(opt.WarmStart), n)
-		}
-		copy(speeds, opt.WarmStart)
-	default:
+	} else {
 		copy(speeds, view.Mu)
 	}
 	for r, v := range observed {
@@ -281,10 +253,6 @@ func PropagateCtx(ctx context.Context, net *network.Network, view rtf.View, obse
 		return res, nil
 	}
 
-	if opt.Parallel {
-		eng.prepareParallel(layers, opt.Workers)
-	}
-
 	// Phase 1 (warm runs only): delta propagation over the dirty frontier.
 	// Only roads near a changed observation are updated; each sweep lets the
 	// frontier grow one ring wherever a value actually moved by ≥ ε.
@@ -323,12 +291,7 @@ func PropagateCtx(ctx context.Context, net *network.Network, view rtf.View, obse
 		if res.Aborted {
 			break
 		}
-		var maxDelta float64
-		if opt.Parallel {
-			maxDelta = eng.sweepParallel()
-		} else {
-			maxDelta = eng.sweepSequential(layers)
-		}
+		maxDelta := eng.sweep(layers)
 		res.Iterations++
 		res.MaxDelta = maxDelta
 		if maxDelta < opt.Epsilon {
@@ -403,8 +366,7 @@ func observeGSP(m *obs.GSPMetrics, tr *obs.Trace, clock obs.Clock, start time.Ti
 	}
 }
 
-// engine holds the propagation state shared by both sweep strategies. The
-// topology is consumed exclusively through the network's packed CSR view:
+// engine holds the propagation state of one run. The topology is consumed exclusively through the network's packed CSR view:
 // the pairwise Gaussian parameters of Eq. (2) are materialized once per run
 // into flat half-edge arrays (emu, einvq), so the inner update loop is pure
 // indexed float64 arithmetic — no map[int64]int edge lookup, no per-neighbor
@@ -423,11 +385,6 @@ type engine struct {
 	// when unset); consumed only by computeSD.
 	obsNoise []float64
 	sdScale  float64
-
-	// Parallel-mode structures: per layer, the independent color classes,
-	// plus the worker count.
-	classes [][][]int
-	workers int
 }
 
 // prepareEdges materializes Eq. (2)'s derived parameters per half-edge:
@@ -620,96 +577,14 @@ func (e *engine) sweepFrontier(layers [][]int, active []bool, eps float64) float
 	return maxDelta
 }
 
-func (e *engine) sweepSequential(layers [][]int) float64 {
+// sweep updates every road of every layer once, in layer order, and returns
+// the largest change.
+func (e *engine) sweep(layers [][]int) float64 {
 	var maxDelta float64
 	for _, layer := range layers {
 		for _, i := range layer {
 			if d := e.update(i); d > maxDelta {
 				maxDelta = d
-			}
-		}
-	}
-	return maxDelta
-}
-
-// prepareParallel greedily colors each layer's induced subgraph so that each
-// color class is an independent set, the safety condition of §VI for
-// simultaneous updates.
-func (e *engine) prepareParallel(layers [][]int, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.workers = workers
-	e.classes = make([][][]int, len(layers))
-	for li, layer := range layers {
-		inLayer := make(map[int]int, len(layer)) // node → color, -1 = uncolored
-		for _, u := range layer {
-			inLayer[u] = -1
-		}
-		var classes [][]int
-		for _, u := range layer {
-			used := map[int]bool{}
-			for _, v := range e.csr.Neighbors(u) {
-				if c, ok := inLayer[int(v)]; ok && c >= 0 {
-					used[c] = true
-				}
-			}
-			c := 0
-			for used[c] {
-				c++
-			}
-			inLayer[u] = c
-			for len(classes) <= c {
-				classes = append(classes, nil)
-			}
-			classes[c] = append(classes[c], u)
-		}
-		e.classes[li] = classes
-	}
-}
-
-func (e *engine) sweepParallel() float64 {
-	var maxDelta float64
-	for _, classes := range e.classes {
-		for _, class := range classes {
-			if len(class) < 2*e.workers {
-				// Goroutine overhead dominates tiny classes.
-				for _, i := range class {
-					if d := e.update(i); d > maxDelta {
-						maxDelta = d
-					}
-				}
-				continue
-			}
-			deltas := make([]float64, e.workers)
-			var wg sync.WaitGroup
-			chunk := (len(class) + e.workers - 1) / e.workers
-			for w := 0; w < e.workers; w++ {
-				lo := w * chunk
-				if lo >= len(class) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(class) {
-					hi = len(class)
-				}
-				wg.Add(1)
-				go func(w int, part []int) {
-					defer wg.Done()
-					var local float64
-					for _, i := range part {
-						if d := e.update(i); d > local {
-							local = d
-						}
-					}
-					deltas[w] = local
-				}(w, class[lo:hi])
-			}
-			wg.Wait()
-			for _, d := range deltas {
-				if d > maxDelta {
-					maxDelta = d
-				}
 			}
 		}
 	}

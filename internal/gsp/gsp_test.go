@@ -29,23 +29,23 @@ func fitted(tb testing.TB, roads, days int, seed int64) (*network.Network, *rtf.
 func TestValidation(t *testing.T) {
 	net, m, _ := fitted(t, 20, 4, 1)
 	view := m.At(0)
-	if _, err := Propagate(net, view, nil, Options{Epsilon: 0, MaxIters: 10}); err == nil {
+	if _, err := Propagate(context.Background(), net, view, nil, Options{Epsilon: 0, MaxIters: 10}); err == nil {
 		t.Error("ε=0 accepted")
 	}
-	if _, err := Propagate(net, view, nil, Options{Epsilon: 0.1, MaxIters: 0}); err == nil {
+	if _, err := Propagate(context.Background(), net, view, nil, Options{Epsilon: 0.1, MaxIters: 0}); err == nil {
 		t.Error("MaxIters=0 accepted")
 	}
-	if _, err := Propagate(net, view, map[int]float64{99: 10}, DefaultOptions()); err == nil {
+	if _, err := Propagate(context.Background(), net, view, map[int]float64{99: 10}, DefaultOptions()); err == nil {
 		t.Error("out-of-range observation accepted")
 	}
-	if _, err := Propagate(net, view, map[int]float64{0: math.NaN()}, DefaultOptions()); err == nil {
+	if _, err := Propagate(context.Background(), net, view, map[int]float64{0: math.NaN()}, DefaultOptions()); err == nil {
 		t.Error("NaN observation accepted")
 	}
-	if _, err := Propagate(net, view, map[int]float64{0: -5}, DefaultOptions()); err == nil {
+	if _, err := Propagate(context.Background(), net, view, map[int]float64{0: -5}, DefaultOptions()); err == nil {
 		t.Error("negative observation accepted")
 	}
 	other := network.Synthetic(network.SyntheticOptions{Roads: 21, Seed: 2})
-	if _, err := Propagate(other, view, nil, DefaultOptions()); err == nil {
+	if _, err := Propagate(context.Background(), other, view, nil, DefaultOptions()); err == nil {
 		t.Error("mismatched network accepted")
 	}
 }
@@ -53,7 +53,7 @@ func TestValidation(t *testing.T) {
 func TestNoObservationsReturnsMu(t *testing.T) {
 	net, m, _ := fitted(t, 20, 4, 3)
 	view := m.At(100)
-	res, err := Propagate(net, view, nil, DefaultOptions())
+	res, err := Propagate(context.Background(), net, view, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestObservedRoadsPinned(t *testing.T) {
 	net, m, _ := fitted(t, 30, 4, 4)
 	view := m.At(90)
 	obs := map[int]float64{2: 71.5, 11: 13.25}
-	res, err := Propagate(net, view, obs, DefaultOptions())
+	res, err := Propagate(context.Background(), net, view, obs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPropagationIncreasesLikelihood(t *testing.T) {
 		baseline[r] = v
 	}
 	llBefore := rtf.JointLikelihood(net, view, baseline)
-	res, err := Propagate(net, view, obs, DefaultOptions())
+	res, err := Propagate(context.Background(), net, view, obs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestNeighborsMoveTowardObservation(t *testing.T) {
 	g := networkChain(t, 5, 0.95)
 	view := g.model.At(0)
 	obs := map[int]float64{0: view.Mu[0] - 20}
-	res, err := Propagate(g.net, view, obs, DefaultOptions())
+	res, err := Propagate(context.Background(), g.net, view, obs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestUnreachableStayAtMu(t *testing.T) {
 	for _, e := range m.Edges() {
 		m.SetRho(0, e[0], e[1], 0.9)
 	}
-	res, err := Propagate(net, m.At(0), map[int]float64{0: 10}, DefaultOptions())
+	res, err := Propagate(context.Background(), net, m.At(0), map[int]float64{0: 10}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,37 +190,10 @@ func TestUnreachableStayAtMu(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	net, m, h := fitted(t, 120, 6, 7)
-	slot := tslot.Slot(200)
-	view := m.At(slot)
-	obs := map[int]float64{}
-	for r := 0; r < net.N(); r += 11 {
-		obs[r] = h.At(0, slot, r)
-	}
-	seq, err := Propagate(net, view, obs, Options{Epsilon: 1e-6, MaxIters: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Propagate(net, view, obs, Options{Epsilon: 1e-6, MaxIters: 500, Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq.Converged || !par.Converged {
-		t.Fatalf("convergence: seq=%v par=%v", seq.Converged, par.Converged)
-	}
-	for i := range seq.Speeds {
-		if math.Abs(seq.Speeds[i]-par.Speeds[i]) > 1e-3 {
-			t.Fatalf("parallel diverges from sequential at road %d: %v vs %v",
-				i, seq.Speeds[i], par.Speeds[i])
-		}
-	}
-}
-
 func TestSpeedsNonNegative(t *testing.T) {
 	net, m, _ := fitted(t, 40, 4, 8)
 	view := m.At(10)
-	res, err := Propagate(net, view, map[int]float64{0: 0, 5: 0, 9: 0}, DefaultOptions())
+	res, err := Propagate(context.Background(), net, view, map[int]float64{0: 0, 5: 0, 9: 0}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +204,9 @@ func TestSpeedsNonNegative(t *testing.T) {
 	}
 }
 
+// TestWarmStart seeds a run with its own converged field: it needs fewer
+// sweeps than the cold run and serves the same field. A seed that does not
+// cover the network is rejected.
 func TestWarmStart(t *testing.T) {
 	net, m, h := fitted(t, 100, 6, 30)
 	slot := tslot.Slot(100)
@@ -239,14 +215,12 @@ func TestWarmStart(t *testing.T) {
 	for r := 0; r < net.N(); r += 9 {
 		obs[r] = h.At(0, slot, r)
 	}
-	cold, err := Propagate(net, view, obs, Options{Epsilon: 1e-6, MaxIters: 500})
+	opt := Options{Epsilon: 1e-6, MaxIters: 500}
+	cold, err := Propagate(context.Background(), net, view, obs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm-starting from the converged field must converge immediately to
-	// the same result.
-	warmOpt := Options{Epsilon: 1e-6, MaxIters: 500, WarmStart: cold.Speeds}
-	warm, err := Propagate(net, view, obs, warmOpt)
+	warm, err := Propagate(context.Background(), net, view, obs, opt.WithInitial(cold))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +232,10 @@ func TestWarmStart(t *testing.T) {
 			t.Fatalf("warm result diverges at road %d: %v vs %v", i, warm.Speeds[i], cold.Speeds[i])
 		}
 	}
-	// Wrong length rejected.
-	bad := Options{Epsilon: 1e-6, MaxIters: 10, WarmStart: make([]float64, 3)}
-	if _, err := Propagate(net, view, obs, bad); err == nil {
-		t.Error("short warm start accepted")
+	short := cold
+	short.Speeds = make([]float64, 3)
+	if _, err := Propagate(context.Background(), net, view, obs, opt.WithInitial(short)); err == nil {
+		t.Error("short initial field accepted")
 	}
 }
 
@@ -275,7 +249,7 @@ func TestWithInitialMatchesCold(t *testing.T) {
 	for r := 0; r < net.N(); r += 7 {
 		obsA[r] = h.At(0, slot, r)
 	}
-	coldA, err := Propagate(net, view, obsA, opt)
+	coldA, err := Propagate(context.Background(), net, view, obsA, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +273,11 @@ func TestWithInitialMatchesCold(t *testing.T) {
 	delete(obsB, 14)
 	obsB[3] = h.At(1, slot, 3)
 
-	coldB, err := Propagate(net, view, obsB, opt)
+	coldB, err := Propagate(context.Background(), net, view, obsB, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmB, err := Propagate(net, view, obsB, opt.WithInitial(coldA))
+	warmB, err := Propagate(context.Background(), net, view, obsB, opt.WithInitial(coldA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +302,7 @@ func TestWithInitialMatchesCold(t *testing.T) {
 
 	// Identical observations: the seed already is the fixed point, so the run
 	// quiesces in at most a couple of verification sweeps and reports savings.
-	warmSame, err := Propagate(net, view, obsA, opt.WithInitial(coldA))
+	warmSame, err := Propagate(context.Background(), net, view, obsA, opt.WithInitial(coldA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +326,7 @@ func TestWithInitialMatchesCold(t *testing.T) {
 	// Wrong-length seed rejected.
 	bad := coldA
 	bad.Speeds = bad.Speeds[:3]
-	if _, err := Propagate(net, view, obsB, opt.WithInitial(bad)); err == nil {
+	if _, err := Propagate(context.Background(), net, view, obsB, opt.WithInitial(bad)); err == nil {
 		t.Error("short initial field accepted")
 	}
 }
@@ -380,18 +354,18 @@ func TestWithInitialUnreachableReset(t *testing.T) {
 		m.SetRho(0, e[0], e[1], 0.9)
 	}
 	view := m.At(0)
-	first, err := Propagate(net, view, map[int]float64{0: 10, 4: 80}, DefaultOptions())
+	first, err := Propagate(context.Background(), net, view, map[int]float64{0: 10, 4: 80}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Speeds[5] == 40 {
 		t.Fatal("observation at 4 did not move road 5")
 	}
-	second, err := Propagate(net, view, map[int]float64{0: 12}, DefaultOptions().WithInitial(first))
+	second, err := Propagate(context.Background(), net, view, map[int]float64{0: 12}, DefaultOptions().WithInitial(first))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Propagate(net, view, map[int]float64{0: 12}, DefaultOptions())
+	cold, err := Propagate(context.Background(), net, view, map[int]float64{0: 12}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +385,7 @@ func TestUncertaintyField(t *testing.T) {
 	f := networkChain(t, 8, 0.95)
 	view := f.model.At(0)
 	obs := map[int]float64{0: 45}
-	res, err := Propagate(f.net, view, obs, DefaultOptions())
+	res, err := Propagate(context.Background(), f.net, view, obs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +411,7 @@ func TestUncertaintyField(t *testing.T) {
 		t.Errorf("far SD %v above prior σ %v", res.SD[7], view.Sigma[7])
 	}
 	// With no observations the SD is the prior everywhere.
-	res0, err := Propagate(f.net, view, nil, DefaultOptions())
+	res0, err := Propagate(context.Background(), f.net, view, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +426,7 @@ func TestMaxItersRespected(t *testing.T) {
 	net, m, h := fitted(t, 60, 4, 9)
 	view := m.At(50)
 	obs := map[int]float64{0: h.At(0, 50, 0)}
-	res, err := Propagate(net, view, obs, Options{Epsilon: 1e-300, MaxIters: 3})
+	res, err := Propagate(context.Background(), net, view, obs, Options{Epsilon: 1e-300, MaxIters: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,13 +438,13 @@ func TestMaxItersRespected(t *testing.T) {
 	}
 }
 
-func TestPropagateCtxAborts(t *testing.T) {
+func TestPropagateAborts(t *testing.T) {
 	net, m, _ := fitted(t, 30, 4, 77)
 	view := m.At(100)
 	observed := map[int]float64{0: 10}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: no sweep may run
-	res, err := PropagateCtx(ctx, net, view, observed, DefaultOptions())
+	res, err := Propagate(ctx, net, view, observed, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,25 +463,21 @@ func TestPropagateCtxAborts(t *testing.T) {
 		t.Errorf("observation not pinned: %v", res.Speeds[0])
 	}
 
-	// A live context converges identically to plain Propagate.
-	live, err := PropagateCtx(context.Background(), net, view, observed, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Propagate(net, view, observed, DefaultOptions())
+	// A live context converges, and a nil one behaves like it.
+	live, err := Propagate(context.Background(), net, view, observed, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if live.Aborted || !live.Converged {
 		t.Error("live context aborted or failed to converge")
 	}
-	for i := range live.Speeds {
-		if live.Speeds[i] != plain.Speeds[i] {
-			t.Fatalf("ctx and plain fields differ at %d", i)
-		}
+	nilCtx, err := Propagate(nil, net, view, observed, DefaultOptions()) //nolint:staticcheck
+	if err != nil {
+		t.Fatalf("nil context rejected: %v", err)
 	}
-	// nil context is tolerated.
-	if _, err := PropagateCtx(nil, net, view, observed, DefaultOptions()); err != nil { //nolint:staticcheck
-		t.Errorf("nil context rejected: %v", err)
+	for i := range live.Speeds {
+		if live.Speeds[i] != nilCtx.Speeds[i] {
+			t.Fatalf("nil and live context fields differ at %d", i)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package gsp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,13 +13,13 @@ func TestObsNoiseDegeneratesToExact(t *testing.T) {
 	view := m.At(50)
 	obs := map[int]float64{2: h.At(0, 50, 2), 9: h.At(0, 50, 9), 17: h.At(0, 50, 17)}
 
-	base, err := Propagate(net, view, obs, DefaultOptions())
+	base, err := Propagate(context.Background(), net, view, obs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	optZero := DefaultOptions()
 	optZero.ObsNoise = make([]float64, net.N())
-	withZero, err := Propagate(net, view, obs, optZero)
+	withZero, err := Propagate(context.Background(), net, view, obs, optZero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +41,14 @@ func TestObsNoiseWidensObservedRoads(t *testing.T) {
 	view := f.model.At(0)
 	obs := map[int]float64{0: 45}
 
-	exact, err := Propagate(f.net, view, obs, DefaultOptions())
+	exact, err := Propagate(context.Background(), f.net, view, obs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := DefaultOptions()
 	opt.ObsNoise = make([]float64, 8)
 	opt.ObsNoise[0] = 2.25 // R = 1.5²
-	noisy, err := Propagate(f.net, view, obs, opt)
+	noisy, err := Propagate(context.Background(), f.net, view, obs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +80,12 @@ func TestSDScaleAppliesToFusedOnly(t *testing.T) {
 	opt := DefaultOptions()
 	opt.ObsNoise = make([]float64, 6)
 	opt.ObsNoise[0] = 4
-	base, err := Propagate(f.net, view, obs, opt)
+	base, err := Propagate(context.Background(), f.net, view, obs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.SDScale = 1.3
-	scaled, err := Propagate(f.net, view, obs, opt)
+	scaled, err := Propagate(context.Background(), f.net, view, obs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestProvenanceLabels(t *testing.T) {
 	net, m, h := fitted(t, 40, 4, 7)
 	view := m.At(50)
 	obs := map[int]float64{4: h.At(0, 50, 4)}
-	res, err := Propagate(net, view, obs, DefaultOptions())
+	res, err := Propagate(context.Background(), net, view, obs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestProvenanceLabels(t *testing.T) {
 	}
 
 	// No observations at all: everything is prior.
-	res0, err := Propagate(net, view, nil, DefaultOptions())
+	res0, err := Propagate(context.Background(), net, view, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestObsNoiseValidation(t *testing.T) {
 	net, m, _ := fitted(t, 20, 4, 1)
 	opt := DefaultOptions()
 	opt.ObsNoise = make([]float64, 3) // wrong length
-	if _, err := Propagate(net, m.At(0), map[int]float64{1: 30}, opt); err == nil {
+	if _, err := Propagate(context.Background(), net, m.At(0), map[int]float64{1: 30}, opt); err == nil {
 		t.Fatal("short ObsNoise vector must be rejected")
 	}
 }

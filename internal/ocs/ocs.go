@@ -11,17 +11,17 @@
 // case), Objective-Greedy (Alg. 3), Hybrid-Greedy (Alg. 4, approximation
 // ratio (1−1/e)/2, Theorem 2), a Random baseline used by the paper's Fig. 3
 // column (c), and an exact exhaustive solver for small instances, used to
-// validate the approximation ratio empirically.
+// validate the approximation ratio empirically. The greedy solvers evaluate
+// marginal gains lazily (see runGreedy); they run on the calling goroutine.
 package ocs
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/corr"
@@ -87,17 +87,6 @@ type Problem struct {
 	// objective. Ignored under the other modes.
 	Weights []float64
 
-	// Parallel evaluates candidate marginal gains across a goroutine pool
-	// inside each greedy round (gains are independent given the incremental
-	// state) and runs Hybrid-Greedy's two passes concurrently. Results are
-	// bit-identical to the sequential solver: every candidate's score is
-	// computed by the same float operations in the same order, and ties
-	// break toward the smaller road id under both schedules. Instances
-	// below parallelThreshold work units fall back to the sequential loop
-	// so small problems don't pay goroutine overhead. The oracle is safe for
-	// concurrent use.
-	Parallel bool
-
 	// Metrics, when non-nil, receives per-solve counters (invocations,
 	// selected road count, solve latency). Instrumentation happens once per
 	// exported solver call, never inside the greedy round loops, so the
@@ -108,19 +97,6 @@ type Problem struct {
 	// so Feasible doesn't rebuild it per call.
 	workerSet map[int]bool
 }
-
-// Tuning knobs for the parallel gain evaluation; package-level so tests can
-// force the parallel path on small instances and single-core machines.
-var (
-	// parallelThreshold is the minimum |candidates|·|query| work size per
-	// round before goroutines pay for themselves.
-	parallelThreshold = 2048
-	// parallelWorkerCap bounds the per-round worker pool; 0 means
-	// GOMAXPROCS.
-	parallelWorkerCap = 0
-	// parallelMinChunk is the smallest candidate chunk worth a goroutine.
-	parallelMinChunk = 16
-)
 
 // Validate checks the instance for structural errors.
 func (p *Problem) Validate() error {
@@ -306,12 +282,10 @@ type greedyState struct {
 	selected []int
 	// red is this state's own θ-redundancy query handle; blocked[r] marks
 	// every road it placed above θ of some selected road, so redundant() is
-	// one index. Both change only in add, between rounds, so concurrent
-	// roundBest chunks read a stable slice.
+	// one index.
 	red     *corr.Redundancy
 	blocked []bool
 	cost    int
-	value   float64
 }
 
 func newGreedyState(p *Problem) *greedyState {
@@ -371,7 +345,6 @@ func (s *greedyState) add(r int) {
 		}
 	}
 	s.cost += s.p.Costs[r]
-	s.value += s.gain(r)
 	for qi := range s.p.Query {
 		if c := s.score(qi, r); c > s.best[qi] {
 			s.best[qi] = c
@@ -379,128 +352,94 @@ func (s *greedyState) add(r int) {
 	}
 }
 
-// value recomputation note: add() accumulates gains before updating best, so
-// s.value always equals Objective(selected) up to float rounding.
-
-// roundBest scans remaining[lo:hi] for the highest-scoring affordable,
-// non-redundant candidate. Permanently infeasible candidates (redundancy
-// never relaxes as the selection grows) are marked with -1, mirroring the
-// feasible_set recomputation in Alg. 2 line 5. Ties break toward the smaller
-// road id, matching the lazy variant so both produce identical selections.
-// Read-only on the greedy state, so disjoint index ranges may run
-// concurrently.
-func (s *greedyState) roundBest(remaining []int, byRatio bool, budget, lo, hi int) (int, float64) {
-	bestIdx, bestScore := -1, math.Inf(-1)
-	for idx := lo; idx < hi; idx++ {
-		r := remaining[idx]
-		if r < 0 || s.p.Costs[r] > budget {
-			continue
-		}
-		if s.redundant(r) {
-			remaining[idx] = -1
-			continue
-		}
-		score := s.gain(r)
-		if byRatio {
-			score /= float64(s.p.Costs[r])
-		}
-		if score > bestScore || (score == bestScore && bestIdx >= 0 && r < remaining[bestIdx]) {
-			bestIdx, bestScore = idx, score
-		}
+// rank is the greedy's ranking key for road r: its marginal gain, per unit
+// of cost under Ratio-Greedy.
+func (s *greedyState) rank(r int, byRatio bool) float64 {
+	g := s.gain(r)
+	if byRatio {
+		g /= float64(s.p.Costs[r])
 	}
-	return bestIdx, bestScore
+	return g
 }
 
-// roundBestParallel fans roundBest out over disjoint chunks of the candidate
-// slice and merges the per-chunk winners with the same (score desc, road id
-// asc) order, so the result is bit-identical to the sequential scan: each
-// candidate's score is produced by the exact same float operations, and the
-// merge is a pure argmax over those values.
-func (s *greedyState) roundBestParallel(remaining []int, byRatio bool, budget, workers int) (int, float64) {
-	type chunkBest struct {
-		idx   int
-		score float64
-	}
-	results := make([]chunkBest, workers)
-	chunk := (len(remaining) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(remaining) {
-			hi = len(remaining)
-		}
-		if lo >= hi {
-			results[w] = chunkBest{idx: -1, score: math.Inf(-1)}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			idx, score := s.roundBest(remaining, byRatio, budget, lo, hi)
-			results[w] = chunkBest{idx: idx, score: score}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	bestIdx, bestScore := -1, math.Inf(-1)
-	for _, r := range results {
-		if r.idx < 0 {
-			continue
-		}
-		if r.score > bestScore || (r.score == bestScore && bestIdx >= 0 && remaining[r.idx] < remaining[bestIdx]) {
-			bestIdx, bestScore = r.idx, r.score
-		}
-	}
-	return bestIdx, bestScore
+// gainEntry is a lazy-greedy heap entry: a candidate road and its rank as of
+// the given selection round.
+type gainEntry struct {
+	road  int
+	score float64
+	round int
 }
 
-// gainWorkers decides the per-round pool size: 0 (sequential) unless the
-// instance clears the work threshold and more than one worker is useful.
-func gainWorkers(candidates, queries int) int {
-	if queries < 1 {
-		queries = 1
+// gainHeap orders entries by score, descending, then road id, ascending.
+type gainHeap []gainEntry
+
+func (h gainHeap) Len() int { return len(h) }
+func (h gainHeap) Less(i, j int) bool {
+	if h[i].score != h[j].score {
+		return h[i].score > h[j].score
 	}
-	if candidates*queries < parallelThreshold {
-		return 0
-	}
-	w := parallelWorkerCap
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if limit := candidates / parallelMinChunk; w > limit {
-		w = limit
-	}
-	if w < 2 {
-		return 0
-	}
-	return w
+	return h[i].road < h[j].road
+}
+func (h gainHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+// Push and Pop complete heap.Interface. runGreedy never calls them: it
+// updates and removes the top in place, so no entry is boxed.
+func (h *gainHeap) Push(x any) { *h = append(*h, x.(gainEntry)) }
+func (h *gainHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
 }
 
-// runGreedy executes the shared loop of Alg. 2/3. score ranks candidates:
-// objective increment for Objective-Greedy, increment/cost for Ratio-Greedy.
-// With p.Parallel set and a large enough instance, each round's candidate
-// scan is fanned out over a goroutine pool; see roundBestParallel for why
-// the selection stays bit-identical.
+// dropTop removes the top entry: the last entry moves to the root and sifts
+// down.
+func (h *gainHeap) dropTop() {
+	last := len(*h) - 1
+	(*h)[0] = (*h)[last]
+	*h = (*h)[:last]
+	heap.Fix(h, 0)
+}
+
+// runGreedy executes the shared loop of Alg. 2/3 with lazy gain evaluation.
+// byRatio ranks candidates by objective increment per unit cost
+// (Ratio-Greedy) instead of the raw increment (Objective-Greedy).
+//
+// A road's marginal gain Σ_q w_q·max(0, score(q,r) − best_q) can only shrink
+// as the selection grows (TestGainsNonIncreasing), so a heap entry ranked in
+// an earlier round is an upper bound on its current rank. The loop refreshes
+// a stale top in place; a top that is fresh outranks every other entry's
+// bound and is the round's argmax, ties broken toward the smaller road id —
+// the candidate the eager scan of every remaining road would pick. An
+// unaffordable or θ-redundant top is dropped for good: the remaining budget
+// only shrinks and redundancy never relaxes.
 func runGreedy(p *Problem, byRatio bool) Solution {
 	s := newGreedyState(p)
-	remaining := append([]int(nil), p.Workers...)
-	workers := 0
-	if p.Parallel {
-		workers = gainWorkers(len(remaining), len(p.Query))
+	h := make(gainHeap, len(p.Workers))
+	for i, r := range p.Workers {
+		h[i] = gainEntry{road: r, score: s.rank(r, byRatio)}
 	}
-	for {
-		budget := p.Budget - s.cost
-		var bestIdx int
-		if workers > 1 {
-			bestIdx, _ = s.roundBestParallel(remaining, byRatio, budget, workers)
-		} else {
-			bestIdx, _ = s.roundBest(remaining, byRatio, budget, 0, len(remaining))
+	heap.Init(&h)
+	// Once the remaining budget is below the cheapest worker's cost, every
+	// entry left would only be dropped: stop instead.
+	minCost := math.MaxInt
+	for _, r := range p.Workers {
+		minCost = min(minCost, p.Costs[r])
+	}
+	round := 0
+	for len(h) > 0 && p.Budget-s.cost >= minCost {
+		top := &h[0]
+		switch {
+		case p.Costs[top.road] > p.Budget-s.cost || s.redundant(top.road):
+			h.dropTop()
+		case top.round < round:
+			top.score, top.round = s.rank(top.road, byRatio), round
+			heap.Fix(&h, 0)
+		default:
+			s.add(top.road)
+			round++
+			h.dropTop()
 		}
-		if bestIdx < 0 {
-			break
-		}
-		s.add(remaining[bestIdx])
-		remaining[bestIdx] = -1
 	}
 	sort.Ints(s.selected)
 	return Solution{Roads: s.selected, Value: p.Objective(s.selected), Cost: s.cost}
@@ -556,12 +495,9 @@ func ObjectiveGreedy(p *Problem) (Solution, error) {
 	return sol, nil
 }
 
-// HybridGreedy is Alg. 4: run Ratio-Greedy and Objective-Greedy and keep the
-// better solution. Theorem 2 proves the approximation ratio (1−1/e)/2. With
-// p.Parallel the two passes run concurrently — they share only the oracle,
-// whose query rows they read from its cache, and each owns its θ-redundancy
-// handle — and each pass additionally parallelizes its per-round candidate
-// scan on large instances.
+// HybridGreedy is Alg. 4: run Ratio-Greedy and Objective-Greedy, one after
+// the other, and keep the better solution. Theorem 2 proves the
+// approximation ratio (1−1/e)/2.
 func HybridGreedy(p *Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
@@ -577,30 +513,13 @@ func HybridGreedy(p *Problem) (Solution, error) {
 			return sol, nil
 		}
 	}
-	ratio, obj := runHybridPasses(p, runGreedy)
+	ratio, obj := runGreedy(p, true), runGreedy(p, false)
 	sol := obj
 	if ratio.Value >= obj.Value {
 		sol = ratio
 	}
 	p.observeSolve(start, &sol)
 	return sol, nil
-}
-
-// runHybridPasses executes the ratio and objective passes of Alg. 4,
-// concurrently when p.Parallel is set. Each pass owns its greedy state; the
-// solutions are deterministic either way.
-func runHybridPasses(p *Problem, pass func(*Problem, bool) Solution) (ratio, obj Solution) {
-	if !p.Parallel {
-		return pass(p, true), pass(p, false)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ratio = pass(p, true)
-	}()
-	obj = pass(p, false)
-	<-done
-	return ratio, obj
 }
 
 // trivialCase implements Remark 2: with θ = 1 and unit costs, OCS is trivial

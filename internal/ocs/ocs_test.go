@@ -332,6 +332,34 @@ func randomInstance(seed int64, nWorkers int) *Problem {
 	}
 }
 
+// randomLargeInstance builds a seeded random OCS instance over a synthetic
+// network of 40–89 roads: random ρ and σ, random query/worker subsets, costs,
+// budget and θ.
+func randomLargeInstance(tb testing.TB, seed int64) *Problem {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	roads := 40 + rng.Intn(50)
+	net := network.Synthetic(network.SyntheticOptions{Roads: roads, Seed: seed, CostMax: 1 + rng.Intn(8)})
+	m := rtf.New(net)
+	for _, e := range m.Edges() {
+		m.SetRho(0, e[0], e[1], 0.1+0.89*rng.Float64())
+		m.SetSigma(0, e[0], 0.5+10*rng.Float64())
+	}
+	perm := rng.Perm(roads)
+	nq := 4 + rng.Intn(12)
+	nw := 10 + rng.Intn(roads-10)
+	view := m.At(0)
+	return &Problem{
+		Query:   append([]int(nil), perm[:nq]...),
+		Workers: append([]int(nil), rng.Perm(roads)[:nw]...),
+		Costs:   net.Costs(),
+		Budget:  5 + rng.Intn(40),
+		Theta:   0.5 + 0.45*rng.Float64(),
+		Sigma:   view.Sigma,
+		Oracle:  corr.NewOracle(net.Graph(), view, corr.NegLog),
+	}
+}
+
 // Hybrid-Greedy must stay within its proven approximation bound of the exact
 // optimum (Theorem 2) — empirically it is far closer.
 func TestApproximationRatio(t *testing.T) {
@@ -414,6 +442,46 @@ func TestValueConsistency(t *testing.T) {
 			if !p.Feasible(sol.Roads) {
 				t.Errorf("%s seed %d: infeasible roads %v", name, seed, sol.Roads)
 			}
+		}
+	}
+}
+
+// TestFeasibleUsesHoistedWorkerSet checks Feasible both on validated
+// instances (hoisted set) and standalone (local build), and that the
+// redundancy check still rejects over-correlated pairs.
+func TestFeasibleUsesHoistedWorkerSet(t *testing.T) {
+	p := randomLargeInstance(t, 42)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if p.workerSet == nil {
+		t.Fatal("Validate did not hoist the worker set")
+	}
+	if len(p.workerSet) != len(p.Workers) {
+		t.Fatalf("worker set has %d entries for %d workers", len(p.workerSet), len(p.Workers))
+	}
+	// Any single worker road within budget is feasible.
+	w0 := p.Workers[0]
+	if p.Costs[w0] <= p.Budget && !p.Feasible([]int{w0}) {
+		t.Errorf("single worker road %d not feasible", w0)
+	}
+	// A non-worker road is rejected.
+	nonWorker := -1
+	for r := 0; r < len(p.Sigma); r++ {
+		if !p.workerSet[r] {
+			nonWorker = r
+			break
+		}
+	}
+	if nonWorker >= 0 && p.Feasible([]int{nonWorker}) {
+		t.Errorf("non-worker road %d accepted", nonWorker)
+	}
+	// Standalone (unvalidated) Problem agrees.
+	q := *p
+	q.workerSet = nil
+	for _, set := range [][]int{{w0}, {nonWorker}, p.Workers[:2]} {
+		if got, want := q.Feasible(set), p.Feasible(set); got != want {
+			t.Errorf("standalone Feasible(%v) = %v, validated = %v", set, got, want)
 		}
 	}
 }

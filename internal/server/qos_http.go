@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/qos"
 )
@@ -137,24 +136,6 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 			ai.Decision = d
 		}
 		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), admissionKey{}, ai)))
-	})
-}
-
-// withServiceFloor holds admitted work-route requests for Server.ServiceFloor
-// (a load-testing aid; see the field's doc). It sits inside withAdmission —
-// shed requests never pay the floor — and inside withTimeout, so the floor
-// spends the request's own deadline and honours cancellation.
-func (s *Server) withServiceFloor(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := s.ServiceFloor; d > 0 && qosRoutes[routeName(r.URL.Path)] {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-r.Context().Done():
-				t.Stop()
-			}
-		}
-		next.ServeHTTP(w, r)
 	})
 }
 

@@ -9,10 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/network"
 	"repro/internal/qos"
-	"repro/internal/speedgen"
 )
 
 // fakePressure drives the admission controller's in-flight signal from a
@@ -22,30 +19,26 @@ type fakePressure struct{ bits atomic.Uint64 }
 func (f *fakePressure) set(p float64)     { f.bits.Store(math.Float64bits(p)) }
 func (f *fakePressure) inFlight() float64 { return math.Float64frombits(f.bits.Load()) * 100 }
 
-// newQoSServer builds a server with admission control over three tenants —
-// ops (alerting), maps (interactive), etl (batch) — plus the anonymous
-// tenant, with pressure under test control.
+// qosTenants are the QoS fixture's tenants: ops (alerting), maps
+// (interactive) and etl (batch).
+var qosTenants = []qos.TenantConfig{
+	{Key: "ops-key", Name: "ops", Class: qos.ClassAlerting},
+	{Key: "maps-key", Name: "maps", Class: qos.ClassInteractive},
+	{Key: "etl-key", Name: "etl", Class: qos.ClassBatch},
+}
+
+// newQoSServer builds a server with admission control over qosTenants (unless
+// cfg names its own) plus the anonymous tenant, with pressure under test
+// control.
 func newQoSServer(tb testing.TB, cfg qos.Config) (*httptest.Server, *Server, *fakePressure) {
 	tb.Helper()
-	net := network.Synthetic(network.SyntheticOptions{Roads: 50, Seed: 3})
-	h, err := speedgen.Generate(net, speedgen.Default(6, 4))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sys, err := core.Train(net, h, core.DefaultConfig())
-	if err != nil {
-		tb.Fatal(err)
-	}
+	sys, _ := trainFixture(tb)
 	srv := New(sys)
 	if cfg.MaxInFlight == 0 {
 		cfg.MaxInFlight = 100
 	}
 	if cfg.Tenants == nil {
-		cfg.Tenants = []qos.TenantConfig{
-			{Key: "ops-key", Name: "ops", Class: qos.ClassAlerting},
-			{Key: "maps-key", Name: "maps", Class: qos.ClassInteractive},
-			{Key: "etl-key", Name: "etl", Class: qos.ClassBatch},
-		}
+		cfg.Tenants = qosTenants
 	}
 	if err := srv.EnableQoS(cfg); err != nil {
 		tb.Fatal(err)

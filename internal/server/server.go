@@ -100,16 +100,6 @@ type Server struct {
 	// are emitted as structured log lines after the response. This is the
 	// `crowdrtse serve -trace` sink.
 	TraceLog *slog.Logger
-	// ServiceFloor, when positive, holds every admitted work-route request in
-	// the handler for at least this long (load-testing aid). The synthetic
-	// benchmark network turns an estimate around in microseconds — far faster
-	// than a production-scale deployment, and too fast for closed-loop load to
-	// accumulate observable concurrency — so the load harness sets a floor
-	// emulating realistic propagation/collection latency; the admission
-	// controller then reads the in-flight pressure a real deployment would.
-	// The floor sits inside the in-flight gauge and after admission: shed
-	// requests return immediately. Zero (the default) disables it.
-	ServiceFloor time.Duration
 
 	// Observability wiring: one registry, one pipeline instrument set,
 	// shared with core/stream at construction (New) or re-clocked by
@@ -211,7 +201,7 @@ func (s *Server) Handler() http.Handler {
 	if s.EnablePprof {
 		mountPprof(mux)
 	}
-	return s.withObs(s.withRecovery(s.withBodyLimit(s.withAdmission(s.withTimeout(s.withServiceFloor(mux))))))
+	return s.withObs(s.withRecovery(s.withBodyLimit(s.withAdmission(s.withTimeout(mux)))))
 }
 
 // AttachLifecycle enables the model-lifecycle admin surface: /v1/model gains

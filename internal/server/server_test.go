@@ -15,7 +15,9 @@ import (
 	"repro/internal/tslot"
 )
 
-func newTestServer(tb testing.TB) (*httptest.Server, *core.System, *speedgen.History) {
+// trainFixture trains the test servers' system: the 50-road synthetic
+// network with seed 3 over 6 days of speedgen history, which it also returns.
+func trainFixture(tb testing.TB) (*core.System, *speedgen.History) {
 	tb.Helper()
 	net := network.Synthetic(network.SyntheticOptions{Roads: 50, Seed: 3})
 	h, err := speedgen.Generate(net, speedgen.Default(6, 4))
@@ -26,6 +28,12 @@ func newTestServer(tb testing.TB) (*httptest.Server, *core.System, *speedgen.His
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return sys, h
+}
+
+func newTestServer(tb testing.TB) (*httptest.Server, *core.System, *speedgen.History) {
+	tb.Helper()
+	sys, h := trainFixture(tb)
 	ts := httptest.NewServer(New(sys).Handler())
 	tb.Cleanup(ts.Close)
 	return ts, sys, h

@@ -193,7 +193,10 @@ func (e *Engine) Network() *network.Network { return e.net }
 // which is exactly the boundary-stitching step: a probe just across the
 // cut still anchors this side's propagation.
 func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	obsPerShard := e.routeObservations(observed)
+	obsPerShard, err := e.routeObservations(observed)
+	if err != nil {
+		return gsp.Result{}, err
+	}
 	per := make([]gsp.Result, len(e.shards))
 	errs := make([]error, len(e.shards))
 	var wg sync.WaitGroup
@@ -229,15 +232,15 @@ func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]fl
 
 // routeObservations builds each shard's local observation map: every global
 // observation lands in its owner shard and in every shard whose halo carries
-// the road.
-func (e *Engine) routeObservations(observed map[int]float64) []map[int]float64 {
+// the road. A road outside the network is an error, as on core.System.
+func (e *Engine) routeObservations(observed map[int]float64) ([]map[int]float64, error) {
 	out := make([]map[int]float64, len(e.shards))
 	for p := range out {
 		out[p] = make(map[int]float64)
 	}
 	for gid, v := range observed {
 		if gid < 0 || gid >= len(e.owner) {
-			continue // per-shard validation surfaces true errors
+			return nil, fmt.Errorf("shard: gsp: observed road %d out of range", gid)
 		}
 		for p := range e.shards {
 			if li := e.local[p][gid]; li >= 0 {
@@ -245,7 +248,7 @@ func (e *Engine) routeObservations(observed map[int]float64) []map[int]float64 {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Select solves OCS per shard and merges, in global road ids: query roads
@@ -260,14 +263,14 @@ func (e *Engine) Select(ctx context.Context, req core.SelectRequest) (ocs.Soluti
 	workers := make([][]int, k)
 	for _, r := range req.Roads {
 		if r < 0 || r >= len(e.owner) {
-			return ocs.Solution{}, fmt.Errorf("shard: queried road %d out of range", r)
+			return ocs.Solution{}, fmt.Errorf("shard: ocs: query road %d out of range", r)
 		}
 		p := e.owner[r]
 		queries[p] = append(queries[p], int(e.local[p][r]))
 	}
 	for _, r := range req.WorkerRoads {
 		if r < 0 || r >= len(e.owner) {
-			continue
+			return ocs.Solution{}, fmt.Errorf("shard: ocs: worker road %d out of range", r)
 		}
 		p := e.owner[r]
 		workers[p] = append(workers[p], int(e.local[p][r]))

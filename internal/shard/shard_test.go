@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,6 +260,58 @@ func TestShardedSelect(t *testing.T) {
 			t.Errorf("road %d out of range", r)
 		}
 	}
+}
+
+// TestOutOfRangeRoadsRejected: an observed road or a worker road outside the
+// network is an error on the unsharded System, its Batcher and the sharded
+// Engine alike, and the Engine words it like the System (behind a "shard: "
+// prefix) instead of dropping the road.
+func TestOutOfRangeRoadsRejected(t *testing.T) {
+	net, model, _ := metroFixture(t, 400, 4)
+	sys, err := core.NewFromModel(net, model, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.NewBatcher(sys, core.BatcherOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(net, model, Config{Shards: 2, Seed: 5, Core: core.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []struct {
+		name string
+		e    ctxEngine
+	}{{"System", sys}, {"Batcher", b}, {"Engine", eng}}
+	// check fails unless every engine's error ends with the System's.
+	check := func(what string, call func(ctxEngine) error) {
+		t.Helper()
+		want := call(sys)
+		if want == nil {
+			t.Fatalf("%s: System accepted it", what)
+		}
+		for _, en := range engines {
+			if err := call(en.e); err == nil {
+				t.Errorf("%s: %s accepted it", what, en.name)
+			} else if !strings.HasSuffix(err.Error(), want.Error()) {
+				t.Errorf("%s: %s answered %q, want %q", what, en.name, err, want)
+			}
+		}
+	}
+	ctx := context.Background()
+	for _, observed := range []map[int]float64{{400: 30}, {-1: 30}, {5: 30, 100000: 20}} {
+		check(fmt.Sprintf("estimate with observations %v", observed), func(e ctxEngine) error {
+			_, err := e.Estimate(ctx, 100, observed)
+			return err
+		})
+	}
+	check("select with worker roads [4 5 6 400 -3]", func(e ctxEngine) error {
+		_, err := e.Select(ctx, core.SelectRequest{
+			Slot: 100, Roads: []int{1, 2}, WorkerRoads: []int{4, 5, 6, 400, -3}, Budget: 5, Theta: 0.9,
+		})
+		return err
+	})
 }
 
 func TestSplitBudget(t *testing.T) {
