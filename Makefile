@@ -54,12 +54,13 @@ fuzz-snapshot:
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/modelstore/
 
 # Full race-detector pass over every package with concurrent state: the query
-# pipeline, the correlation oracle, the report collector, the HTTP surface
-# (including the 32-client metrics-scrape-during-hot-swap test) and the
-# instrument primitives themselves.
+# pipeline, the correlation oracle, the report collector, the shard fan-out
+# (one goroutine per shard on every sharded select and estimate), the HTTP
+# surface (including the 32-client metrics-scrape-during-hot-swap test and
+# sharded serving) and the instrument primitives themselves.
 race-suite:
 	$(GO) test -race ./internal/core/ ./internal/corr/ ./internal/stream/ \
-		./internal/server/ ./internal/obs/
+		./internal/shard/ ./internal/server/ ./internal/obs/
 
 # Smoke test of the serving benchmark: every workload briefly, every metric
 # BENCHMARK.json names, no failed answer. bench/ is its own module, so the

@@ -20,6 +20,7 @@
 //	    [-report-horizon 72]
 //	    [-qos] [-tenant key=K,name=N,class=C,rps=R,quota=Q]...
 //	    [-max-inflight N] [-latency-target D] [-no-anonymous]
+//	    [-shards N] [-shard-seed S]
 //	    serve the HTTP estimation API; with -store the model-lifecycle
 //	    subsystem is active: the serving model comes from the store's
 //	    current version (bootstrapping it from -model on first run),
@@ -31,9 +32,9 @@
 //	    quotas and priority classes, and under pressure requests step down
 //	    the QoS degradation ladder or shed with 429 + Retry-After; with
 //	    -shards N the network is partitioned into N halo-stitched shards
-//	    whose per-shard oracle-cache state shows up on /v1/healthz and
-//	    /v1/metrics; no request is served through the sharded engine yet,
-//	    so those caches stay cold
+//	    and every route selects and propagates through them, with per-shard
+//	    oracle-cache state on /v1/healthz and /v1/metrics; shard submodels
+//	    do not follow model swaps, so -shards refuses -store
 //	crowdrtse model <save|load|list|rollback> [flags]
 //	    manage the versioned snapshot store directly:
 //	    save -data DIR -model model.gob -store DIR [-note TEXT]
@@ -404,7 +405,7 @@ func cmdServe(args []string) error {
 	maxInFlight := fs.Int("max-inflight", 0, "concurrent requests treated as saturation (0 = qos default)")
 	latencyTarget := fs.Duration("latency-target", 0, "p95 request latency the QoS ladder aims for (0 = qos default)")
 	noAnon := fs.Bool("no-anonymous", false, "reject keyless requests with 401 instead of admitting them as the anonymous batch tenant")
-	shardN := fs.Int("shards", 0, "build an N-shard halo-stitched engine and surface its per-shard state on /v1/healthz and /v1/metrics; no request is served through it yet, so its caches stay cold (0 = unsharded)")
+	shardN := fs.Int("shards", 0, "serve every route through an N-shard halo-stitched engine, with per-shard state on /v1/healthz and /v1/metrics; not with -store (0 = unsharded)")
 	shardSeed := fs.Int64("shard-seed", 1, "partitioner seed (with -shards)")
 	var tenants []qos.TenantConfig
 	fs.Func("tenant", "tenant spec `key=K[,name=N,class=C,maxclass=C,rps=R,burst=B,quota=Q]` (repeatable; implies -qos)", func(spec string) error {
@@ -420,6 +421,9 @@ func cmdServe(args []string) error {
 	}
 	if *data == "" {
 		return fmt.Errorf("serve: -data is required")
+	}
+	if *shardN > 0 && *storeDir != "" {
+		return fmt.Errorf("serve: -shards with -store: model swaps do not reach the shard submodels")
 	}
 	net, _, err := loadData(*data, *days)
 	if err != nil {
@@ -475,7 +479,7 @@ func cmdServe(args []string) error {
 	}
 
 	if *shardN > 0 {
-		eng, err := shard.New(net, sys.Model(), shard.Config{Shards: *shardN, Seed: *shardSeed})
+		eng, err := shard.New(sys, shard.Config{Shards: *shardN, Seed: *shardSeed})
 		if err != nil {
 			return fmt.Errorf("serve: shards: %w", err)
 		}

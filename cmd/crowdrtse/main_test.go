@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +108,11 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"serve"}); err == nil {
 		t.Error("serve without -data accepted")
+	}
+	// Refused before any file is read: the paths need not exist.
+	if err := run([]string{"serve", "-data", "missing", "-shards", "2", "-store", "missing"}); err == nil ||
+		!strings.Contains(err.Error(), "-shards with -store") {
+		t.Errorf("serve -shards -store: %v, want the refusal", err)
 	}
 	if err := run([]string{"model"}); err == nil {
 		t.Error("bare model subcommand accepted")

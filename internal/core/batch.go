@@ -54,12 +54,22 @@ const (
 	defaultPrevSlots   = 64
 )
 
+// Backend is what a Batcher serves through: the System itself, or a
+// graph-partitioned shard.Engine built from it. Pin returns an engine fixed
+// to one model generation, in the System's road ids, whose propagations
+// warm-start from initial (nil runs cold).
+type Backend interface {
+	Pin(initial *gsp.Result) Engine
+}
+
 // Batcher coalesces concurrent queries per slot and warm-starts GSP from the
 // slot's previous estimate. Safe for concurrent use; construct one per
 // System and share it.
 type Batcher struct {
 	sys *System
 	opt BatcherOptions
+	// backend runs every selection and propagation (sys unless SetBackend).
+	backend Backend
 
 	mu      sync.Mutex
 	pending map[batchKey]*batchGroup
@@ -105,6 +115,7 @@ func NewBatcher(sys *System, opt BatcherOptions) (*Batcher, error) {
 	return &Batcher{
 		sys:        sys,
 		opt:        opt,
+		backend:    sys,
 		pending:    make(map[batchKey]*batchGroup),
 		estimate:   make(map[uint64]*flight[gsp.Result]),
 		selects:    make(map[uint64]*flight[ocs.Solution]),
@@ -115,6 +126,13 @@ func NewBatcher(sys *System, opt BatcherOptions) (*Batcher, error) {
 
 // System returns the wrapped system.
 func (b *Batcher) System() *System { return b.sys }
+
+// SetBackend makes the batcher select and propagate through be, which must
+// work in the wrapped System's road ids and model (a shard.Engine built from
+// it). Everything else — singleflight, the warm-start LRU, the tiers, the
+// temporal filter, routes and subscriptions — stays in the batcher. Call it
+// before the batcher serves.
+func (b *Batcher) SetBackend(be Backend) { b.backend = be }
 
 // ---------------------------------------------------------------------------
 // Warm-start cache
@@ -202,7 +220,7 @@ func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]f
 	b.estimate[key] = f
 	b.flightMu.Unlock()
 
-	f.res, f.err = b.sys.estimateState(ctx, b.sys.current(), t, observed, b.warmSeed(t))
+	f.res, f.err = b.backend.Pin(b.warmSeed(t)).Estimate(ctx, t, observed)
 	if f.err == nil {
 		b.storeResult(t, f.res)
 		b.feedTemporal(t, observed, &f.res)
@@ -235,7 +253,7 @@ func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, 
 	b.selects[key] = f
 	b.flightMu.Unlock()
 
-	f.res, f.err = b.sys.Select(ctx, req)
+	f.res, f.err = b.backend.Pin(nil).Select(ctx, req)
 	b.flightMu.Lock()
 	delete(b.selects, key)
 	b.flightMu.Unlock()
@@ -369,8 +387,7 @@ func (b *Batcher) run(g *batchGroup) {
 
 	// The shared pass runs under its own context: one member's deadline must
 	// not cancel the answer every other member is waiting for.
-	g.shared, g.err = RunQuery(context.Background(),
-		pinned{b.sys, b.sys.current(), b.warmSeed(merged.Slot)}, merged)
+	g.shared, g.err = RunQuery(context.Background(), b.backend.Pin(b.warmSeed(merged.Slot)), merged)
 	if g.err == nil {
 		b.storeResult(merged.Slot, g.shared.Propagation)
 		b.feedTemporal(merged.Slot, g.shared.Propagation.Observed, &g.shared.Propagation)

@@ -155,6 +155,9 @@ func NewFromModel(net *network.Network, model *rtf.Model, cfg Config) (*System, 
 // Network returns the system's road network.
 func (s *System) Network() *network.Network { return s.net }
 
+// Config returns the configuration the system was built with.
+func (s *System) Config() Config { return s.cfg }
+
 // Model returns the currently serving RTF model.
 func (s *System) Model() *rtf.Model { return s.current().model }
 

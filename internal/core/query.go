@@ -135,9 +135,9 @@ func (res *QueryResult) answer(roads []int) {
 
 // Engine is what the query round loop runs on: OCS selection and GSP
 // estimation in one road numbering, the network whose costs the crowd is
-// paid by, and the instrument set the loop counts into. A System pinned to
-// one model generation (System.Query, the Batcher's shared pass) and
-// shard.Engine implement it.
+// paid by, and the instrument set the loop counts into. A Backend's Pin
+// returns one fixed to a model generation (System.Pin, shard.Engine.Pin);
+// the Batcher selects and propagates only through it.
 type Engine interface {
 	Network() *network.Network
 	Obs() *obs.Pipeline
@@ -350,15 +350,22 @@ func runRounds(ctx context.Context, e Engine, pipe *obs.Pipeline, req QueryReque
 }
 
 // Query answers one online query (RunQuery) on the serving model
-// generation, pinned for the whole query: every round selects and
-// propagates on the same parameters even if a hot-swap lands mid-query
-// (RCU — the swap retires the state only after the query drops it).
+// generation, pinned for the whole query (Pin).
 func (s *System) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	return RunQuery(ctx, pinned{s, s.current(), nil}, req)
+	return RunQuery(ctx, s.Pin(nil), req)
+}
+
+// Pin implements Backend: the returned engine selects and propagates on the
+// serving model generation even if a hot-swap lands while it is in use
+// (RCU — the swap retires the state only after the engine is dropped), and
+// warm-starts every propagation from initial when it is a previous
+// full-network field.
+func (s *System) Pin(initial *gsp.Result) Engine {
+	return pinned{s, s.current(), initial}
 }
 
 // pinned is a System fixed to one model state, with an optional warm-start
-// seed for its propagations (the Batcher's shared pass).
+// seed for its propagations.
 type pinned struct {
 	*System
 	st      *modelState

@@ -182,6 +182,9 @@ func (s *Server) SetClock(clk obs.Clock) {
 	s.clock = clk
 	s.pipe = obs.NewPipeline(s.reg, clk)
 	s.sys.Instrument(s.pipe)
+	if s.shards != nil {
+		s.shards.Instrument(s.pipe)
+	}
 	s.collector.SetClock(clk)
 	s.collector.SetMetrics(s.pipe.Stream)
 	s.started = clk.Now()

@@ -23,10 +23,11 @@
 // Reports are kept per slot; an estimate uses the aggregated reports of its
 // slot as the GSP observations. All handlers are safe for concurrent use.
 //
-// Estimation runs through a core.Batcher: identical concurrent estimates
-// singleflight into one propagation, batch entries sharing a slot coalesce
-// into one pass, and every pass warm-starts from the slot's previous field
-// (incremental GSP). The amortization counters appear on /v1/metrics
+// Estimation runs through one core.Batcher, over the System or, after
+// AttachShards, a graph-partitioned shard.Engine: identical concurrent
+// estimates singleflight into one propagation, batch entries sharing a slot
+// coalesce into one pass, and every pass warm-starts from the slot's
+// previous field (incremental GSP). The amortization counters appear on /v1/metrics
 // (crowdrtse_batch_*, crowdrtse_gsp_warm_starts_total,
 // crowdrtse_warmstart_sweeps_saved_total).
 //
@@ -125,9 +126,8 @@ type Server struct {
 	// request at full fidelity with no tenancy.
 	qosCtl *qos.Controller
 
-	// shards is the optional graph-partitioned engine (AttachShards); it only
-	// feeds the observability surfaces. No handler serves through it yet, so
-	// under `serve` its caches stay cold.
+	// shards is the optional graph-partitioned engine (AttachShards) the
+	// batcher serves through; nil serves through sys.
 	shards *shard.Engine
 }
 
@@ -225,9 +225,12 @@ func (s *Server) AttachLifecycle(mgr *modelstore.Manager, refitter *modelstore.R
 // wire it into a background refitter and configure the eviction horizon.
 func (s *Server) Collector() *stream.Collector { return s.collector }
 
-// AttachShards wires a graph-partitioned engine into the observability
-// surfaces: /v1/metrics gains the shard-labeled oracle-cache series and
-// /v1/healthz reports per-shard ownership/halo sizes and cache counters.
+// AttachShards makes the server's batcher select and propagate through a
+// graph-partitioned engine built from the server's system, so every route
+// is served halo-stitched; the batcher, its warm-start LRU and the temporal
+// filter stay the server's one copy. /v1/metrics gains the shard-labeled
+// oracle-cache series and /v1/healthz reports per-shard ownership/halo
+// sizes and cache counters. Call it before serving.
 func (s *Server) AttachShards(eng *shard.Engine) {
 	s.mu.Lock()
 	s.shards = eng
@@ -235,6 +238,7 @@ func (s *Server) AttachShards(eng *shard.Engine) {
 	if eng != nil {
 		eng.Instrument(s.pipe)
 		eng.RegisterMetrics(s.reg)
+		s.batcher.SetBackend(eng)
 	}
 }
 

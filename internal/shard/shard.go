@@ -1,10 +1,15 @@
 // Package shard scales CrowdRTSE to metropolitan networks by graph
 // partitioning: the road network is split into k balanced districts
-// (graph.Partition), each district runs its own complete core.System — RTF
-// submodel, per-slot correlation-oracle LRU, Batcher coalescing leader — over
-// the district plus a halo of boundary roads, and a single facade routes
-// queries by road ownership and merges the per-shard answers
-// deterministically.
+// (graph.Partition), each district runs its own core.System — RTF submodel
+// and per-slot correlation-oracle LRU — over the district plus a halo of
+// boundary roads, and a single facade routes selections and estimates by
+// road ownership and merges the per-shard answers deterministically.
+//
+// The Engine is a core.Backend: a server's one core.Batcher serves through
+// it (Batcher.SetBackend), so singleflight, the warm-start LRU, the QoS
+// tiers, the temporal filter, route ETAs and subscriptions keep one body in
+// core and work in global road ids; the engine only partitions Select and
+// Estimate.
 //
 // # Halo stitching
 //
@@ -26,6 +31,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/core"
@@ -33,12 +39,10 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/ocs"
-	"repro/internal/rtf"
-	"repro/internal/temporal"
 	"repro/internal/tslot"
 )
 
-// Config controls the shard layout and the per-shard engines.
+// Config controls the shard layout.
 type Config struct {
 	// Shards is the number of partitions k (≥ 1).
 	Shards int
@@ -49,10 +53,6 @@ type Config struct {
 	// (default 2 — matching the speed generator's correlation range and the
 	// 2-hop incident spillover).
 	HaloHops int
-	// Core configures every per-shard system identically.
-	Core core.Config
-	// Batch configures the per-shard Batcher leaders.
-	Batch core.BatcherOptions
 }
 
 // Shard is one district engine: a complete core.System over the owned roads
@@ -60,8 +60,6 @@ type Config struct {
 type Shard struct {
 	index int
 	sys   *core.System
-	batch *core.Batcher
-	sub   *network.Network
 	orig  []int // local id -> global id (owned ∪ halo)
 	owned []int // global ids this shard owns (sorted)
 	halo  []int // global ids carried as halo only (sorted)
@@ -70,9 +68,6 @@ type Shard struct {
 // System returns the shard's core engine (for instrumentation/attachment).
 func (s *Shard) System() *core.System { return s.sys }
 
-// Batcher returns the shard's coalescing leader.
-func (s *Shard) Batcher() *core.Batcher { return s.batch }
-
 // Owned returns the global ids the shard owns. Shared; do not modify.
 func (s *Shard) Owned() []int { return s.owned }
 
@@ -80,28 +75,31 @@ func (s *Shard) Owned() []int { return s.owned }
 // modify.
 func (s *Shard) Halo() []int { return s.halo }
 
+// gather renumbers a per-road vector from global into the shard's local ids.
+func (s *Shard) gather(global []float64) []float64 {
+	out := make([]float64, len(s.orig))
+	for li, gid := range s.orig {
+		out[li] = global[gid]
+	}
+	return out
+}
+
 // Engine is the sharded facade: it owns the partition layout and routes
 // estimation and selection by road ownership.
 type Engine struct {
 	net    *network.Network
-	cfg    Config
 	owner  []int32   // global road -> owning shard
 	local  [][]int32 // [shard][global road] -> local id, -1 if absent
 	shards []*Shard
-
-	// filters holds one temporal filter per shard once EnableTemporal runs;
-	// nil until then. See temporal.go for the owner-only update rule.
-	filters []*temporal.Filter
 }
 
-// New partitions the network, slices the model, and builds one core.System
-// per shard. The layout is a pure function of (topology, Shards, Seed).
-func New(net *network.Network, model *rtf.Model, cfg Config) (*Engine, error) {
-	if net == nil || model == nil {
-		return nil, fmt.Errorf("shard: nil network or model")
-	}
-	if model.N() != net.N() {
-		return nil, fmt.Errorf("shard: model covers %d roads, network has %d", model.N(), net.N())
+// New partitions sys's network, slices its serving model, and builds one
+// core.System per shard with sys's configuration, so a one-shard or
+// full-halo engine computes what sys does. The layout is a pure function of
+// (topology, Shards, Seed).
+func New(sys *core.System, cfg Config) (*Engine, error) {
+	if sys == nil {
+		return nil, fmt.Errorf("shard: nil system")
 	}
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", cfg.Shards)
@@ -109,14 +107,10 @@ func New(net *network.Network, model *rtf.Model, cfg Config) (*Engine, error) {
 	if cfg.HaloHops == 0 {
 		cfg.HaloHops = 2
 	}
-	if cfg.Core.GSP.Epsilon <= 0 {
-		// Zero-value Core: adopt the serving defaults so an engine built with
-		// just {Shards, Seed} works out of the box.
-		cfg.Core.GSP = gsp.DefaultOptions()
-	}
 	if cfg.HaloHops < 0 {
 		return nil, fmt.Errorf("shard: negative halo depth %d", cfg.HaloHops)
 	}
+	net, model := sys.Network(), sys.Model()
 	g := net.Graph()
 	parts, err := g.Partition(cfg.Shards, cfg.Seed)
 	if err != nil {
@@ -125,7 +119,6 @@ func New(net *network.Network, model *rtf.Model, cfg Config) (*Engine, error) {
 	n := net.N()
 	e := &Engine{
 		net:    net,
-		cfg:    cfg,
 		owner:  make([]int32, n),
 		local:  make([][]int32, cfg.Shards),
 		shards: make([]*Shard, cfg.Shards),
@@ -145,13 +138,9 @@ func New(net *network.Network, model *rtf.Model, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: submodel: %w", p, err)
 		}
-		sys, err := core.NewFromModel(subnet, submodel, cfg.Core)
+		shardSys, err := core.NewFromModel(subnet, submodel, sys.Config())
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: system: %w", p, err)
-		}
-		batch, err := core.NewBatcher(sys, cfg.Batch)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: batcher: %w", p, err)
 		}
 		local := make([]int32, n)
 		for i := range local {
@@ -165,10 +154,7 @@ func New(net *network.Network, model *rtf.Model, cfg Config) (*Engine, error) {
 			}
 		}
 		e.local[p] = local
-		e.shards[p] = &Shard{
-			index: p, sys: sys, batch: batch, sub: subnet,
-			orig: orig, owned: part, halo: halo,
-		}
+		e.shards[p] = &Shard{index: p, sys: shardSys, orig: orig, owned: part, halo: halo}
 	}
 	return e, nil
 }
@@ -185,47 +171,94 @@ func (e *Engine) Owner(r int) int { return int(e.owner[r]) }
 // Network returns the global network.
 func (e *Engine) Network() *network.Network { return e.net }
 
+// Pin implements core.Backend: it pins every shard's System to its serving
+// model generation and renumbers the global warm seed into each shard —
+// speeds gathered by local id, the seed's observations routed like live ones
+// (to the owner and to halo carriers), its sweep count kept. A seed that
+// does not cover the network pins every shard cold, as core.System ignores
+// a misfit seed.
+func (e *Engine) Pin(initial *gsp.Result) core.Engine {
+	p := pinned{Engine: e, pins: make([]core.Engine, len(e.shards))}
+	var seedObs []map[int]float64
+	if initial != nil && len(initial.Speeds) == e.net.N() {
+		// A seed observation outside the network leaves seedObs nil: cold.
+		seedObs, _ = e.routeObservations(initial.Observed)
+	}
+	for i, sh := range e.shards {
+		var seed *gsp.Result
+		if seedObs != nil {
+			seed = &gsp.Result{Speeds: sh.gather(initial.Speeds), Observed: seedObs[i], Iterations: initial.Iterations}
+		}
+		p.pins[i] = sh.sys.Pin(seed)
+	}
+	return p
+}
+
+// pinned is the engine with every shard fixed to one model generation and
+// carrying its renumbered warm seed.
+type pinned struct {
+	*Engine
+	pins []core.Engine // per shard, local road ids
+}
+
+// Estimate runs GSP on every shard concurrently and stitches the owned
+// interiors into one global gsp.Result (see pinned.Estimate).
+func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
+	return e.Pin(nil).Estimate(ctx, t, observed)
+}
+
 // Estimate runs GSP on every shard concurrently and stitches the owned
 // interiors into one global gsp.Result: speeds, SD and provenance come from
-// each road's owner; the result converged when every shard did and aborted
-// when any shard hit the deadline. Observations are routed to every shard
-// that carries the road — its owner and any shard holding it in the halo —
-// which is exactly the boundary-stitching step: a probe just across the
-// cut still anchors this side's propagation.
-func (e *Engine) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	obsPerShard, err := e.routeObservations(observed)
+// each road's owner; the result converged when every shard did, aborted
+// when any shard hit the deadline, and warm-started when every shard did.
+// Iterations and MaxDelta are the largest over shards and SweepsSaved the
+// smallest; Observed is the global observation map, so the result seeds the
+// next warm start like an unsharded one. Observations are routed to every
+// shard that carries the road — its owner and any shard holding it in the
+// halo — which is exactly the boundary-stitching step: a probe just across
+// the cut still anchors this side's propagation.
+func (p pinned) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
+	obsPerShard, err := p.routeObservations(observed)
 	if err != nil {
 		return gsp.Result{}, err
 	}
-	per := make([]gsp.Result, len(e.shards))
-	errs := make([]error, len(e.shards))
+	per := make([]gsp.Result, len(p.pins))
+	errs := make([]error, len(p.pins))
 	var wg sync.WaitGroup
-	for p := range e.shards {
+	for i := range p.pins {
 		wg.Add(1)
-		go func(p int) {
+		go func(i int) {
 			defer wg.Done()
-			per[p], errs[p] = e.shards[p].batch.Estimate(ctx, t, obsPerShard[p])
-		}(p)
+			per[i], errs[i] = p.pins[i].Estimate(ctx, t, obsPerShard[i])
+		}(i)
 	}
 	wg.Wait()
-	n := e.net.N()
+	n := p.net.N()
 	res := gsp.Result{
-		Speeds:     make([]float64, n),
-		SD:         make([]float64, n),
-		Provenance: make([]gsp.Provenance, n),
-		Converged:  true,
+		Speeds:      make([]float64, n),
+		SD:          make([]float64, n),
+		Provenance:  make([]gsp.Provenance, n),
+		Converged:   true,
+		WarmStarted: true,
+		Observed:    maps.Clone(observed),
 	}
-	for p, sh := range e.shards {
-		if errs[p] != nil {
-			return gsp.Result{}, fmt.Errorf("shard %d: estimate: %w", p, errs[p])
+	for i, sh := range p.shards {
+		if errs[i] != nil {
+			return gsp.Result{}, fmt.Errorf("shard %d: estimate: %w", i, errs[i])
 		}
-		r, local := &per[p], e.local[p]
+		r, local := &per[i], p.local[i]
 		for _, gid := range sh.owned {
 			li := local[gid]
 			res.Speeds[gid], res.SD[gid], res.Provenance[gid] = r.Speeds[li], r.SD[li], r.Provenance[li]
 		}
 		res.Converged = res.Converged && r.Converged
 		res.Aborted = res.Aborted || r.Aborted
+		res.WarmStarted = res.WarmStarted && r.WarmStarted
+		res.Iterations = max(res.Iterations, r.Iterations)
+		res.MaxDelta = max(res.MaxDelta, r.MaxDelta)
+		if i == 0 || r.SweepsSaved < res.SweepsSaved {
+			res.SweepsSaved = r.SweepsSaved
+		}
 	}
 	return res, nil
 }
@@ -251,58 +284,77 @@ func (e *Engine) routeObservations(observed map[int]float64) ([]map[int]float64,
 	return out, nil
 }
 
+// Select solves OCS per shard and merges (see pinned.Select).
+func (e *Engine) Select(ctx context.Context, req core.SelectRequest) (ocs.Solution, error) {
+	return e.Pin(nil).Select(ctx, req)
+}
+
 // Select solves OCS per shard and merges, in global road ids: query roads
 // and worker candidates are routed to their owning shard (a worker road is
-// a candidate only where it is owned, so no road can be selected twice), the
-// budget is split proportionally to each shard's queried-road count
-// (largest-remainder, shard order breaks ties — deterministic), and the
-// per-shard selections are concatenated in shard order.
-func (e *Engine) Select(ctx context.Context, req core.SelectRequest) (ocs.Solution, error) {
-	k := len(e.shards)
+// a candidate only where it is owned, so no road can be selected twice),
+// RouteVar weights are gathered into each shard's numbering, the budget is
+// split proportionally to each shard's queried-road count (largest
+// remainder, shard order breaks ties — deterministic), and the per-shard
+// selections are concatenated in shard order. A request no shard would run
+// (no budget, no query) is rejected as core.System rejects it.
+func (p pinned) Select(ctx context.Context, req core.SelectRequest) (ocs.Solution, error) {
+	n := len(p.owner)
+	switch {
+	case req.Budget <= 0:
+		return ocs.Solution{}, fmt.Errorf("shard: ocs: budget %d must be positive", req.Budget)
+	case req.Selector == core.RouteVar && len(req.Weights) != n:
+		return ocs.Solution{}, fmt.Errorf("shard: ocs: %d route weights for %d sigmas", len(req.Weights), n)
+	case len(req.Roads) == 0:
+		return ocs.Solution{}, fmt.Errorf("shard: ocs: empty query")
+	}
+	k := len(p.pins)
 	queries := make([][]int, k)
 	workers := make([][]int, k)
 	for _, r := range req.Roads {
-		if r < 0 || r >= len(e.owner) {
+		if r < 0 || r >= n {
 			return ocs.Solution{}, fmt.Errorf("shard: ocs: query road %d out of range", r)
 		}
-		p := e.owner[r]
-		queries[p] = append(queries[p], int(e.local[p][r]))
+		s := p.owner[r]
+		queries[s] = append(queries[s], int(p.local[s][r]))
 	}
 	for _, r := range req.WorkerRoads {
-		if r < 0 || r >= len(e.owner) {
+		if r < 0 || r >= n {
 			return ocs.Solution{}, fmt.Errorf("shard: ocs: worker road %d out of range", r)
 		}
-		p := e.owner[r]
-		workers[p] = append(workers[p], int(e.local[p][r]))
+		s := p.owner[r]
+		workers[s] = append(workers[s], int(p.local[s][r]))
 	}
 	budgets := splitBudget(req.Budget, queries)
 
 	sols := make([]ocs.Solution, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
-	for p := 0; p < k; p++ {
-		if len(queries[p]) == 0 || budgets[p] == 0 {
+	for i := 0; i < k; i++ {
+		if len(queries[i]) == 0 || budgets[i] == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(p int) {
+		go func(i int) {
 			defer wg.Done()
 			local := req
-			local.Roads, local.WorkerRoads, local.Budget = queries[p], workers[p], budgets[p]
-			sols[p], errs[p] = e.shards[p].batch.Select(ctx, local)
-		}(p)
+			local.Roads, local.WorkerRoads, local.Budget = queries[i], workers[i], budgets[i]
+			if len(req.Weights) == n {
+				local.Weights = p.shards[i].gather(req.Weights)
+			}
+			sols[i], errs[i] = p.pins[i].Select(ctx, local)
+		}(i)
 	}
 	wg.Wait()
 	var merged ocs.Solution
-	for p := 0; p < k; p++ {
-		if errs[p] != nil {
-			return ocs.Solution{}, fmt.Errorf("shard %d: select: %w", p, errs[p])
+	for i := 0; i < k; i++ {
+		if errs[i] != nil {
+			return ocs.Solution{}, fmt.Errorf("shard %d: select: %w", i, errs[i])
 		}
-		for _, lr := range sols[p].Roads {
-			merged.Roads = append(merged.Roads, e.shards[p].orig[lr])
+		for _, lr := range sols[i].Roads {
+			merged.Roads = append(merged.Roads, p.shards[i].orig[lr])
 		}
-		merged.Value += sols[p].Value
-		merged.Cost += sols[p].Cost
+		merged.Value += sols[i].Value
+		merged.Cost += sols[i].Cost
 	}
 	return merged, nil
 }
@@ -347,13 +399,14 @@ func splitBudget(budget int, queries [][]int) []int {
 	return out
 }
 
-// Query runs core's online pipeline (core.RunQuery) on the sharded engine:
-// each round selects per shard under a split budget (Select), probes the
-// crowd globally — a worker does not care which shard owns the road it
-// drives on — and propagates halo-stitched (Estimate). Policies, campaigns
-// and retry rounds behave as on core.System.
+// Query runs core's online pipeline (core.RunQuery) on the sharded engine,
+// every shard pinned to one model generation for the whole query: each round
+// selects per shard under a split budget (Select), probes the crowd globally
+// — a worker does not care which shard owns the road it drives on — and
+// propagates halo-stitched (Estimate). Policies, campaigns and retry rounds
+// behave as on core.System.
 func (e *Engine) Query(ctx context.Context, req core.QueryRequest) (*core.QueryResult, error) {
-	return core.RunQuery(ctx, e, req)
+	return core.RunQuery(ctx, e.Pin(nil), req)
 }
 
 // Obs returns the instrument set the query loop counts into: shard 0's,

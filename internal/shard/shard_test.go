@@ -46,14 +46,24 @@ func metroFixture(tb testing.TB, roads, districts int) (*network.Network, *rtf.M
 	return net, model, profiles
 }
 
+// system wraps a fitted model in the unsharded System an Engine partitions.
+func system(tb testing.TB, net *network.Network, model *rtf.Model) *core.System {
+	tb.Helper()
+	sys, err := core.NewFromModel(net, model, core.DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
 func TestShardLayoutDeterminism(t *testing.T) {
 	net, model, _ := metroFixture(t, 400, 4)
-	cfg := Config{Shards: 3, Seed: 9, Core: core.DefaultConfig()}
-	a, err := New(net, model, cfg)
+	cfg := Config{Shards: 3, Seed: 9}
+	a, err := New(system(t, net, model), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(net, model, cfg)
+	b, err := New(system(t, net, model), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestShardLayoutDeterminism(t *testing.T) {
 func TestFullHaloExactEquivalence(t *testing.T) {
 	net, model, profiles := metroFixture(t, 200, 4)
 	slot := tslot.Slot(100)
-	eng, err := New(net, model, Config{Shards: 2, Seed: 3, HaloHops: net.N(), Core: core.DefaultConfig()})
+	eng, err := New(system(t, net, model), Config{Shards: 2, Seed: 3, HaloHops: net.N()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestFullHaloExactEquivalence(t *testing.T) {
 func TestHaloStitchedEquivalence(t *testing.T) {
 	net, model, profiles := metroFixture(t, 400, 4)
 	slot := tslot.Slot(96)
-	eng, err := New(net, model, Config{Shards: 2, Seed: 3, Core: core.DefaultConfig()})
+	eng, err := New(system(t, net, model), Config{Shards: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +236,7 @@ func localID(tb testing.TB, sh *Shard, global int) int {
 
 func TestShardedSelect(t *testing.T) {
 	net, model, _ := metroFixture(t, 400, 4)
-	eng, err := New(net, model, Config{Shards: 4, Seed: 5, Core: core.DefaultConfig()})
+	eng, err := New(system(t, net, model), Config{Shards: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,9 +273,10 @@ func TestShardedSelect(t *testing.T) {
 }
 
 // TestOutOfRangeRoadsRejected: an observed road or a worker road outside the
-// network is an error on the unsharded System, its Batcher and the sharded
+// network — or a selection with no budget or no query, which no shard would
+// run — is an error on the unsharded System, its Batcher and the sharded
 // Engine alike, and the Engine words it like the System (behind a "shard: "
-// prefix) instead of dropping the road.
+// prefix) instead of dropping the road or answering an empty selection.
 func TestOutOfRangeRoadsRejected(t *testing.T) {
 	net, model, _ := metroFixture(t, 400, 4)
 	sys, err := core.NewFromModel(net, model, core.DefaultConfig())
@@ -276,7 +287,7 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(net, model, Config{Shards: 2, Seed: 5, Core: core.DefaultConfig()})
+	eng, err := New(sys, Config{Shards: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,12 +317,65 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 			return err
 		})
 	}
-	check("select with worker roads [4 5 6 400 -3]", func(e ctxEngine) error {
-		_, err := e.Select(ctx, core.SelectRequest{
+	for _, sc := range []struct {
+		what string
+		req  core.SelectRequest
+	}{
+		{"select with worker roads [4 5 6 400 -3]", core.SelectRequest{
 			Slot: 100, Roads: []int{1, 2}, WorkerRoads: []int{4, 5, 6, 400, -3}, Budget: 5, Theta: 0.9,
+		}},
+		{"select with budget 0", core.SelectRequest{
+			Slot: 100, Roads: []int{1, 2}, WorkerRoads: []int{4, 5, 6}, Budget: 0, Theta: 0.9,
+		}},
+		{"select with an empty query", core.SelectRequest{
+			Slot: 100, Roads: []int{}, WorkerRoads: []int{4, 5, 6}, Budget: 5, Theta: 0.9,
+		}},
+	} {
+		check(sc.what, func(e ctxEngine) error {
+			_, err := e.Select(ctx, sc.req)
+			return err
 		})
-		return err
+	}
+}
+
+// TestShardedRouteVarSelect: a RouteVar request carries one weight per global
+// road; each shard must receive them renumbered into its local ids, so the
+// sharded selection succeeds, stays within budget and picks only worker
+// roads.
+func TestShardedRouteVarSelect(t *testing.T) {
+	net, model, _ := metroFixture(t, 400, 4)
+	eng, err := New(system(t, net, model), Config{Shards: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := make([]float64, net.N())
+	var query []int
+	for r := 0; r < net.N(); r += 25 {
+		query = append(query, r)
+		weights[r] = float64(1 + r%3)
+	}
+	isWorker := map[int]bool{}
+	var workers []int
+	for r := 1; r < net.N(); r += 3 {
+		workers = append(workers, r)
+		isWorker[r] = true
+	}
+	const budget = 12
+	sol, err := eng.Select(context.Background(), core.SelectRequest{
+		Slot: 100, Roads: query, WorkerRoads: workers, Budget: budget, Theta: 0.9,
+		Selector: core.RouteVar, Weights: weights,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sol.Roads) == 0 || sol.Cost > budget {
+		t.Fatalf("selection %v costs %d of budget %d", sol.Roads, sol.Cost, budget)
+	}
+	for _, r := range sol.Roads {
+		if !isWorker[r] {
+			t.Errorf("selected road %d carries no worker", r)
+		}
+	}
 }
 
 func TestSplitBudget(t *testing.T) {
@@ -333,12 +397,12 @@ func TestSplitBudget(t *testing.T) {
 
 // TestConcurrentCrossShardQueries is the -race workout: queries whose road
 // sets straddle every shard, fired concurrently across slots, must neither
-// race nor deadlock in the per-shard Batchers. One member per slot runs the
+// race nor deadlock in the per-shard fan-out. One member per slot runs the
 // fault-tolerant policy — a fault-injected campaign over three rounds — and
 // must stay within its budget and never observe a road it abandoned.
 func TestConcurrentCrossShardQueries(t *testing.T) {
 	net, model, profiles := metroFixture(t, 400, 4)
-	eng, err := New(net, model, Config{Shards: 4, Seed: 7, Core: core.DefaultConfig()})
+	eng, err := New(system(t, net, model), Config{Shards: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
