@@ -23,7 +23,7 @@ race:
 # The -run and -bench patterns of the targets below. run-patterns checks
 # that every alternative still selects a test or benchmark.
 FAULT_RUN = Fault
-HOTPATH_RUN = Singleflight|ConcurrentMixedRows|LazyMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad
+HOTPATH_RUN = Singleflight|ConcurrentMixedRows|RowConcurrentDeepening|LazyMatchesEager|CertifiedMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad
 HOTPATH_PKGS = ./internal/corr/ ./internal/ocs/ ./internal/core/
 FUZZ_RUN = FuzzSnapshotRoundTrip|FuzzHandlers
 FUZZ_PKGS = ./internal/modelstore/ ./internal/server/
@@ -36,11 +36,12 @@ fault-determinism:
 	$(GO) test -run '$(FAULT_RUN)' -count=2 ./...
 
 # Concurrency regression suite for the online hot path: the CorrRow
-# singleflight (one Dijkstra under 32 hammering goroutines), the greedy's
-# eager-reference equivalence corpus, concurrent greedy solves over one shared
-# oracle, mixed-slot System.Query under LRU eviction, and the model hot-swap
-# under 32 concurrent fault-tolerant query clients — all under the race
-# detector.
+# singleflight (one Dijkstra under 32 hammering goroutines), one row deepened
+# from many goroutines while others read it, the greedy's eager-reference
+# equivalence corpora (random instances, and the certified rows on the 5k
+# metro), concurrent greedy solves over one shared oracle, mixed-slot
+# System.Query under LRU eviction, and the model hot-swap under 32 concurrent
+# fault-tolerant query clients — all under the race detector.
 race-hotpath:
 	$(GO) test -race -run '$(HOTPATH_RUN)' $(HOTPATH_PKGS)
 
@@ -105,7 +106,7 @@ check: fmt-check vet build run-patterns race fault-determinism race-hotpath race
 
 # The layer micro-benchmarks of `make bench`, one iteration each: a benchmark
 # that a refactor breaks fails here rather than in the next perf run.
-LAYER_BENCH = RowCompute|Redundancy|SelectMetro|Snapshot|SwapModel|FilterStep|ForecastFrom|PlanETA
+LAYER_BENCH = RowCompute|Redundancy|SelectMetro|SelectPaper|Snapshot|SwapModel|FilterStep|ForecastFrom|PlanETA
 LAYER_BENCH_PKGS = ./internal/corr/ ./internal/modelstore/ ./internal/core/ ./internal/temporal/ ./internal/router/
 
 bench-once:
@@ -113,10 +114,11 @@ bench-once:
 
 # Go micro-benchmarks of the hot layers: concurrent OCS selection and oracle
 # row lookups, the row computation, the θ-redundancy query, a metro dispatch
-# select, the snapshot codec, the hot-swap, the temporal filter and route
-# planning. Save the output per commit and compare
-# with benchstat (see EXPERIMENTS.md "Perf trajectory"). Serving performance
-# end to end is measured by bench/ (see bench/README.md).
+# select on fresh rows and a paper-scale one on cached rows, the snapshot
+# codec, the hot-swap, the temporal filter and route planning. Save the
+# output per commit and compare with benchstat (see EXPERIMENTS.md "Perf
+# trajectory"). Serving performance end to end is measured by bench/ (see
+# bench/README.md).
 bench: bench-concurrent
 	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchmem $(LAYER_BENCH_PKGS)
 

@@ -245,7 +245,9 @@ func BenchmarkAblate_CorrNegLog(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := corr.NewOracle(e.Net.Graph(), view, corr.NegLog)
-		o.BuildTable(e.Query)
+		for _, q := range e.Query {
+			o.CorrRow(q)
+		}
 	}
 }
 
@@ -255,7 +257,9 @@ func BenchmarkAblate_CorrReciprocal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := corr.NewOracle(e.Net.Graph(), view, corr.Reciprocal)
-		o.BuildTable(e.Query)
+		for _, q := range e.Query {
+			o.CorrRow(q)
+		}
 	}
 }
 

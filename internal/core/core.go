@@ -299,11 +299,13 @@ type SelectRequest struct {
 	Weights []float64
 }
 
-// Select solves OCS for the request. Before the solve it pre-warms the slot
-// oracle's query rows (the greedy correlation table) through the parallel
-// warm pool, so concurrent queries sharing a slot find the rows resident
-// instead of recomputing them. A request that fails validation computes no
-// row. A trace attached to ctx receives an "ocs_select" span.
+// Select solves OCS for the request on the slot oracle's cached query rows.
+// Before the solve it creates the missing ones through the parallel warm
+// pool, each out to its first depth; the solve then searches each row only
+// as deep as its picks and its value need (package ocs), so concurrent
+// queries sharing a slot find the rows resident and extend them instead of
+// recomputing them. A request that fails validation computes no row. A
+// trace attached to ctx receives an "ocs_select" span.
 func (s *System) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
 	return s.selectState(ctx, s.current(), req)
 }

@@ -12,15 +12,16 @@ import (
 // are CounterFunc/GaugeFunc views over OracleCacheReport — the same counters
 // /v1/healthz serializes, so the two surfaces can never diverge.
 const (
-	MOracleCacheHits      = "crowdrtse_oracle_cache_hits_total"
-	MOracleCacheMisses    = "crowdrtse_oracle_cache_misses_total"
-	MOracleCacheInflight  = "crowdrtse_oracle_cache_inflight_waits_total"
-	MOracleCacheEvictions = "crowdrtse_oracle_cache_evictions_total"
-	MOracleCacheOracles   = "crowdrtse_oracle_cache_resident_oracles"
-	MOracleCacheRows      = "crowdrtse_oracle_cache_resident_rows"
-	MOracleCacheBytes     = "crowdrtse_oracle_cache_resident_bytes"
-	MModelVersion         = "crowdrtse_model_version"
-	MModelSwaps           = "crowdrtse_model_swaps_total"
+	MOracleCacheHits       = "crowdrtse_oracle_cache_hits_total"
+	MOracleCacheMisses     = "crowdrtse_oracle_cache_misses_total"
+	MOracleCacheDeepenings = "crowdrtse_oracle_cache_deepenings_total"
+	MOracleCacheInflight   = "crowdrtse_oracle_cache_inflight_waits_total"
+	MOracleCacheEvictions  = "crowdrtse_oracle_cache_evictions_total"
+	MOracleCacheOracles    = "crowdrtse_oracle_cache_resident_oracles"
+	MOracleCacheRows       = "crowdrtse_oracle_cache_resident_rows"
+	MOracleCacheBytes      = "crowdrtse_oracle_cache_resident_bytes"
+	MModelVersion          = "crowdrtse_model_version"
+	MModelSwaps            = "crowdrtse_model_swaps_total"
 )
 
 // Instrument attaches a pipeline instrument set to the system. Every query
@@ -45,8 +46,8 @@ func (s *System) Obs() *obs.Pipeline {
 }
 
 // RegisterMetrics exports the system's internal counters on reg as
-// func-backed instruments: the oracle-cache hit/miss/inflight/eviction
-// counters, resident sizes, and the model generation. These read the same
+// func-backed instruments: the oracle-cache hit/miss/deepening/inflight/
+// eviction counters, resident sizes, and the model generation. These read the same
 // sources OracleCacheReport and ModelVersion expose, so the Prometheus view
 // and the healthz rollup agree by construction.
 func (s *System) RegisterMetrics(reg *obs.Registry) {
@@ -55,8 +56,10 @@ func (s *System) RegisterMetrics(reg *obs.Registry) {
 	}
 	reg.CounterFunc(MOracleCacheHits, "correlation oracle-cache row hits (lock-free path)",
 		func() uint64 { return s.OracleCacheReport().Hits })
-	reg.CounterFunc(MOracleCacheMisses, "correlation oracle-cache row misses (Dijkstra computed)",
+	reg.CounterFunc(MOracleCacheMisses, "correlation oracle-cache row misses (row created by a Dijkstra)",
 		func() uint64 { return s.OracleCacheReport().Misses })
+	reg.CounterFunc(MOracleCacheDeepenings, "cached correlation rows searched deeper (one Dijkstra each)",
+		func() uint64 { return s.OracleCacheReport().Deepenings })
 	reg.CounterFunc(MOracleCacheInflight, "row requests that waited on another goroutine's in-flight computation",
 		func() uint64 { return s.OracleCacheReport().InflightWaits })
 	reg.CounterFunc(MOracleCacheEvictions, "slot oracles evicted from the LRU",

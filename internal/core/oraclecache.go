@@ -22,6 +22,7 @@ type CacheReport struct {
 	ResidentBytes   int64   `json:"resident_bytes"`
 	Hits            uint64  `json:"hits"`
 	Misses          uint64  `json:"misses"`
+	Deepenings      uint64  `json:"deepenings"`
 	InflightWaits   uint64  `json:"inflight_waits"`
 	Evictions       uint64  `json:"evictions"`
 	HitRate         float64 `json:"hit_rate"`
@@ -110,16 +111,18 @@ func (c *oracleCache) evictOldestLocked() {
 	// Retire the counters but not the footprint: the rows are gone.
 	c.retired.Hits += st.Hits
 	c.retired.Misses += st.Misses
+	c.retired.Deepenings += st.Deepenings
 	c.retired.InflightWaits += st.InflightWaits
 	c.order.Remove(el)
 	delete(c.entries, e.slot)
 	c.evictions++
 }
 
-// counters returns only the monotonic counters (hits/misses/inflight waits/
-// evictions) of the cache, live and retired combined. SwapModel folds these
-// into System.retired when a model generation is replaced, so the flushed
-// cache's history is not lost from OracleCacheReport.
+// counters returns only the monotonic counters (hits/misses/deepenings/
+// inflight waits/evictions) of the cache, live and retired combined.
+// SwapModel folds these into System.retired when a model generation is
+// replaced, so the flushed cache's history is not lost from
+// OracleCacheReport.
 func (c *oracleCache) counters() CacheReport {
 	r := c.report()
 	r.ResidentOracles, r.ResidentRows, r.ResidentBytes = 0, 0, 0
@@ -138,6 +141,7 @@ func (rc *retiredCounters) fold(c CacheReport) {
 	rc.mu.Lock()
 	rc.r.Hits += c.Hits
 	rc.r.Misses += c.Misses
+	rc.r.Deepenings += c.Deepenings
 	rc.r.InflightWaits += c.InflightWaits
 	rc.r.Evictions += c.Evictions
 	rc.mu.Unlock()
@@ -147,6 +151,7 @@ func (rc *retiredCounters) addTo(r *CacheReport) {
 	rc.mu.Lock()
 	r.Hits += rc.r.Hits
 	r.Misses += rc.r.Misses
+	r.Deepenings += rc.r.Deepenings
 	r.InflightWaits += rc.r.InflightWaits
 	r.Evictions += rc.r.Evictions
 	rc.mu.Unlock()
@@ -160,6 +165,7 @@ func (c *oracleCache) report() CacheReport {
 		ResidentOracles: len(c.entries),
 		Hits:            c.retired.Hits,
 		Misses:          c.retired.Misses,
+		Deepenings:      c.retired.Deepenings,
 		InflightWaits:   c.retired.InflightWaits,
 		Evictions:       c.evictions,
 	}
@@ -169,6 +175,7 @@ func (c *oracleCache) report() CacheReport {
 		r.ResidentBytes += st.ResidentBytes
 		r.Hits += st.Hits
 		r.Misses += st.Misses
+		r.Deepenings += st.Deepenings
 		r.InflightWaits += st.InflightWaits
 	}
 	if total := r.Hits + r.Misses; total > 0 {

@@ -151,3 +151,45 @@ func BenchmarkSelectMetro100k(b *testing.B) {
 		}
 	}
 }
+
+// paper607 is the serving benchmark's paper world: the 607-road network
+// with 27 training days of its 30-day history, the crowd on a fifth of the
+// roads.
+var paper607 = sync.OnceValues(func() (*System, error) {
+	net := network.Synthetic(network.DefaultHK(11))
+	hist, err := speedgen.Generate(net, speedgen.Default(30, 12))
+	if err != nil {
+		return nil, err
+	}
+	return Train(net, hist.DayRange(0, 27), DefaultConfig())
+})
+
+// BenchmarkSelectPaper607 is the paper world's dispatch select (33 query
+// roads, K = 30, θ = 0.92, Hybrid over the crowd's roads) with every row it
+// reads already cached: each request runs once before the timer, so the
+// loop measures the solve on resident rows, as a serving slot does after
+// its first dispatches.
+func BenchmarkSelectPaper607(b *testing.B) {
+	sys, err := paper607()
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := sys.Network().N()
+	rng := rand.New(rand.NewSource(1))
+	workers := rng.Perm(n)[:n/5]
+	reqs := make([]SelectRequest, 64)
+	for i := range reqs {
+		reqs[i] = SelectRequest{Slot: 84, Roads: rng.Perm(n)[:33], WorkerRoads: workers,
+			Budget: 30, Theta: 0.92, Selector: Hybrid}
+		if _, err := sys.Select(context.Background(), reqs[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Select(context.Background(), reqs[i%len(reqs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

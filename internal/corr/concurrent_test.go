@@ -59,11 +59,12 @@ func TestCorrRowSingleflight(t *testing.T) {
 	if st.ResidentRows != 1 {
 		t.Errorf("resident rows = %d, want 1", st.ResidentRows)
 	}
-	// ResidentBytes is exact: the one published row (payload + slice header),
-	// the row-pointer table, and the flat structures the first miss
-	// materialized — the self-built CSR packing and the half-edge weights.
+	// ResidentBytes is exact: the one published row (payload + Row header:
+	// two slice headers, the limit and the bound), the row-pointer table,
+	// and the flat structures the first miss materialized — the self-built
+	// CSR packing and the half-edge weights.
 	c := net.Graph().BuildCSR()
-	want := int64(net.N())*8 + 24 + // the row
+	want := int64(net.N())*8 + 64 + // the row
 		int64(net.N())*8 + // row-pointer table
 		c.Bytes() + // CSR packing (oracle built its own)
 		int64(c.NumHalfEdges())*8 // half-edge weight array

@@ -3,11 +3,11 @@
 // Road–road correlation (Eq. 7–10): for adjacent roads it is the RTF edge
 // weight ρ_ij^t; for non-adjacent roads it is the maximal cumulative product
 // of edge weights over any joining path, found with Dijkstra's algorithm on
-// transformed edge weights. Road–set correlation (Eq. 11) is the max over the
-// set; set–set correlation (Eq. 12) sums road–set correlations over the
-// query; the periodicity-weighted correlation (Eq. 13) weights each queried
-// road by its σ_i^t — the OCS objective. Redundancy answers the OCS
-// θ-constraint (corr ≤ θ between selected roads) without computing a row.
+// transformed edge weights. Package ocs combines the rows into road–set
+// (Eq. 11), set–set (Eq. 12) and periodicity-weighted (Eq. 13) correlation,
+// the OCS objective; Reach searches a row as deep as Eq. (11) needs.
+// Redundancy answers the OCS θ-constraint (corr ≤ θ between selected roads)
+// without computing a row.
 //
 // The paper's Eq. (9) converts edge weights to reciprocals 1/ρ and claims
 // the shortest reciprocal-sum path maximizes the product. That identity does
@@ -15,19 +15,32 @@
 // provided: NegLog (default, exact) and Reciprocal (paper-faithful
 // heuristic); an ablation bench compares them.
 //
+// # Certified rows
+//
+// A cached row need not be complete. Row creates it as the settle-order
+// prefix of its Dijkstra out to a label limit L: the exact Γ of every road
+// the search settled and of every Eq. (7) neighbour, and a bound B(L) on
+// every other road (see Row). Deepen and Reach search the same row deeper
+// and publish the longer prefix; CorrRow completes it. OCS reads its query
+// rows this way, so a solve searches each only as deep as its picks and its
+// objective value need.
+//
 // # Concurrency
 //
 // Oracle is the high-throughput row cache of the online stage: the hit path
-// is a single atomic pointer load (no locks), misses go through a lock-striped
-// singleflight so that N concurrent queries for the same source road trigger
-// exactly one Dijkstra, and Warm precomputes rows through a worker pool ahead
-// of an OCS solve.
+// is a single atomic pointer load (no locks), every search goes through a
+// lock-striped singleflight, so N concurrent queries for the same source
+// road trigger exactly one Dijkstra, and Warm creates rows through a worker
+// pool ahead of an OCS solve. A row only grows: a published Row is
+// never mutated, a deeper prefix replaces it, and every published prefix
+// agrees bit for bit with the complete row on what it settled.
 package corr
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,12 +75,14 @@ func (t Transform) String() string {
 	}
 }
 
-// CacheStats are the row-cache counters of an oracle. Misses counts Dijkstra
-// executions; InflightWaits counts lookups that piggybacked on a concurrent
-// computation of the same row instead of redoing it.
+// CacheStats are the row-cache counters of an oracle. Misses counts created
+// rows and Deepenings the searches that extended a cached row; each is one
+// Dijkstra. InflightWaits counts lookups that piggybacked on a concurrent
+// search of the same row instead of redoing it.
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
+	Deepenings    uint64
 	InflightWaits uint64
 	ResidentRows  int
 	ResidentBytes int64
@@ -78,6 +93,7 @@ type CacheStats struct {
 func (s *CacheStats) Add(other CacheStats) {
 	s.Hits += other.Hits
 	s.Misses += other.Misses
+	s.Deepenings += other.Deepenings
 	s.InflightWaits += other.InflightWaits
 	s.ResidentRows += other.ResidentRows
 	s.ResidentBytes += other.ResidentBytes
@@ -110,11 +126,12 @@ func WithCSR(c *graph.CSR) Option {
 	return func(o *Oracle) { o.csr = c }
 }
 
-// WithRowObs instruments the miss path: every Dijkstra row computation's
-// latency is observed into h on clock c. The lock-free hit path is
-// untouched — hits and misses are already counted by the oracle's own
-// atomics, which the obs registry re-exports via CounterFunc so the numbers
-// cannot diverge between views. Either argument may be nil (no-op).
+// WithRowObs instruments the row searches: the latency of every Dijkstra
+// that creates or deepens a row is observed into h on clock c. The
+// lock-free hit path is untouched — hits, misses and deepenings are already
+// counted by the oracle's own atomics, which the obs registry re-exports via
+// CounterFunc so the numbers cannot diverge between views. Either argument
+// may be nil (no-op).
 func WithRowObs(h *obs.Histogram, c obs.Clock) Option {
 	return func(o *Oracle) {
 		o.rowLatency = h
@@ -122,57 +139,180 @@ func WithRowObs(h *obs.Histogram, c obs.Clock) Option {
 	}
 }
 
-// inflight is one singleflight computation: waiters block on done and read
-// row afterwards.
-type inflight struct {
-	done chan struct{}
-	row  []float64
+// Row is one cached correlation row of a source road src: the settle-order
+// prefix of src's Dijkstra (Eq. 8–10) out to a label limit L. It knows the
+// exact corr(src, j) of every road the search settled and of src's Eq. (7)
+// neighbours, bit for bit the complete row's; every other road's label
+// exceeds L, and its correlation lies in [0, Bound()]. A complete row
+// (L = +Inf) knows every road and is stored dense by road id, as CorrRow
+// returns it; a prefix stores the roads it knows, ascending, with their
+// correlations. A Row is immutable once published.
+type Row struct {
+	vals  []float64 // complete: by road id; prefix: aligned with roads
+	roads []int32   // prefix: the roads it knows, ascending; nil if complete
+	limit float64
+	bound float64
 }
 
-// flightShard is one lock stripe of the miss path.
+// Dense returns a complete row by road id, nil for a prefix. The slice is
+// the cached row and must not be modified.
+func (r *Row) Dense() []float64 {
+	if r.roads != nil {
+		return nil
+	}
+	return r.vals
+}
+
+// Known returns the roads a prefix knows, ascending, and their
+// correlations, aligned; nil for a complete row. The slices are the cached
+// row and must not be modified.
+func (r *Row) Known() (roads []int32, vals []float64) {
+	if r.roads == nil {
+		return nil, nil
+	}
+	return r.roads, r.vals
+}
+
+// At returns corr(src, j) and whether the row knows it.
+func (r *Row) At(j int) (float64, bool) {
+	if r.roads == nil {
+		return r.vals[j], true
+	}
+	if i, ok := slices.BinarySearch(r.roads, int32(j)); ok {
+		return r.vals[i], true
+	}
+	return 0, false
+}
+
+// Bound returns B(L), the bound on every unsettled road's correlation: 0
+// for a complete row.
+func (r *Row) Bound() float64 { return r.bound }
+
+// Complete reports whether the row knows every road.
+func (r *Row) Complete() bool { return r.roads == nil }
+
+// bytes is the row's exact heap footprint: its payload arrays and its
+// header.
+func (r *Row) bytes() int64 {
+	return int64(cap(r.vals))*8 + int64(cap(r.roads))*4 + rowOverheadBytes
+}
+
+// reaches reports whether the row knows the best correlation between its
+// source and set: it is complete, or some member's known correlation is at
+// least the bound every unsettled member stays under.
+func (r *Row) reaches(set []int) bool {
+	if r.Complete() {
+		return true
+	}
+	for _, j := range set {
+		if c, ok := r.At(j); ok && c >= r.bound {
+			return true
+		}
+	}
+	return false
+}
+
+// Depth constants of the certified rows. Row creates a row out to the label
+// of Γ = startCorr, and completes it instead when that prefix already holds
+// more than 1/denseShare of the network: the full row then costs at most
+// denseShare times as much, and a row that dense is read across solves
+// cheapest complete (every score known, no interval to narrow). Deepen
+// doubles a prefix's limit (squaring its Γ bound); a limit past maxLimit
+// completes the row, which keeps every finite bound a normal float, so no
+// product of an unsettled road can round above it through the subnormal
+// range.
+const (
+	startCorr  = 1e-3
+	denseShare = 32
+	maxLimit   = 700
+)
+
+var startLimit = -math.Log(startCorr)
+
+// boundAt is B(L) = e^(−L), widened by limitSlack: an unsettled road's label
+// exceeds L, and its float ρ-product P obeys −log P > L − limitSlack·(1+L)
+// (see limitSlack), so P < e^(−L + limitSlack·(1+L)). A complete row has
+// bound 0.
+func boundAt(limit float64) float64 {
+	if math.IsInf(limit, 1) {
+		return 0
+	}
+	return math.Exp(-limit + limitSlack*(1+limit))
+}
+
+// grow is the limit Deepen searches a prefix of limit l out to.
+func grow(l float64) float64 {
+	if 2*l > maxLimit {
+		return math.Inf(1)
+	}
+	return 2 * l
+}
+
+// reachLimit is the limit Reach settles through once it settles a set
+// member at label d: the member's product P obeys −log P < d +
+// limitSlack·(1+d), and the bound at d + 3·limitSlack·(1+d) is below that,
+// so every road the search leaves unsettled correlates less than the member.
+func reachLimit(d float64) float64 {
+	if l := d + 3*limitSlack*(1+d); l <= maxLimit {
+		return l
+	}
+	return math.Inf(1)
+}
+
+// inflight is one singleflight search: waiters block on done and re-read
+// the published row afterwards.
+type inflight struct {
+	done chan struct{}
+}
+
+// flightShard is one lock stripe of the search path.
 type flightShard struct {
 	mu      sync.Mutex
 	pending map[int]*inflight
 }
 
 // Oracle answers correlation queries for one slot's RTF view. Rows are
-// computed by Dijkstra on demand and published into a per-road slice of
-// atomic pointers, so the hit path is lock-free; concurrent misses for the
-// same row are collapsed into a single computation (singleflight) guarded by
-// a lock stripe. Safe for concurrent use.
+// searched on demand and published into a per-road slice of atomic
+// pointers, so the hit path is lock-free; concurrent searches of the same
+// row are collapsed into one (singleflight) guarded by a lock stripe. Safe
+// for concurrent use.
 type Oracle struct {
 	g    *graph.Graph
 	view rtf.View
 	tf   Transform
 
-	// rows[src] atomically publishes the finished row for src; nil = not
-	// yet computed. Readers load, writers store exactly once.
-	rows   []atomic.Pointer[[]float64]
+	// rows[src] atomically publishes src's deepest row so far; nil = not
+	// yet created. Only the goroutine holding src's in-flight search
+	// stores, and only a deeper row.
+	rows   []atomic.Pointer[Row]
 	shards []flightShard
 
 	shardCount  int
 	warmWorkers int
 
-	// rowLatency/rowClock optionally time the Dijkstra miss path (see
+	// rowLatency/rowClock optionally time the row searches (see
 	// WithRowObs); both nil by default.
 	rowLatency *obs.Histogram
 	rowClock   obs.Clock
 
-	// csr is the packed topology the miss path runs Dijkstra on; injected
-	// via WithCSR or built lazily on the first miss. hw is the per-half-edge
+	// csr is the packed topology the searches run on; injected via WithCSR
+	// or built lazily on the first search. hw is the per-half-edge
 	// transformed weight array (−log ρ or 1/ρ), materialized once per oracle
-	// so every row computation is flat-array arithmetic.
-	csr    *graph.CSR
-	hwOnce sync.Once
-	hw     []float64
+	// so every search is flat-array arithmetic. scratch pools the searches'
+	// O(N) working memory (*searchScratch).
+	csr     *graph.CSR
+	hwOnce  sync.Once
+	hw      []float64
+	scratch sync.Pool
 
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	waits    atomic.Uint64
-	resident atomic.Int64
-	// rowBytes is the exact heap footprint of the published rows: 8 bytes
-	// per float64 plus the slice header, accumulated at publication time so
-	// Stats never walks the rows.
+	hits       atomic.Uint64
+	misses     atomic.Uint64
+	deepenings atomic.Uint64
+	waits      atomic.Uint64
+	resident   atomic.Int64
+	// rowBytes is the exact heap footprint of the published rows (see
+	// Row.bytes), adjusted whenever a row is published, so Stats never walks
+	// the rows.
 	rowBytes atomic.Int64
 	// fixedBytes is the footprint of the per-oracle flat structures (the
 	// half-edge weight array and the row-pointer table), added when they
@@ -182,9 +322,9 @@ type Oracle struct {
 }
 
 // rowOverheadBytes is the per-row bookkeeping the exact accounting charges
-// beyond the float64 payload: the slice header published into the pointer
-// table.
-const rowOverheadBytes = 24
+// beyond the payload: the Row header published into the pointer table (two
+// slice headers, the limit and the bound).
+const rowOverheadBytes = 64
 
 // NewOracle builds an oracle over the topology g and slot parameters view.
 func NewOracle(g *graph.Graph, view rtf.View, tf Transform, opts ...Option) *Oracle {
@@ -205,7 +345,7 @@ func NewOracle(g *graph.Graph, view rtf.View, tf Transform, opts ...Option) *Ora
 	for i := range o.shards {
 		o.shards[i].pending = make(map[int]*inflight)
 	}
-	o.rows = make([]atomic.Pointer[[]float64], g.N())
+	o.rows = make([]atomic.Pointer[Row], g.N())
 	o.fixedBytes.Store(int64(g.N()) * 8) // the row-pointer table
 	return o
 }
@@ -244,72 +384,98 @@ func (o *Oracle) flatWeights() ([]float64, *graph.CSR) {
 	return o.hw, o.csr
 }
 
-// CorrRow returns corr^t(src, j) for every road j. The returned slice is the
-// cached row and must not be modified.
+// checkSource panics on a source road outside the network.
+func (o *Oracle) checkSource(src int) {
+	if src < 0 || src >= o.g.N() {
+		panic(fmt.Sprintf("corr: source road %d out of range [0,%d)", src, o.g.N()))
+	}
+}
+
+// CorrRow returns corr^t(src, j) for every road j: the complete row,
+// completing a cached prefix first. The returned slice is the cached row and
+// must not be modified.
 //
 // By Eq. (7) adjacent roads use the edge weight ρ directly; by Eq. (8–10)
 // non-adjacent roads use the best joining path's product; corr(i,i) = 1;
 // unreachable pairs have correlation 0.
 func (o *Oracle) CorrRow(src int) []float64 {
-	if src < 0 || src >= o.g.N() {
-		panic(fmt.Sprintf("corr: source road %d out of range [0,%d)", src, o.g.N()))
-	}
-	if p := o.rows[src].Load(); p != nil {
+	o.checkSource(src)
+	if r := o.rows[src].Load(); r != nil && r.Complete() {
 		o.hits.Add(1)
-		return *p
+		return r.vals
 	}
-	return o.corrRowSlow(src)
+	return o.fetch(src, (*Row).Complete, math.Inf(1), nil, nil).vals
 }
 
-// corrRowSlow is the miss path: singleflight per source road under a lock
-// stripe. Exactly one caller computes the row; everyone else waits for it.
-func (o *Oracle) corrRowSlow(src int) []float64 {
-	sh := &o.shards[src&(len(o.shards)-1)]
-	sh.mu.Lock()
-	// The row may have been published between the fast-path check and the
-	// stripe acquisition.
-	if p := o.rows[src].Load(); p != nil {
-		sh.mu.Unlock()
+// Row returns src's cached row, whatever its depth, creating it on a miss:
+// out to the label of Γ = 1e-3 under NegLog, or complete once that prefix
+// would hold more than 1/denseShare of the network; complete under
+// Reciprocal, whose labels bound nothing (see Redundancy).
+func (o *Oracle) Row(src int) *Row {
+	o.checkSource(src)
+	if r := o.rows[src].Load(); r != nil {
 		o.hits.Add(1)
-		return *p
+		return r
 	}
-	if fl, ok := sh.pending[src]; ok {
-		sh.mu.Unlock()
-		o.waits.Add(1)
-		<-fl.done
-		return fl.row
+	always := func(*Row) bool { return true }
+	if o.tf == Reciprocal {
+		return o.fetch(src, always, math.Inf(1), nil, nil)
 	}
-	fl := &inflight{done: make(chan struct{})}
-	sh.pending[src] = fl
-	sh.mu.Unlock()
-
-	o.misses.Add(1)
-	var rowStart time.Time
-	if o.rowLatency != nil && o.rowClock != nil {
-		rowStart = o.rowClock.Now()
-	}
-	hw, c := o.flatWeights()
-	row := computeRowCSR(c, o.view, hw, src)
-	if o.rowLatency != nil && o.rowClock != nil {
-		o.rowLatency.Observe(o.rowClock.Since(rowStart))
-	}
-	fl.row = row
-	o.rows[src].Store(&row)
-	o.resident.Add(1)
-	o.rowBytes.Add(int64(len(row))*8 + rowOverheadBytes)
-	close(fl.done)
-
-	sh.mu.Lock()
-	delete(sh.pending, src)
-	sh.mu.Unlock()
-	return row
+	settled, dense := 0, o.g.N()/denseShare
+	return o.fetch(src, always, startLimit,
+		func(int32) bool { settled++; return settled > dense },
+		func(float64) float64 { return math.Inf(1) })
 }
 
-// Warm precomputes the rows for the given source roads through a worker
-// pool, deduplicating and skipping already-resident rows. Out-of-range road
-// ids are ignored: warming is a best-effort accelerator and must not
-// pre-empt the solver's own validation. Concurrent Warm calls and queries
-// are safe; the singleflight guarantees each row is still computed once.
+// Deepen returns a row of src searched deeper than seen, a row of src the
+// caller holds: the cached row if it already is, else a search out to twice
+// seen's limit, or the complete row past limit 700.
+func (o *Oracle) Deepen(src int, seen *Row) *Row {
+	o.checkSource(src)
+	if seen.Complete() {
+		return seen
+	}
+	return o.fetch(src, func(r *Row) bool { return r.limit > seen.limit }, grow(seen.limit), nil, nil)
+}
+
+// Reach returns a row of src that knows corr(src, set), Eq. (11): complete,
+// or holding a member whose correlation is at least the row's bound, so no
+// unsettled member can beat it. When the cached row does not, one search
+// from src stops at the first member it settles that is src or not an
+// Eq. (7) neighbour of src, whose row value is then its path product, and
+// settles on through the rounding band above that member's label (see
+// reachLimit). A set no such member of which is reachable completes the row.
+// Under Reciprocal, whose labels bound nothing, every row is complete (see
+// Row).
+func (o *Oracle) Reach(src int, set []int) *Row {
+	if o.tf == Reciprocal {
+		return o.Row(src)
+	}
+	o.checkSource(src)
+	_, c := o.flatWeights()
+	var members []int32
+	hit := func(v int32) bool {
+		if members == nil {
+			members = make([]int32, 0, len(set))
+			for _, j := range set {
+				members = append(members, int32(j))
+			}
+			slices.Sort(members)
+		}
+		if _, ok := slices.BinarySearch(members, v); !ok {
+			return false
+		}
+		return int(v) == src || !slices.Contains(c.Neighbors(src), v)
+	}
+	return o.fetch(src, func(r *Row) bool { return r.reaches(set) }, math.Inf(1), hit, reachLimit)
+}
+
+// Warm creates the missing rows of the given source roads through a worker
+// pool, each as Row would, deduplicating and skipping already-resident rows.
+// Out-of-range road ids are ignored: warming is a best-effort accelerator
+// and must not pre-empt the solver's own validation. Concurrent Warm calls
+// and queries are safe; the singleflight guarantees each row is still
+// created once.
 func (o *Oracle) Warm(roads []int) {
 	n := o.g.N()
 	// Collect only the missing rows; the common steady-state call (every row
@@ -334,7 +500,7 @@ func (o *Oracle) Warm(roads []int) {
 	}
 	if workers <= 1 {
 		for _, r := range todo {
-			o.CorrRow(r)
+			o.Row(r)
 		}
 		return
 	}
@@ -349,81 +515,155 @@ func (o *Oracle) Warm(roads []int) {
 				if i >= len(todo) {
 					return
 				}
-				o.CorrRow(todo[i])
+				o.Row(todo[i])
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// Stats reports the cache counters: hits (lock-free fast path), misses
-// (Dijkstra executions), inflight waits (collapsed duplicate computations),
-// and the resident footprint. ResidentBytes is exact, not estimated: the
-// published rows' payload plus slice headers (accumulated at publication)
-// plus the oracle's flat structures — the row-pointer table, and once the
-// first miss materializes them, the CSR packing and the half-edge weight
-// array. The core oracle-cache byte budget enforces on this number, so what
-// it evicts matches what the heap actually frees.
+// fetch returns src's published row once need holds for it. When it does
+// not, one search under src's lock stripe, out to limit and moved by hit and
+// reach (see graph.Searcher.Until), creates the row (a miss) or deepens it,
+// and publishes the result if it is deeper than the published row.
+// Goroutines that find a search of src in flight wait for it and re-check
+// need, so concurrent lookups of one row run one Dijkstra at a time.
+func (o *Oracle) fetch(src int, need func(*Row) bool, limit float64, hit func(int32) bool, reach func(float64) float64) *Row {
+	if r := o.rows[src].Load(); r != nil && need(r) {
+		o.hits.Add(1)
+		return r
+	}
+	sh := &o.shards[src&(len(o.shards)-1)]
+	for {
+		sh.mu.Lock()
+		// The row may have been published or deepened since the last check.
+		cur := o.rows[src].Load()
+		if cur != nil && need(cur) {
+			sh.mu.Unlock()
+			o.hits.Add(1)
+			return cur
+		}
+		if fl, ok := sh.pending[src]; ok {
+			sh.mu.Unlock()
+			o.waits.Add(1)
+			<-fl.done
+			if r := o.rows[src].Load(); r != nil && need(r) {
+				return r
+			}
+			continue
+		}
+		fl := &inflight{done: make(chan struct{})}
+		sh.pending[src] = fl
+		sh.mu.Unlock()
+
+		r := o.search(src, limit, hit, reach)
+		// Every need that fails on a published row asks for a limit past its
+		// own, so the search ends deeper than cur; the check keeps the
+		// published limit from ever decreasing.
+		switch {
+		case cur == nil:
+			o.misses.Add(1)
+			o.resident.Add(1)
+			o.rowBytes.Add(r.bytes())
+			o.rows[src].Store(r)
+		case r.limit > cur.limit:
+			o.deepenings.Add(1)
+			o.rowBytes.Add(r.bytes() - cur.bytes())
+			o.rows[src].Store(r)
+		}
+		close(fl.done)
+
+		sh.mu.Lock()
+		delete(sh.pending, src)
+		sh.mu.Unlock()
+		return r
+	}
+}
+
+// searchScratch is the pooled O(N) working memory of a row search.
+type searchScratch struct {
+	s    *graph.Searcher
+	prod []float64 // ρ-products by road id of the last search's roads
+}
+
+// search runs src's Dijkstra over the flat half-edge weights out to limit,
+// moved by hit and reach, and builds the row it settled: the ρ-product
+// along each settled road's tree path, multiplied in settle order from its
+// parent's product, then Eq. (7)'s edge ρ on src's neighbours. A settled
+// road gets the same label, parent and parent edge as in the full search
+// (see graph.Searcher.Limited), so its value is the complete row's bit for
+// bit. A search that runs out of reachable roads first builds the complete
+// row, 0 on every unreachable road. It is a pure function of (o, src, the
+// search's end), which is what makes singleflight sound; the tests compare
+// complete rows bit for bit against a map-based reference.
+func (o *Oracle) search(src int, limit float64, hit func(int32) bool, reach func(float64) float64) *Row {
+	var start time.Time
+	if o.rowLatency != nil && o.rowClock != nil {
+		start = o.rowClock.Now()
+	}
+	hw, c := o.flatWeights()
+	sc, _ := o.scratch.Get().(*searchScratch)
+	if sc == nil {
+		sc = &searchScratch{s: c.NewSearcher(), prod: make([]float64, c.N())}
+	}
+	order, end := sc.s.Until(src, hw, limit, hit, reach)
+	prod := sc.prod
+	prod[src] = 1
+	for _, v := range order[1:] {
+		p, e := sc.s.Tree(v)
+		prod[v] = prod[p] * o.view.Rho[e]
+	}
+	// Eq. (7): adjacency overrides the path value.
+	nbs := c.Neighbors(src)
+	lo, _ := c.Row(src)
+	for k := range nbs {
+		_, e := c.At(lo + int32(k))
+		prod[nbs[k]] = o.view.Rho[e]
+	}
+	r := &Row{limit: end, bound: boundAt(end)}
+	if math.IsInf(end, 1) {
+		r.vals = make([]float64, c.N()) // 0: unreachable
+		for _, v := range order {
+			r.vals[v] = prod[v]
+		}
+		for _, v := range nbs {
+			r.vals[v] = prod[v]
+		}
+	} else {
+		roads := make([]int32, 0, len(order)+len(nbs))
+		roads = append(append(roads, order...), nbs...)
+		slices.Sort(roads)
+		r.roads = slices.Compact(roads) // a settled neighbour is listed twice
+		r.vals = make([]float64, len(r.roads))
+		for i, v := range r.roads {
+			r.vals[i] = prod[v]
+		}
+	}
+	o.scratch.Put(sc)
+	if o.rowLatency != nil && o.rowClock != nil {
+		o.rowLatency.Observe(o.rowClock.Since(start))
+	}
+	return r
+}
+
+// Stats reports the cache counters: hits (rows served without a search),
+// misses (rows created), deepenings (searches that extended a row), inflight
+// waits (collapsed duplicate searches), and the resident footprint.
+// ResidentBytes is exact, not estimated: the published rows' payload plus
+// Row headers (adjusted on every publish, see Row.bytes) plus the oracle's
+// flat structures — the row-pointer table, and once the first search
+// materializes them, the CSR packing and the half-edge weight array. The
+// core oracle-cache byte budget enforces on this number, so what it evicts
+// matches what the heap actually frees.
 func (o *Oracle) Stats() CacheStats {
 	return CacheStats{
 		Hits:          o.hits.Load(),
 		Misses:        o.misses.Load(),
+		Deepenings:    o.deepenings.Load(),
 		InflightWaits: o.waits.Load(),
 		ResidentRows:  int(o.resident.Load()),
 		ResidentBytes: o.rowBytes.Load() + o.fixedBytes.Load(),
 	}
-}
-
-// computeRowCSR runs the Dijkstra of Eq. (8–10) over the flat half-edge
-// weight array and evaluates the ρ-product along each node's tree path,
-// reading view.Rho by the undirected edge id the search recorded — one
-// indexed load per hop. It is a pure function of (c, view, hw, src), which is
-// what makes singleflight sound: any caller's computation yields the same
-// row. The tests compare it bit for bit against a map-based reference.
-func computeRowCSR(c *graph.CSR, view rtf.View, hw []float64, src int) []float64 {
-	n := c.N()
-	_, parent, parentEdge := c.DijkstraFlat(src, hw)
-	row := make([]float64, n)
-	const unset = -1.0
-	for i := range row {
-		row[i] = unset
-	}
-	row[src] = 1
-	stack := make([]int32, 0, 64)
-	for v := int32(0); v < int32(n); v++ {
-		if row[v] != unset {
-			continue
-		}
-		if parent[v] < 0 {
-			row[v] = 0 // unreachable
-			continue
-		}
-		stack = stack[:0]
-		u := v
-		for row[u] == unset && parent[u] >= 0 {
-			stack = append(stack, u)
-			u = parent[u]
-		}
-		if row[u] == unset { // orphan chain (disconnected): all zero
-			row[u] = 0
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			p := parent[w]
-			if row[p] == 0 {
-				row[w] = 0
-				continue
-			}
-			row[w] = row[p] * view.Rho[parentEdge[w]]
-		}
-	}
-	// Eq. (7): adjacency overrides the path value.
-	lo, hi := c.Row(src)
-	for k := lo; k < hi; k++ {
-		v, eid := c.At(k)
-		row[v] = view.Rho[eid]
-	}
-	return row
 }
 
 // Corr returns corr^t(i, j).
@@ -433,56 +673,3 @@ func (o *Oracle) Corr(i, j int) float64 {
 	}
 	return o.CorrRow(i)[j]
 }
-
-// RoadSetCorr is Eq. (11): the maximum road–road correlation between road i
-// and any member of set. An empty set has correlation 0.
-func (o *Oracle) RoadSetCorr(i int, set []int) float64 {
-	row := o.CorrRow(i)
-	best := 0.0
-	for _, j := range set {
-		if row[j] > best {
-			best = row[j]
-		}
-	}
-	return best
-}
-
-// SetSetCorr is Eq. (12): Σ_{i∈query} corr(i, set).
-func (o *Oracle) SetSetCorr(query, set []int) float64 {
-	var sum float64
-	for _, i := range query {
-		sum += o.RoadSetCorr(i, set)
-	}
-	return sum
-}
-
-// WeightedCorr is Eq. (13), the OCS objective: Σ_{i∈query} σ_i·corr(i, set),
-// where sigma is indexed by road id (pass the RTF view's Sigma).
-func (o *Oracle) WeightedCorr(query []int, sigma []float64, set []int) float64 {
-	var sum float64
-	for _, i := range query {
-		sum += sigma[i] * o.RoadSetCorr(i, set)
-	}
-	return sum
-}
-
-// BuildTable precomputes the correlation rows for every query road.
-func (o *Oracle) BuildTable(query []int) *Table {
-	t := &Table{Query: append([]int(nil), query...), Rows: make([][]float64, len(query))}
-	for qi, q := range query {
-		t.Rows[qi] = o.CorrRow(q)
-	}
-	return t
-}
-
-// Table is a dense query-to-candidate correlation matrix: Q[qi][r] =
-// corr(query[qi], r) for every road r. OCS greedy loops consult it in O(1)
-// per lookup; building it costs one Dijkstra per query road, which is the
-// offline Γ_R precomputation of the paper scoped to the presented query.
-type Table struct {
-	Query []int
-	Rows  [][]float64 // Rows[qi][road]
-}
-
-// Corr returns corr(query[qi], road).
-func (t *Table) Corr(qi, road int) float64 { return t.Rows[qi][road] }

@@ -170,41 +170,24 @@ func TestRowCaching(t *testing.T) {
 	}
 }
 
+// TestSetCorrelations pins the row values Eq. (11)–(13) combine (package ocs
+// takes the max over a set and the σ-weighted sum over the query) on the
+// chain 0–1–2–3–4 with ρ 0.9, 0.8, 0.7, 0.6.
 func TestSetCorrelations(t *testing.T) {
 	o := chainOracle(t, []float64{0.9, 0.8, 0.7, 0.6}, NegLog)
-	// Eq. 11: max over set
-	if got := o.RoadSetCorr(0, []int{2, 3}); math.Abs(got-0.72) > 1e-12 {
-		t.Errorf("RoadSetCorr = %v, want 0.72", got)
-	}
-	if got := o.RoadSetCorr(0, nil); got != 0 {
-		t.Errorf("empty set corr = %v", got)
-	}
-	// Eq. 12: sum over query
-	got := o.SetSetCorr([]int{0, 4}, []int{2})
-	want := 0.72 + 0.7*0.6
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("SetSetCorr = %v, want %v", got, want)
-	}
-	// Eq. 13: σ-weighted
-	sigma := []float64{2, 1, 1, 1, 3}
-	gotW := o.WeightedCorr([]int{0, 4}, sigma, []int{2})
-	wantW := 2*0.72 + 3*(0.7*0.6)
-	if math.Abs(gotW-wantW) > 1e-12 {
-		t.Errorf("WeightedCorr = %v, want %v", gotW, wantW)
-	}
-}
-
-func TestBuildTable(t *testing.T) {
-	o := chainOracle(t, []float64{0.9, 0.8}, NegLog)
-	tab := o.BuildTable([]int{0, 2})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("table rows = %d", len(tab.Rows))
-	}
-	if got := tab.Corr(0, 2); math.Abs(got-0.72) > 1e-12 {
-		t.Errorf("table corr = %v", got)
-	}
-	if got := tab.Corr(1, 0); math.Abs(got-0.72) > 1e-12 {
-		t.Errorf("table corr symmetric pair = %v", got)
+	row0, row4 := o.CorrRow(0), o.CorrRow(4)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"corr(0, 2)", row0[2], 0.72},
+		{"corr(0, 3)", row0[3], 0.72 * 0.7},
+		{"corr(4, 2)", row4[2], 0.7 * 0.6},
+		{"corr(0, {2, 3})", max(row0[2], row0[3]), 0.72},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12 {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -250,7 +233,8 @@ func TestOracleProperties(t *testing.T) {
 	}
 }
 
-// Property: correlation is monotone under set growth (Eq. 11 is a max).
+// Property: correlation is monotone under set growth (Eq. 11 is a max), and
+// the row Reach returns for each grown set knows its best member exactly.
 func TestRoadSetMonotoneProperty(t *testing.T) {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 50, Seed: 77})
 	m := rtf.New(net)
@@ -258,13 +242,24 @@ func TestRoadSetMonotoneProperty(t *testing.T) {
 		m.SetRho(tslot.Slot(0), e[0], e[1], 0.2+0.7*float64((e[0]+e[1])%10)/10)
 	}
 	o := NewOracle(net.Graph(), m.At(0), NegLog)
+	full := NewOracle(net.Graph(), m.At(0), NegLog).CorrRow(0)
 	set := []int{}
 	prev := 0.0
 	for _, r := range []int{5, 12, 33, 47, 2} {
 		set = append(set, r)
-		cur := o.RoadSetCorr(0, set)
+		row := o.Reach(0, set)
+		cur, want := 0.0, 0.0
+		for _, j := range set {
+			if c, ok := row.At(j); ok {
+				cur = max(cur, c)
+			}
+			want = max(want, full[j])
+		}
+		if cur != want || cur < row.Bound() {
+			t.Fatalf("set %v: Reach's row gives corr %v (bound %v), complete row %v", set, cur, row.Bound(), want)
+		}
 		if cur+1e-12 < prev {
-			t.Fatalf("RoadSetCorr decreased when growing set: %v -> %v", prev, cur)
+			t.Fatalf("corr(0, set) decreased when growing set: %v -> %v", prev, cur)
 		}
 		prev = cur
 	}

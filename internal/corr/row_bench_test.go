@@ -1,22 +1,22 @@
 package corr
 
 import (
+	"math"
 	"testing"
 )
 
-// Benchmark of the oracle row computation — the hot miss path: Dijkstra over
-// the flat half-edge weights, edge ids read from the packing. Run with
-// -benchmem; EXPERIMENTS records the allocs/op and ns/op.
+// Benchmark of the oracle's complete-row computation: Dijkstra over the flat
+// half-edge weights, edge ids read from the packing, products in settle
+// order. Run with -benchmem; EXPERIMENTS records the allocs/op and ns/op.
 
 func benchRows(b *testing.B, n int) {
 	net, view := seededOracleView(n, 1)
-	c := net.Graph().BuildCSR()
-	o := &Oracle{g: net.Graph(), view: view, tf: NegLog, csr: c}
-	hw, _ := o.flatWeights()
+	o := NewOracle(net.Graph(), view, NegLog)
+	o.flatWeights()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = computeRowCSR(c, view, hw, i%n)
+		_ = o.search(i%n, math.Inf(1), nil, nil)
 	}
 }
 

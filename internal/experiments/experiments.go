@@ -355,7 +355,10 @@ func Figure4a(env *Env, budgets []int) ([]Fig4aRow, error) {
 	pool := crowd.PlaceEverywhere(env.Net)
 	// Warm the correlation cache so the measurement isolates the greedy
 	// loops, as the paper's offline Γ_R precomputation does.
-	env.Sys.Oracle(env.Slot).BuildTable(env.Query)
+	oracle := env.Sys.Oracle(env.Slot)
+	for _, q := range env.Query {
+		oracle.CorrRow(q)
+	}
 	var rows []Fig4aRow
 	for _, k := range budgets {
 		row := Fig4aRow{Budget: k}

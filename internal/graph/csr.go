@@ -167,10 +167,25 @@ func (c *CSR) NewSearcher() *Searcher {
 // node it settles has the same label, parent and parent edge there. The
 // returned slice and Tree stay valid until the next call.
 func (s *Searcher) Limited(src int, w []float64, limit float64) []int32 {
+	order, _ := s.Until(src, w, limit, nil, nil)
+	return order
+}
+
+// Until is Limited with a moving limit: once a node v with hit(v) is
+// settled at label d, the limit becomes reach(d), so the search goes on
+// settling through reach(d) and then stops. hit fires at most once; a nil
+// hit never fires. It returns the settled nodes in settle order and the
+// limit the search ended under: +Inf when it ran out of reachable nodes
+// first, so that every node it did not settle is unreachable from src.
+// Settled nodes keep DijkstraFlat's labels and tree whatever the limit does,
+// since no push is ever pruned.
+func (s *Searcher) Until(src int, w []float64, limit float64, hit func(v int32) bool, reach func(d float64) float64) ([]int32, float64) {
 	s.reset()
 	s.src = src
-	s.c.search(&s.st, src, -1, 0, limit, w, nil)
-	return s.st.order
+	s.st.hit, s.st.reach = hit, reach
+	limit = s.c.search(&s.st, src, -1, 0, limit, w, nil)
+	s.st.hit, s.st.reach = nil, nil
+	return s.st.order, limit
 }
 
 // Tree returns the parent and the undirected edge id through which the last
@@ -199,7 +214,8 @@ func (s *Searcher) reset() {
 
 // searchState is the working memory of one search: labels, the
 // shortest-path tree, the settled flags and the heap. order records the
-// settle order when record is set, which only a Searcher needs.
+// settle order when record is set, which only a Searcher needs; hit and
+// reach are Until's stop rule.
 type searchState struct {
 	dist       []float64
 	parent     []int32
@@ -208,6 +224,8 @@ type searchState struct {
 	heap       flatHeap
 	order      []int32
 	record     bool
+	hit        func(v int32) bool
+	reach      func(d float64) float64
 }
 
 // newSearchState allocates the state of a search over c: every label +Inf,
@@ -232,13 +250,14 @@ func (st *searchState) clear(v int32) {
 }
 
 // search is the one label-setting shortest-path loop behind DijkstraFlat,
-// DijkstraFunc and Searcher.Limited, run on st, which must hold no labels.
+// DijkstraFunc and Searcher.Until, run on st, which must hold no labels.
 // Half-edge k costs w[k] when w is non-nil, else cost(du, k, v); dst < 0
-// settles every reachable node whose label is at most limit. Negative costs
-// panic.
-func (c *CSR) search(st *searchState, src, dst int, start, limit float64, w []float64, cost func(at float64, k, v int32) float64) {
+// settles every reachable node whose label is at most limit, which st.hit
+// may move as the search goes. Negative costs panic. It returns the limit
+// the search stopped under, or +Inf if the heap ran empty first.
+func (c *CSR) search(st *searchState, src, dst int, start, limit float64, w []float64, cost func(at float64, k, v int32) float64) float64 {
 	if src < 0 || src >= c.N() {
-		return
+		return math.Inf(1)
 	}
 	dist, parent, parentEdge, done := st.dist, st.parent, st.parentEdge, st.done
 	record, order := st.record, st.order
@@ -248,6 +267,7 @@ func (c *CSR) search(st *searchState, src, dst int, start, limit float64, w []fl
 	// scale is millions of allocations per search. The hand-rolled heap keeps
 	// items in one growing slice and allocates only on capacity growth.
 	h := append(st.heap[:0], pqItem{int32(src), start})
+	end := math.Inf(1) // unless a stop below fires first
 	for len(h) > 0 {
 		it := h.pop()
 		u := it.node
@@ -255,6 +275,7 @@ func (c *CSR) search(st *searchState, src, dst int, start, limit float64, w []fl
 			continue
 		}
 		if it.dist > limit {
+			end = limit
 			break
 		}
 		done[u] = true
@@ -262,9 +283,14 @@ func (c *CSR) search(st *searchState, src, dst int, start, limit float64, w []fl
 			order = append(order, u)
 		}
 		if int(u) == dst {
+			end = limit
 			break
 		}
 		du := dist[u]
+		if st.hit != nil && st.hit(u) {
+			limit = st.reach(du)
+			st.hit = nil
+		}
 		lo, hi := c.offsets[u], c.offsets[u+1]
 		for k := lo; k < hi; k++ {
 			v := c.neigh[k]
@@ -289,6 +315,7 @@ func (c *CSR) search(st *searchState, src, dst int, start, limit float64, w []fl
 		}
 	}
 	st.heap, st.order = h[:0], order
+	return end
 }
 
 // PathTo reconstructs the node sequence src..dst from the parent pointers of

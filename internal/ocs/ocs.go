@@ -163,15 +163,9 @@ type Solution struct {
 
 // Objective evaluates the instance's objective for an arbitrary candidate
 // set: Eq. (13) under ObjCorrelation, total posterior-variance reduction
-// under ObjVarianceMin.
+// under ObjVarianceMin, its route-weighted form under ObjRouteVar.
 func (p *Problem) Objective(set []int) float64 {
-	switch p.Mode {
-	case ObjVarianceMin:
-		return p.VarianceReduction(set)
-	case ObjRouteVar:
-		return p.WeightedVarianceReduction(set, p.Weights)
-	}
-	return p.Oracle.WeightedCorr(p.Query, p.Sigma, set)
+	return p.evaluate(set, p.Mode, p.Weights)
 }
 
 // VarianceReduction is the ObjVarianceMin objective for an arbitrary set:
@@ -180,18 +174,7 @@ func (p *Problem) Objective(set []int) float64 {
 // Evaluable under either mode (the calibration ablation scores correlation
 // selections on this axis too).
 func (p *Problem) VarianceReduction(set []int) float64 {
-	var total float64
-	for _, q := range p.Query {
-		row := p.Oracle.CorrRow(q)
-		best := 0.0
-		for _, r := range set {
-			if c2 := row[r] * row[r]; c2 > best {
-				best = c2
-			}
-		}
-		total += p.Sigma[q] * p.Sigma[q] * best
-	}
-	return total
+	return p.evaluate(set, ObjVarianceMin, nil)
 }
 
 // WeightedVarianceReduction is the ObjRouteVar objective for an arbitrary
@@ -200,25 +183,79 @@ func (p *Problem) VarianceReduction(set []int) float64 {
 // is evaluable regardless of the instance's mode, so the route-OCS ablation
 // can score a correlation selection on the ETA-variance axis.
 func (p *Problem) WeightedVarianceReduction(set []int, weights []float64) float64 {
+	return p.evaluate(set, ObjRouteVar, weights)
+}
+
+// evaluate is the objective of mode over set. Each query road's best score
+// is read from its cached correlation row, searched only as deep as
+// knowing it needs (setBest).
+func (p *Problem) evaluate(set []int, mode Mode, weights []float64) float64 {
+	squared := mode != ObjCorrelation
+	return p.sum(mode, weights, func(_, q int) float64 {
+		return setBest(p.Oracle, q, set, squared)
+	})
+}
+
+// sum adds up the objective of mode from each query road's best score
+// best(qi, q) = max(0, max_{r∈R^c} score(q, r)): Σ σ_q·best under
+// ObjCorrelation, Σ σ_q²·best under ObjVarianceMin, Σ w_q·σ_q²·best over the
+// roads of non-zero weight under ObjRouteVar. Every solver's value goes
+// through it, so equal best scores give equal bits.
+func (p *Problem) sum(mode Mode, weights []float64, best func(qi, q int) float64) float64 {
 	var total float64
-	for _, q := range p.Query {
-		wq := 0.0
-		if q < len(weights) {
-			wq = weights[q]
-		}
-		if wq == 0 {
-			continue
-		}
-		row := p.Oracle.CorrRow(q)
-		best := 0.0
-		for _, r := range set {
-			if c2 := row[r] * row[r]; c2 > best {
-				best = c2
+	for qi, q := range p.Query {
+		switch mode {
+		case ObjVarianceMin:
+			total += p.Sigma[q] * p.Sigma[q] * best(qi, q)
+		case ObjRouteVar:
+			wq := 0.0
+			if q < len(weights) {
+				wq = weights[q]
 			}
+			if wq == 0 {
+				continue
+			}
+			total += wq * p.Sigma[q] * p.Sigma[q] * best(qi, q)
+		default:
+			total += p.Sigma[q] * best(qi, q)
 		}
-		total += wq * p.Sigma[q] * p.Sigma[q] * best
 	}
 	return total
+}
+
+// knownBest returns max(0, max_{r∈set} score) over the members row r
+// knows, where score is corr or, when squared, corr², and whether that is
+// the exact best: no member is unsettled, or none can beat it, the
+// unsettled members' scores lying in [0, B] (or [0, B²]).
+func knownBest(r *corr.Row, set []int, squared bool) (best float64, exact bool) {
+	bound := r.Bound()
+	if squared {
+		bound *= bound
+	}
+	open := false
+	for _, j := range set {
+		c, ok := r.At(j)
+		if squared {
+			c *= c
+		}
+		if !ok {
+			open = true
+		} else if c > best {
+			best = c
+		}
+	}
+	return best, !open || bound <= best
+}
+
+// setBest is query road q's exact best score over set, bit for bit the
+// complete row's: read from q's cached row when it knows it, else from the
+// row Reach searches out to set's nearest member.
+func setBest(o *corr.Oracle, q int, set []int, squared bool) float64 {
+	best, exact := knownBest(o.Row(q), set, squared)
+	if !exact {
+		best, _ = knownBest(o.Reach(q, set), set, squared)
+	}
+	return best
 }
 
 // Feasible reports whether the set satisfies the budget and pairwise
@@ -265,38 +302,191 @@ func (p *Problem) Feasible(set []int) bool {
 	return true
 }
 
-// greedyState tracks the incremental objective during a greedy run:
-// best[qi] = the best per-query score achieved by R^c so far — corr(qi, R^c)
-// under ObjCorrelation, corr²(qi, R^c) under ObjVarianceMin — so a
-// candidate's marginal gain is Σ w_qi · max(0, score(qi, r) − best[qi]) in
-// O(|R^q|), where w is σ or σ² to match.
-type greedyState struct {
-	p    *Problem
-	tab  *corr.Table
-	best []float64
-	// w[qi] is the query road's objective weight: σ under ObjCorrelation,
-	// σ² under ObjVarianceMin, w·σ² under ObjRouteVar.
-	w []float64
-	// squared selects the corr² per-candidate score (both variance modes).
-	squared  bool
-	selected []int
-	// red is this state's own θ-redundancy query handle; blocked[r] marks
-	// every road it placed above θ of some selected road, so redundant() is
-	// one index.
+// selection is the feasibility side of a solve: the picked roads, their
+// cost, and every road blocked by θ-redundancy with a pick.
+type selection struct {
+	p     *Problem
+	roads []int
+	cost  int
+	// red answers the θ-redundancy queries; blocked[r] marks every road it
+	// placed above θ of some picked road.
 	red     *corr.Redundancy
 	blocked []bool
-	cost    int
 }
 
-func newGreedyState(p *Problem) *greedyState {
-	s := &greedyState{
+func newSelection(p *Problem, red *corr.Redundancy) selection {
+	return selection{p: p, red: red, blocked: make([]bool, len(p.Sigma))}
+}
+
+// fits reports whether r is affordable and not θ-redundant with a pick.
+func (s *selection) fits(r int) bool {
+	return s.p.Costs[r] <= s.p.Budget-s.cost && !s.blocked[r]
+}
+
+// sorted returns the picked roads, ascending.
+func (s *selection) sorted() []int {
+	roads := slices.Clone(s.roads)
+	slices.Sort(roads)
+	return roads
+}
+
+// add picks r and blocks every road its θ-redundancy query returns.
+func (s *selection) add(r int) {
+	s.roads = append(s.roads, r)
+	for _, j := range s.red.Above(r) {
+		if int(j) < len(s.blocked) {
+			s.blocked[j] = true
+		}
+	}
+	s.cost += s.p.Costs[r]
+}
+
+// rowTable is a solve's view of its query rows, shared by Hybrid's two
+// passes: each query road's cached correlation row and the score bound of
+// the roads it leaves unsettled. A complete row is read in place by road
+// id; a prefix is merged once per version into a column by worker index
+// (Problem.Workers order), NaN where the prefix leaves the worker unsettled.
+type rowTable struct {
+	p     *Problem
+	rows  []*corr.Row
+	dense [][]float64 // rows[qi].Dense(), nil for a prefix
+	cols  [][]float64 // prefix rows by worker index
+	// bound[qi] bounds row qi's unsettled scores: B, or B² when squared.
+	bound []float64
+	// squared selects the corr² per-candidate score (both variance modes).
+	squared bool
+	// byRoad holds the worker indices in ascending road order, the order a
+	// prefix lists its roads in; built for the first prefix.
+	byRoad []int
+	// red is the passes' shared θ-redundancy query handle.
+	red *corr.Redundancy
+	// version counts the rows installed, so a pass knows when its best_q
+	// intervals predate a deeper row.
+	version int
+}
+
+func newRowTable(p *Problem) *rowTable {
+	n := len(p.Query)
+	t := &rowTable{
 		p:       p,
-		tab:     p.Oracle.BuildTable(p.Query),
-		best:    make([]float64, len(p.Query)),
-		w:       make([]float64, len(p.Query)),
+		rows:    make([]*corr.Row, n),
+		dense:   make([][]float64, n),
+		cols:    make([][]float64, n),
+		bound:   make([]float64, n),
 		squared: p.Mode != ObjCorrelation,
 		red:     p.Oracle.Redundancy(p.Theta),
-		blocked: make([]bool, len(p.Sigma)),
+	}
+	for qi, q := range p.Query {
+		if t.rows[qi] == nil {
+			t.set(qi, p.Oracle.Row(q))
+		}
+	}
+	return t
+}
+
+// set installs row r as the row of every query index of query road
+// p.Query[qi] (a query may repeat a road).
+func (t *rowTable) set(qi int, r *corr.Row) {
+	b := r.Bound()
+	if t.squared {
+		b *= b
+	}
+	dense, col := r.Dense(), []float64(nil)
+	if dense == nil {
+		col = t.column(r)
+	}
+	q := t.p.Query[qi]
+	for qj, q2 := range t.p.Query {
+		if q2 == q {
+			t.rows[qj], t.dense[qj], t.cols[qj], t.bound[qj] = r, dense, col, b
+		}
+	}
+	t.version++
+}
+
+// column merges prefix row r into a column by worker index.
+func (t *rowTable) column(r *corr.Row) []float64 {
+	if t.byRoad == nil {
+		t.byRoad = make([]int, len(t.p.Workers))
+		for wi := range t.byRoad {
+			t.byRoad[wi] = wi
+		}
+		slices.SortFunc(t.byRoad, func(a, b int) int { return t.p.Workers[a] - t.p.Workers[b] })
+	}
+	roads, vals := r.Known()
+	col := make([]float64, len(t.p.Workers))
+	i := 0
+	for _, wi := range t.byRoad {
+		w := int32(t.p.Workers[wi])
+		for i < len(roads) && roads[i] < w {
+			i++
+		}
+		if i < len(roads) && roads[i] == w {
+			col[wi] = vals[i]
+		} else {
+			col[wi] = math.NaN()
+		}
+	}
+	return col
+}
+
+// score is worker wi's score in row qi: corr, or corr² in the variance
+// modes; NaN when the row leaves the worker, road r, unsettled.
+func (t *rowTable) score(qi, r, wi int) float64 {
+	var c float64
+	if d := t.dense[qi]; d != nil {
+		c = d[r]
+	} else {
+		c = t.cols[qi][wi]
+	}
+	if t.squared {
+		return c * c
+	}
+	return c
+}
+
+// best is setBest on the table's row qi, keeping a reached row.
+func (t *rowTable) best(qi int, set []int) float64 {
+	best, exact := knownBest(t.rows[qi], set, t.squared)
+	if !exact {
+		t.set(qi, t.p.Oracle.Reach(t.p.Query[qi], set))
+		best, _ = knownBest(t.rows[qi], set, t.squared)
+	}
+	return best
+}
+
+// pass is one certified lazy-greedy run of Alg. 2 or 3 over a rowTable.
+// Query road q's best score over the picks, best_q = max(0, max_{r∈R^c}
+// score(q, r)), is known to lie in [lo[qi], hi[qi]]: a pick unsettled in
+// row qi may score up to the row's bound. A candidate's marginal gain
+// Σ_q w_q·max(0, score(q, r) − best_q) then lies in an interval too.
+type pass struct {
+	selection
+	t       *rowTable
+	byRatio bool
+	picks   []int // worker indices of selection.roads
+	// w[qi] is the query road's objective weight: σ under ObjCorrelation,
+	// σ² under ObjVarianceMin, w·σ² under ObjRouteVar.
+	w      []float64
+	lo, hi []float64
+	// open[qi] marks a pick unsettled in row qi.
+	open []bool
+	// version is the rowTable version the intervals were computed at.
+	version int
+}
+
+func newPass(t *rowTable, byRatio bool) *pass {
+	p := t.p
+	n := len(p.Query)
+	s := &pass{
+		selection: newSelection(p, t.red),
+		t:         t,
+		byRatio:   byRatio,
+		w:         make([]float64, n),
+		lo:        make([]float64, n),
+		hi:        make([]float64, n),
+		open:      make([]bool, n),
+		version:   t.version,
 	}
 	for qi, q := range p.Query {
 		switch p.Mode {
@@ -311,79 +501,177 @@ func newGreedyState(p *Problem) *greedyState {
 	return s
 }
 
-// score is the per-(query, candidate) contribution under the instance's
-// mode: raw correlation, or squared correlation for variance reduction.
-func (s *greedyState) score(qi, r int) float64 {
-	c := s.tab.Corr(qi, r)
-	if s.squared {
-		return c * c
-	}
-	return c
-}
-
-// gain returns the objective increment of adding road r.
-func (s *greedyState) gain(r int) float64 {
-	var g float64
-	for qi := range s.p.Query {
-		if c := s.score(qi, r); c > s.best[qi] {
-			g += s.w[qi] * (c - s.best[qi])
+// rank returns the interval [lo, hi] of worker wi's ranking key: the
+// marginal gain of its road r, per unit of cost under Ratio-Greedy. A term
+// whose score is known against a known best_q adds the exact
+// w·(c − best_q) to both ends; an unsettled score adds [0, w·(B − lo_q)].
+// Float rounding is monotone, so lo ≤ the exact rank's bits ≤ hi, and
+// lo = hi = the exact rank when no unsettled score can reach best_q.
+func (s *pass) rank(r, wi int) (lo, hi float64) {
+	t := s.t
+	n := len(t.dense)
+	cols, bound, squared := t.cols[:n], t.bound[:n], t.squared
+	ws, blos, bhis := s.w[:n], s.lo[:n], s.hi[:n]
+	for qi, d := range t.dense {
+		var c float64
+		if d != nil {
+			c = d[r]
+		} else {
+			c = cols[qi][wi]
+		}
+		if squared {
+			c *= c
+		}
+		w, blo := ws[qi], blos[qi]
+		if c != c { // unsettled: c ∈ [0, bound]
+			if b := bound[qi]; b > blo {
+				hi += w * (b - blo)
+			}
+			continue
+		}
+		if c > blo {
+			hi += w * (c - blo)
+			if bhi := bhis[qi]; c > bhi {
+				lo += w * (c - bhi)
+			}
 		}
 	}
-	return g
+	if s.byRatio {
+		cost := float64(s.p.Costs[r])
+		lo, hi = lo/cost, hi/cost
+	}
+	return lo, hi
 }
 
-// redundant reports whether r violates the θ constraint against the current
-// selection: corr(sel, r) > θ for some selected road sel.
-func (s *greedyState) redundant(r int) bool { return s.blocked[r] }
+// width is how much row qi widens worker wi's gain interval.
+func (s *pass) width(qi, r, wi int) float64 {
+	c, w, blo := s.t.score(qi, r, wi), s.w[qi], s.lo[qi]
+	if c != c {
+		c = s.t.bound[qi]
+	} else if c > s.hi[qi] {
+		return w * (s.hi[qi] - blo)
+	}
+	if c > blo {
+		return w * (c - blo)
+	}
+	return 0
+}
 
-// add selects r and blocks every road its θ-redundancy query returns.
-func (s *greedyState) add(r int) {
-	s.selected = append(s.selected, r)
-	for _, j := range s.red.Above(r) {
-		if int(j) < len(s.blocked) {
-			s.blocked[j] = true
+// widest returns the query index whose row adds the most width to the rank
+// intervals of entries a and b. Only a row short of complete can add any: a
+// complete row knows every score and pins its best_q.
+func (s *pass) widest(a, b *gainEntry) int {
+	ca, cb := 1.0, 1.0
+	if s.byRatio {
+		ca, cb = float64(s.p.Costs[a.road]), float64(s.p.Costs[b.road])
+	}
+	best, bestW := -1, -1.0
+	for qi, r := range s.t.rows {
+		if r.Complete() {
+			continue
+		}
+		if wd := s.width(qi, int(a.road), int(a.wi))/ca + s.width(qi, int(b.road), int(b.wi))/cb; wd > bestW {
+			best, bestW = qi, wd
 		}
 	}
-	s.cost += s.p.Costs[r]
-	for qi := range s.p.Query {
-		if c := s.score(qi, r); c > s.best[qi] {
-			s.best[qi] = c
+	return best
+}
+
+// add picks worker wi, road r, and raises each best_q interval by its
+// score.
+func (s *pass) add(r, wi int) {
+	s.selection.add(r)
+	s.picks = append(s.picks, wi)
+	for qi := range s.lo {
+		s.raise(qi, r, wi)
+	}
+}
+
+// raise folds worker wi's score in row qi into best_q's interval.
+func (s *pass) raise(qi, r, wi int) {
+	if c := s.t.score(qi, r, wi); c != c {
+		s.open[qi] = true
+	} else if c > s.lo[qi] {
+		s.lo[qi] = c
+	}
+	s.hi[qi] = s.lo[qi]
+	if b := s.t.bound[qi]; s.open[qi] && b > s.lo[qi] {
+		s.hi[qi] = b
+	}
+}
+
+// refresh recomputes every best_q interval from the table's rows, if a
+// deepening or a reach has extended one since the intervals were computed.
+func (s *pass) refresh() {
+	if s.version == s.t.version {
+		return
+	}
+	s.version = s.t.version
+	for qi := range s.lo {
+		s.lo[qi], s.hi[qi], s.open[qi] = 0, 0, false
+		for i, r := range s.roads {
+			s.raise(qi, r, s.picks[i])
 		}
 	}
 }
 
-// rank is the greedy's ranking key for road r: its marginal gain, per unit
-// of cost under Ratio-Greedy.
-func (s *greedyState) rank(r int, byRatio bool) float64 {
-	g := s.gain(r)
-	if byRatio {
-		g /= float64(s.p.Costs[r])
-	}
-	return g
+// deepen searches row qi one step deeper and refreshes the intervals.
+func (s *pass) deepen(qi int) {
+	s.t.set(qi, s.p.Oracle.Deepen(s.p.Query[qi], s.t.rows[qi]))
+	s.refresh()
 }
 
-// gainEntry is a lazy-greedy heap entry: a candidate road and its rank as of
-// the given selection round.
+// bounds returns the interval of the pass's objective value.
+func (s *pass) bounds() (lo, hi float64) {
+	p := s.p
+	lo = p.sum(p.Mode, p.Weights, func(qi, _ int) float64 { return s.lo[qi] })
+	hi = p.sum(p.Mode, p.Weights, func(qi, _ int) float64 { return s.hi[qi] })
+	return lo, hi
+}
+
+// solution returns the pass's picks, ascending, with their exact objective
+// value: a best_q its interval pins is read off, the others are resolved on
+// the row (rowTable.best).
+func (s *pass) solution() Solution {
+	p := s.p
+	value := p.sum(p.Mode, p.Weights, func(qi, _ int) float64 {
+		if s.lo[qi] == s.hi[qi] {
+			return s.lo[qi]
+		}
+		return s.t.best(qi, s.roads)
+	})
+	return Solution{Roads: s.sorted(), Value: value, Cost: s.cost}
+}
+
+// gainEntry is a lazy-greedy heap entry: a candidate road and the interval
+// of its rank as of the given stamp.
 type gainEntry struct {
-	road  int
-	score float64
-	round int
+	lo, hi float64
+	// road, its index in Problem.Workers, and the stamp lo and hi are of.
+	road, wi, stamp int32
 }
 
-// gainHeap orders entries by score, descending, then road id, ascending.
+// beats reports whether e is certainly the round's pick against f's key:
+// its rank is above every rank f's key bounds, ties toward the smaller
+// road id.
+func (e *gainEntry) beats(f *gainEntry) bool {
+	return e.lo > f.hi || (e.lo == f.hi && e.road < f.road)
+}
+
+// gainHeap orders entries by hi, descending, then road id, ascending.
 type gainHeap []gainEntry
 
 func (h gainHeap) Len() int { return len(h) }
 func (h gainHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
+	if h[i].hi != h[j].hi {
+		return h[i].hi > h[j].hi
 	}
 	return h[i].road < h[j].road
 }
 func (h gainHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
 // Push and Pop complete heap.Interface. runGreedy never calls them: it
-// updates and removes the top in place, so no entry is boxed.
+// updates and removes entries in place, so no entry is boxed.
 func (h *gainHeap) Push(x any) { *h = append(*h, x.(gainEntry)) }
 func (h *gainHeap) Pop() any {
 	old := *h
@@ -392,32 +680,53 @@ func (h *gainHeap) Pop() any {
 	return e
 }
 
-// dropTop removes the top entry: the last entry moves to the root and sifts
-// down.
-func (h *gainHeap) dropTop() {
+// drop removes entry i: the last entry takes its place and sifts.
+func (h *gainHeap) drop(i int) {
 	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
+	(*h)[i] = (*h)[last]
 	*h = (*h)[:last]
-	heap.Fix(h, 0)
+	if i < last {
+		heap.Fix(h, i)
+	}
 }
 
-// runGreedy executes the shared loop of Alg. 2/3 with lazy gain evaluation.
-// byRatio ranks candidates by objective increment per unit cost
+// runnerUp returns the index of the best entry after the top, -1 if none.
+func (h gainHeap) runnerUp() int {
+	switch {
+	case len(h) < 2:
+		return -1
+	case len(h) == 2 || h.Less(1, 2):
+		return 1
+	}
+	return 2
+}
+
+// runGreedy executes the shared loop of Alg. 2/3 with lazy, certified gain
+// evaluation. byRatio ranks candidates by objective increment per unit cost
 // (Ratio-Greedy) instead of the raw increment (Objective-Greedy).
 //
-// A road's marginal gain Σ_q w_q·max(0, score(q,r) − best_q) can only shrink
-// as the selection grows (TestGainsNonIncreasing), so a heap entry ranked in
-// an earlier round is an upper bound on its current rank. The loop refreshes
-// a stale top in place; a top that is fresh outranks every other entry's
-// bound and is the round's argmax, ties broken toward the smaller road id —
-// the candidate the eager scan of every remaining road would pick. An
-// unaffordable or θ-redundant top is dropped for good: the remaining budget
-// only shrinks and redundancy never relaxes.
-func runGreedy(p *Problem, byRatio bool) Solution {
-	s := newGreedyState(p)
+// The stamp counts the changes a rank reads: each pick and each deeper row.
+// A road's marginal gain can only shrink as the selection grows
+// (TestGainsNonIncreasing), and a shallower row's interval still holds the
+// deeper row's, so the hi of an entry ranked at an earlier stamp still
+// bounds its current rank: the heap is keyed on hi, and a stale top is
+// re-ranked in place. A fresh top is the round's argmax — the candidate the
+// eager scan of every remaining road would pick, ties toward the smaller
+// road id — once its lo beats the runner-up's key, which bounds every other
+// entry's rank. When it does not, a stale runner-up is re-ranked; if both
+// are fresh, the row adding the most width to the pair is searched one step
+// deeper, which leaves every entry stale. Once every row is complete, every
+// fresh interval is exact and a fresh top beats a fresh runner-up, so a row
+// to deepen always exists and the loop ends. An unaffordable or θ-redundant
+// entry is dropped for good: the remaining budget only shrinks and
+// redundancy never relaxes.
+func runGreedy(t *rowTable, byRatio bool) *pass {
+	s := newPass(t, byRatio)
+	p := s.p
 	h := make(gainHeap, len(p.Workers))
-	for i, r := range p.Workers {
-		h[i] = gainEntry{road: r, score: s.rank(r, byRatio)}
+	for wi, r := range p.Workers {
+		lo, hi := s.rank(r, wi)
+		h[wi] = gainEntry{lo: lo, hi: hi, road: int32(r), wi: int32(wi)}
 	}
 	heap.Init(&h)
 	// Once the remaining budget is below the cheapest worker's cost, every
@@ -426,23 +735,40 @@ func runGreedy(p *Problem, byRatio bool) Solution {
 	for _, r := range p.Workers {
 		minCost = min(minCost, p.Costs[r])
 	}
-	round := 0
+	var stamp int32
 	for len(h) > 0 && p.Budget-s.cost >= minCost {
 		top := &h[0]
-		switch {
-		case p.Costs[top.road] > p.Budget-s.cost || s.redundant(top.road):
-			h.dropTop()
-		case top.round < round:
-			top.score, top.round = s.rank(top.road, byRatio), round
+		if !s.fits(int(top.road)) {
+			h.drop(0)
+			continue
+		}
+		if top.stamp < stamp {
+			top.lo, top.hi = s.rank(int(top.road), int(top.wi))
+			top.stamp = stamp
 			heap.Fix(&h, 0)
+			continue
+		}
+		ri := h.runnerUp()
+		if ri < 0 || top.beats(&h[ri]) {
+			s.add(int(top.road), int(top.wi))
+			stamp++
+			h.drop(0)
+			continue
+		}
+		ru := &h[ri]
+		switch {
+		case !s.fits(int(ru.road)):
+			h.drop(ri)
+		case ru.stamp < stamp:
+			ru.lo, ru.hi = s.rank(int(ru.road), int(ru.wi))
+			ru.stamp = stamp
+			heap.Fix(&h, ri)
 		default:
-			s.add(top.road)
-			round++
-			h.dropTop()
+			s.deepen(s.widest(top, ru))
+			stamp++
 		}
 	}
-	sort.Ints(s.selected)
-	return Solution{Roads: s.selected, Value: p.Objective(s.selected), Cost: s.cost}
+	return s
 }
 
 // solveStart returns the instrumentation start time (zero when latency is
@@ -478,7 +804,7 @@ func RatioGreedy(p *Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	start := p.solveStart()
-	sol := runGreedy(p, true)
+	sol := runGreedy(newRowTable(p), true).solution()
 	p.observeSolve(start, &sol)
 	return sol, nil
 }
@@ -490,7 +816,7 @@ func ObjectiveGreedy(p *Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	start := p.solveStart()
-	sol := runGreedy(p, false)
+	sol := runGreedy(newRowTable(p), false).solution()
 	p.observeSolve(start, &sol)
 	return sol, nil
 }
@@ -513,13 +839,31 @@ func HybridGreedy(p *Problem) (Solution, error) {
 			return sol, nil
 		}
 	}
-	ratio, obj := runGreedy(p, true), runGreedy(p, false)
-	sol := obj
-	if ratio.Value >= obj.Value {
-		sol = ratio
-	}
+	t := newRowTable(p)
+	sol := hybridPick(runGreedy(t, true), runGreedy(t, false))
 	p.observeSolve(start, &sol)
 	return sol, nil
+}
+
+// hybridPick keeps the better of the two passes, Ratio-Greedy on ties. It
+// compares their value intervals on the rows as both passes left them, and
+// resolves both exact values only when the intervals overlap.
+func hybridPick(ratio, obj *pass) Solution {
+	ratio.refresh()
+	obj.refresh()
+	rlo, rhi := ratio.bounds()
+	olo, ohi := obj.bounds()
+	switch {
+	case slices.Equal(ratio.sorted(), obj.sorted()) || rlo >= ohi:
+		return ratio.solution()
+	case rhi < olo:
+		return obj.solution()
+	}
+	r, o := ratio.solution(), obj.solution()
+	if r.Value < o.Value {
+		return o
+	}
+	return r
 }
 
 // trivialCase implements Remark 2: with θ = 1 and unit costs, OCS is trivial
@@ -571,20 +915,14 @@ func Random(p *Problem, rng *rand.Rand) (Solution, error) {
 		return Solution{}, err
 	}
 	start := p.solveStart()
-	s := newGreedyState(p)
-	perm := rng.Perm(len(p.Workers))
-	for _, idx := range perm {
-		r := p.Workers[idx]
-		if p.Costs[r] > p.Budget-s.cost {
-			continue
+	s := newSelection(p, p.Oracle.Redundancy(p.Theta))
+	for _, idx := range rng.Perm(len(p.Workers)) {
+		if r := p.Workers[idx]; s.fits(r) {
+			s.add(r)
 		}
-		if s.redundant(r) {
-			continue
-		}
-		s.add(r)
 	}
-	sort.Ints(s.selected)
-	sol := Solution{Roads: s.selected, Value: p.Objective(s.selected), Cost: s.cost}
+	roads := s.sorted()
+	sol := Solution{Roads: roads, Value: p.Objective(roads), Cost: s.cost}
 	p.observeSolve(start, &sol)
 	return sol, nil
 }

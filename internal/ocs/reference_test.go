@@ -7,12 +7,120 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/corr"
 	"repro/internal/obs"
 )
 
+// refState is the reference greedy's dense state: every query road's
+// complete correlation row, and best[qi] = the best per-query score achieved
+// by R^c so far — corr(qi, R^c) under ObjCorrelation, corr²(qi, R^c) under
+// the variance modes — so a candidate's marginal gain is
+// Σ w_qi · max(0, score(qi, r) − best[qi]), where w is σ, σ² or w·σ² to match.
+type refState struct {
+	p        *Problem
+	rows     [][]float64
+	best     []float64
+	w        []float64
+	squared  bool
+	selected []int
+	red      *corr.Redundancy
+	blocked  []bool
+	cost     int
+}
+
+func newGreedyState(p *Problem) *refState {
+	s := &refState{
+		p:       p,
+		rows:    make([][]float64, len(p.Query)),
+		best:    make([]float64, len(p.Query)),
+		w:       make([]float64, len(p.Query)),
+		squared: p.Mode != ObjCorrelation,
+		blocked: make([]bool, len(p.Sigma)),
+	}
+	for qi, q := range p.Query {
+		s.rows[qi] = p.Oracle.CorrRow(q)
+		switch p.Mode {
+		case ObjVarianceMin:
+			s.w[qi] = p.Sigma[q] * p.Sigma[q]
+		case ObjRouteVar:
+			s.w[qi] = p.Weights[q] * p.Sigma[q] * p.Sigma[q]
+		default:
+			s.w[qi] = p.Sigma[q]
+		}
+	}
+	return s
+}
+
+func (s *refState) score(qi, r int) float64 {
+	c := s.rows[qi][r]
+	if s.squared {
+		return c * c
+	}
+	return c
+}
+
+// gain returns the objective increment of adding road r.
+func (s *refState) gain(r int) float64 {
+	var g float64
+	for qi := range s.p.Query {
+		if c := s.score(qi, r); c > s.best[qi] {
+			g += s.w[qi] * (c - s.best[qi])
+		}
+	}
+	return g
+}
+
+// redundant reports whether corr(sel, r) > θ for some selected road sel.
+func (s *refState) redundant(r int) bool { return s.blocked[r] }
+
+// add selects r and blocks what the θ-redundancy query returns, which
+// corr's tests check against complete rows.
+func (s *refState) add(r int) {
+	s.selected = append(s.selected, r)
+	if s.red == nil {
+		s.red = s.p.Oracle.Redundancy(s.p.Theta)
+	}
+	for _, j := range s.red.Above(r) {
+		s.blocked[j] = true
+	}
+	s.cost += s.p.Costs[r]
+	for qi := range s.p.Query {
+		if c := s.score(qi, r); c > s.best[qi] {
+			s.best[qi] = c
+		}
+	}
+}
+
+func (s *refState) rank(r int, byRatio bool) float64 {
+	g := s.gain(r)
+	if byRatio {
+		g /= float64(s.p.Costs[r])
+	}
+	return g
+}
+
+// referenceValue is the instance's objective of set computed from complete
+// rows, in the summation order every solver's value uses.
+func referenceValue(p *Problem, set []int) float64 {
+	squared := p.Mode != ObjCorrelation
+	return p.sum(p.Mode, p.Weights, func(_, q int) float64 {
+		row, best := p.Oracle.CorrRow(q), 0.0
+		for _, r := range set {
+			c := row[r]
+			if squared {
+				c *= c
+			}
+			if c > best {
+				best = c
+			}
+		}
+		return best
+	})
+}
+
 // eagerGreedy is the textbook loop of Alg. 2/3, the reference the lazy
-// greedy must reproduce: every round ranks every remaining candidate and
-// takes the best, ties toward the smaller road id.
+// greedy must reproduce: every round ranks every remaining candidate on
+// complete rows and takes the best, ties toward the smaller road id.
 func eagerGreedy(p *Problem, byRatio bool) Solution {
 	s := newGreedyState(p)
 	remaining := append([]int(nil), p.Workers...)
@@ -37,7 +145,7 @@ func eagerGreedy(p *Problem, byRatio bool) Solution {
 		remaining[best] = -1
 	}
 	sort.Ints(s.selected)
-	return Solution{Roads: s.selected, Value: p.Objective(s.selected), Cost: s.cost}
+	return Solution{Roads: s.selected, Value: referenceValue(p, s.selected), Cost: s.cost}
 }
 
 // eagerHybrid is Alg. 4 over the eager passes, with Remark 2's shortcut
@@ -45,6 +153,7 @@ func eagerGreedy(p *Problem, byRatio bool) Solution {
 func eagerHybrid(p *Problem) Solution {
 	if p.Mode == ObjCorrelation {
 		if sol, ok := trivialCase(p); ok {
+			sol.Value = referenceValue(p, sol.Roads)
 			return sol
 		}
 	}

@@ -142,8 +142,8 @@ func TestCorrelationModeUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := p.Oracle.WeightedCorr(p.Query, p.Sigma, sol.Roads); math.Abs(sol.Value-want) > 1e-9 {
-			t.Fatalf("seed %d: correlation-mode value %v != WeightedCorr %v", seed, sol.Value, want)
+		if want := referenceValue(p, sol.Roads); math.Abs(sol.Value-want) > 1e-9 {
+			t.Fatalf("seed %d: correlation-mode value %v != reference Eq. (13) %v", seed, sol.Value, want)
 		}
 	}
 }

@@ -351,12 +351,15 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 type selectRequest struct {
-	Slot     int     `json:"slot"`
-	Roads    []int   `json:"roads"`
-	Budget   int     `json:"budget"`
-	Theta    float64 `json:"theta"`
-	Selector string  `json:"selector"` // "Hybrid" (default), "Ratio", "OBJ", "Rand"
-	Seed     int64   `json:"seed"`
+	Slot   int     `json:"slot"`
+	Roads  []int   `json:"roads"`
+	Budget int     `json:"budget"`
+	Theta  float64 `json:"theta"`
+	// Selector is "Hybrid" (default), "Ratio", "OBJ", "Rand" or "VarMin";
+	// "RouteVar" needs a planned route's weights and is refused here
+	// (budgeted /v1/route runs it).
+	Selector string `json:"selector"`
+	Seed     int64  `json:"seed"`
 }
 
 type selectResponse struct {
@@ -397,6 +400,11 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	sel, err := parseSelector(req.Selector)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if sel == core.RouteVar {
+		writeErr(w, r, http.StatusBadRequest,
+			"selector RouteVar weighs roads by a planned route: POST /v1/route with a budget instead")
 		return
 	}
 	slot := tslot.Slot(req.Slot)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -153,6 +154,29 @@ func TestSelectEndpoint(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad selector status = %d", resp3.StatusCode)
+	}
+}
+
+// TestSelectRefusesRouteVar: RouteVar weighs roads by a planned route, which
+// only a budgeted /v1/route builds, so /v1/select answers 400 naming that
+// route before it charges or solves anything.
+func TestSelectRefusesRouteVar(t *testing.T) {
+	ts, sys, _ := newTestServer(t)
+	ws := make([]map[string]int, 50)
+	for i := range ws {
+		ws[i] = map[string]int{"road": i}
+	}
+	postJSON(t, ts.URL+"/v1/workers", map[string]interface{}{"workers": ws}).Body.Close()
+	resp := postJSON(t, ts.URL+"/v1/select", selectRequest{Slot: 100, Roads: []int{1, 2, 3},
+		Budget: 10, Theta: 0.92, Selector: "RouteVar"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("RouteVar select status = %d, want 400", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); !strings.Contains(env.Error.Message, "/v1/route") {
+		t.Errorf("RouteVar select message %q does not name /v1/route", env.Error.Message)
+	}
+	if st := sys.Oracle(100).Stats(); st.Misses != 0 {
+		t.Errorf("a refused select created %d correlation rows", st.Misses)
 	}
 }
 
