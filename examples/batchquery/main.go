@@ -1,9 +1,8 @@
-// Batchquery: the PR-5 coalescing engine end-to-end. A dashboard-style
-// burst of concurrent same-slot queries is coalesced by core.Batcher into one
-// shared OCS → probe → GSP pass; a follow-up estimate warm-starts from the
-// previous field and resweeps only the dirty frontier; and a standing query
-// (core.Subscription) turns a trickle of new reports into incremental
-// re-estimates.
+// Batchquery: the serving Batcher end to end, as the HTTP routes run it. A
+// dashboard-style burst of concurrent identical estimates shares one
+// propagation (the Batcher's singleflight), and a re-estimate after one
+// revised report warm-starts from the previous field and resweeps only the
+// dirty frontier.
 //
 //	go run ./examples/batchquery
 package main
@@ -13,43 +12,19 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/crowd"
+	"repro/internal/gsp"
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
 
-// liveFeed is a tiny ObservationSource standing in for the report collector:
-// the subscription below re-estimates whenever a report lands in it.
-type liveFeed struct {
-	mu  sync.Mutex
-	obs map[int]float64
-}
-
-func (f *liveFeed) report(road int, speed float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.obs[road] = speed
-}
-
-func (f *liveFeed) Observations(tslot.Slot) map[int]float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[int]float64, len(f.obs))
-	for r, v := range f.obs {
-		out[r] = v
-	}
-	return out
-}
-
 func main() {
-	// Train a small system and instrument it so the sweep counters are
-	// visible.
-	net := network.Synthetic(network.SyntheticOptions{Roads: 120, Seed: 11, CostMax: 5})
+	// Train a small system and instrument it so the propagation counters
+	// are visible.
+	net := network.Synthetic(network.SyntheticOptions{Roads: 1500, Seed: 11, CostMax: 5})
 	hist, err := speedgen.Generate(net, speedgen.Default(10, 12))
 	if err != nil {
 		log.Fatal(err)
@@ -60,78 +35,60 @@ func main() {
 	}
 	pipe := obs.NewPipeline(obs.NewRegistry(), obs.SystemClock())
 	sys.Instrument(pipe)
+	b, err := core.NewBatcher(sys)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	evalDay := hist.Days - 1
 	slot := tslot.OfMinute(8*60 + 30)
 	truth := func(r int) float64 { return hist.At(evalDay, slot, r) }
-	pool := crowd.PlaceEverywhere(net)
-
-	// 1. Coalescing: 16 clients ask about the same slot at once. The Batcher
-	//    holds them for a short window, runs ONE shared pass over the union
-	//    of their roads, and slices each answer out of it.
-	b, err := core.NewBatcher(sys, core.BatcherOptions{Window: 10 * time.Millisecond, MaxBatch: 16})
-	if err != nil {
-		log.Fatal(err)
+	reports := map[int]float64{}
+	for r := 0; r < net.N(); r += 10 {
+		reports[r] = truth(r)
 	}
+
+	// 1. Singleflight: 16 clients, released at once, ask for the same slot
+	//    over the same reports. A client that arrives while an identical
+	//    propagation runs waits for that field instead of paying for its
+	//    own, so how many share depends on how the clients overlap (most of
+	//    them, on a multi-core machine).
 	const clients = 16
-	results := make([]*core.QueryResult, clients)
+	results := make([]gsp.Result, clients)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			res, err := b.Query(context.Background(), core.QueryRequest{
-				Slot: slot, Roads: []int{c, 40 + c, 80 + c}, Budget: 20, Theta: 0.92,
-				Workers: pool, Truth: truth, Seed: 5,
-			})
+			<-start
+			res, err := b.Estimate(context.Background(), slot, reports)
 			if err != nil {
 				log.Fatal(err)
 			}
 			results[c] = res
 		}(c)
 	}
+	close(start)
 	wg.Wait()
-	fmt.Printf("coalescing: %d concurrent queries → %d shared pass(es), %d answered off a pass another caller paid for\n",
-		clients, pipe.Batch.Groups.Value(), pipe.Batch.Coalesced.Value())
-	fmt.Printf("            total GSP sweeps: %d (an un-coalesced client fleet would have paid ~%d×)\n",
-		pipe.GSP.Iterations.Value(), clients)
-	fmt.Printf("            client 3 sees road 43 at %.1f km/h (truth %.1f)\n\n",
-		results[3].QuerySpeeds[43], truth(43))
+	fmt.Printf("singleflight: %d concurrent identical estimates → %d propagation(s), %d served by a run another client started\n",
+		clients, pipe.GSP.Runs.Value(), pipe.Batch.Coalesced.Value())
+	fmt.Printf("              client 3 sees road 43 at %.1f km/h (truth %.1f)\n\n",
+		results[3].Speeds[43], truth(43))
 
-	// 2. Warm-start: one road's observation changes; the re-estimate seeds
-	//    from the previous field and resweeps only the dirty frontier.
-	obsNow := map[int]float64{10: truth(10), 30: truth(30), 70: truth(70)}
-	cold, err := b.Estimate(context.Background(), slot, obsNow)
+	// 2. Warm-start: one road's report is revised; the re-estimate seeds from
+	//    the slot's previous field and resweeps only the dirty frontier.
+	cold := results[0]
+	for _, res := range results {
+		if !res.WarmStarted {
+			cold = res
+		}
+	}
+	reports[10] += 6
+	warm, err := b.Estimate(context.Background(), slot, reports)
 	if err != nil {
 		log.Fatal(err)
 	}
-	obsNow[10] += 6 // a fresh report revises road 10
-	warm, err := b.Estimate(context.Background(), slot, obsNow)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("warm-start: cold propagation %d sweeps, incremental re-estimate %d sweeps (saved %d, warm=%v)\n\n",
-		cold.Iterations, warm.Iterations, warm.SweepsSaved, warm.WarmStarted)
-
-	// 3. Standing query: a subscription over a live report feed. Each new
-	//    report triggers one warm-started incremental re-estimate.
-	feed := &liveFeed{obs: map[int]float64{}}
-	sub, err := b.Subscribe(slot, []int{20, 21, 22}, feed, core.SubscriptionOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sub.Close()
-	for i, road := range []int{20, 60, 95} {
-		if i > 0 {
-			feed.report(road, truth(road))
-		}
-		up, changed, err := sub.Refresh(context.Background(), false)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if changed {
-			fmt.Printf("subscription: update #%d (%d reports observed, warm=%v) road 21 → %.1f km/h\n",
-				up.Seq, up.Observed, up.Result.WarmStarted, up.Speeds[21])
-		}
-	}
+	fmt.Printf("warm-start: the cold propagation swept %d times, the re-estimate after one revised report %d (warm=%v)\n",
+		cold.Iterations, warm.Iterations, warm.WarmStarted)
 }

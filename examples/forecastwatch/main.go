@@ -1,8 +1,9 @@
-// Forecastwatch: the PR-8 temporal layer end-to-end. A standing subscription
-// watches a small road set while slots advance; each slot's reports feed the
-// cross-slot Kalman filter through the Batcher, and after every advance the
-// watcher prints the filtered now-cast plus a 3-slot forecast fan — mean and
-// an honestly widening ± band per road.
+// Forecastwatch: the PR-8 temporal layer end-to-end. A watcher follows a
+// small road set while slots advance: each slot's reports are estimated
+// through the Batcher, which feeds them to the cross-slot Kalman filter, and
+// after every advance the watcher prints the GSP estimate, the filtered
+// now-cast and a 3-slot forecast fan — mean and an honestly widening ± band
+// per road.
 //
 //	go run ./examples/forecastwatch
 package main
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/network"
@@ -22,29 +22,6 @@ import (
 )
 
 const fanDepth = 3
-
-// liveFeed is a minimal ObservationSource: reports land per slot and the
-// subscription re-estimates from whatever the current slot has.
-type liveFeed struct {
-	mu  sync.Mutex
-	obs map[int]float64
-}
-
-func (f *liveFeed) set(obs map[int]float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.obs = obs
-}
-
-func (f *liveFeed) Observations(tslot.Slot) map[int]float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[int]float64, len(f.obs))
-	for r, v := range f.obs {
-		out[r] = v
-	}
-	return out
-}
 
 func main() {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 120, Seed: 21, CostMax: 5})
@@ -56,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	b, err := core.NewBatcher(sys, core.BatcherOptions{})
+	b, err := core.NewBatcher(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,13 +56,6 @@ func main() {
 	evalDay := hist.Days - 1
 	rng := rand.New(rand.NewSource(23))
 
-	feed := &liveFeed{}
-	sub, err := b.Subscribe(start, watch, feed, core.SubscriptionOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer sub.Close()
-
 	fmt.Printf("watching roads %v from slot %d (5:00pm), %d-slot forecast fan\n\n", watch, start, fanDepth)
 	slot := start
 	for step := 0; step < 4; step++ {
@@ -94,23 +64,19 @@ func main() {
 		for _, r := range rng.Perm(net.N())[:6] {
 			obs[r] = hist.At(evalDay, slot, r) * (1 + 0.02*rng.NormFloat64())
 		}
-		feed.set(obs)
 
 		// The estimate runs through the Batcher, so it simultaneously feeds
 		// the filter (probe update at this slot) and seeds GSP warm starts.
-		if _, err := b.Estimate(context.Background(), slot, obs); err != nil {
-			log.Fatal(err)
-		}
-		up, _, err := sub.Refresh(context.Background(), true)
+		res, err := b.Estimate(context.Background(), slot, obs)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		now := filt.Now()
-		fmt.Printf("slot %d (%d reports in):\n", slot, up.Observed)
+		fmt.Printf("slot %d (%d reports in):\n", slot, len(obs))
 		for _, r := range watch {
 			fmt.Printf("  road %3d  gsp %5.1f  filtered %5.1f ± %4.1f km/h  (truth %5.1f)\n",
-				r, up.Speeds[r], now.Speeds[r], now.SD[r], hist.At(evalDay, slot, r))
+				r, res.Speeds[r], now.Speeds[r], now.SD[r], hist.At(evalDay, slot, r))
 		}
 
 		fan, err := filt.Forecast(fanDepth)

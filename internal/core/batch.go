@@ -1,22 +1,17 @@
-// Batch/coalescing estimation engine (PR 5). At city scale many concurrent
-// queries land in the same 5-minute slot and would redundantly re-run the
-// identical oracle warming, OCS rounds and full-network GSP sweeps. The
-// Batcher amortizes that redundancy structurally:
+// The serving Batcher. Every HTTP route that selects or propagates runs
+// through one Batcher, which amortizes the work concurrent requests share:
 //
-//   - Query coalesces concurrent same-slot requests into one shared pass —
-//     one oracle Warm, one worker-set snapshot, a merged OCS probe set under
-//     a pooled budget, one GSP run sliced back per caller.
-//   - Estimate singleflights identical concurrent estimate requests and
-//     warm-starts every pass from the slot's previous estimate
+//   - identical concurrent Estimate calls (same slot, same observations)
+//     share one propagation, and identical Select calls share one OCS solve:
+//     one singleflight helper, keyed by an FNV digest of the request;
+//   - every propagation warm-starts from the slot's previous estimate
 //     (gsp.Options.WithInitial), so re-estimating after a handful of new
-//     reports sweeps only the dirty frontier.
-//   - Subscription turns a query into a standing one: it re-estimates
-//     incrementally whenever the observation source (stream.Collector)
-//     received new reports for the slot.
+//     reports sweeps only the dirty frontier;
+//   - the batched QoS tier shares one propagation per slot (tiered.go).
 //
-// Everything counts into the attached obs pipeline: shared passes
-// (crowdrtse_batch_groups_total), members folded into them, coalesced
-// queries, warm starts and warm-start sweeps saved.
+// Callers served by another caller's run count into
+// crowdrtse_coalesced_queries_total; warm starts and the sweeps they saved
+// count into the GSP instruments.
 package core
 
 import (
@@ -34,25 +29,9 @@ import (
 	"repro/internal/tslot"
 )
 
-// BatcherOptions configures the coalescing engine.
-type BatcherOptions struct {
-	// Window is how long the first query of a group waits for same-slot
-	// companions before the shared pass fires (default 2ms). A shorter
-	// window trades amortization for latency.
-	Window time.Duration
-	// MaxBatch fires the shared pass early once this many queries joined
-	// (default 32).
-	MaxBatch int
-	// PrevSlots bounds the warm-start cache: how many slots keep their last
-	// estimate around for seeding the next pass (default 64, LRU).
-	PrevSlots int
-}
-
-const (
-	defaultBatchWindow = 2 * time.Millisecond
-	defaultMaxBatch    = 32
-	defaultPrevSlots   = 64
-)
+// prevSlots bounds the warm-start LRU: how many slots keep their last
+// estimate for seeding the next pass.
+const prevSlots = 64
 
 // Backend is what a Batcher serves through: the System itself, or a
 // graph-partitioned shard.Engine built from it. Pin returns an engine fixed
@@ -62,17 +41,13 @@ type Backend interface {
 	Pin(initial *gsp.Result) Engine
 }
 
-// Batcher coalesces concurrent queries per slot and warm-starts GSP from the
+// Batcher shares concurrent identical work and warm-starts GSP from the
 // slot's previous estimate. Safe for concurrent use; construct one per
 // System and share it.
 type Batcher struct {
 	sys *System
-	opt BatcherOptions
 	// backend runs every selection and propagation (sys unless SetBackend).
 	backend Backend
-
-	mu      sync.Mutex
-	pending map[batchKey]*batchGroup
 
 	flightMu sync.Mutex
 	estimate map[uint64]*flight[gsp.Result]
@@ -98,25 +73,14 @@ type Batcher struct {
 	decayQ    []float64
 }
 
-// NewBatcher wraps a trained system in a coalescing engine.
-func NewBatcher(sys *System, opt BatcherOptions) (*Batcher, error) {
+// NewBatcher wraps a trained system in the serving Batcher.
+func NewBatcher(sys *System) (*Batcher, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("core: batcher over nil system")
 	}
-	if opt.Window <= 0 {
-		opt.Window = defaultBatchWindow
-	}
-	if opt.MaxBatch <= 0 {
-		opt.MaxBatch = defaultMaxBatch
-	}
-	if opt.PrevSlots <= 0 {
-		opt.PrevSlots = defaultPrevSlots
-	}
 	return &Batcher{
 		sys:        sys,
-		opt:        opt,
 		backend:    sys,
-		pending:    make(map[batchKey]*batchGroup),
 		estimate:   make(map[uint64]*flight[gsp.Result]),
 		selects:    make(map[uint64]*flight[ocs.Solution]),
 		slotFlight: make(map[tslot.Slot]*flight[gsp.Result]),
@@ -130,8 +94,8 @@ func (b *Batcher) System() *System { return b.sys }
 // SetBackend makes the batcher select and propagate through be, which must
 // work in the wrapped System's road ids and model (a shard.Engine built from
 // it). Everything else — singleflight, the warm-start LRU, the tiers, the
-// temporal filter, routes and subscriptions — stays in the batcher. Call it
-// before the batcher serves.
+// temporal filter and routes — stays in the batcher. Call it before the
+// batcher serves.
 func (b *Batcher) SetBackend(be Backend) { b.backend = be }
 
 // ---------------------------------------------------------------------------
@@ -168,13 +132,13 @@ func (b *Batcher) lastResultAt(t tslot.Slot) (*gsp.Result, time.Time) {
 }
 
 // storeResult records the slot's latest estimate, evicting the least
-// recently used slot beyond the PrevSlots budget.
+// recently used slot beyond the prevSlots budget.
 func (b *Batcher) storeResult(t tslot.Slot, res gsp.Result) {
 	b.prevMu.Lock()
 	defer b.prevMu.Unlock()
 	b.prevSeq++
 	b.prev[t] = &prevEntry{res: res, used: b.prevSeq, at: b.sys.Obs().Clock.Now()}
-	for len(b.prev) > b.opt.PrevSlots {
+	for len(b.prev) > prevSlots {
 		var victim tslot.Slot
 		oldest := uint64(math.MaxUint64)
 		for slot, e := range b.prev {
@@ -187,14 +151,59 @@ func (b *Batcher) storeResult(t tslot.Slot, res gsp.Result) {
 }
 
 // ---------------------------------------------------------------------------
-// Estimate: singleflight + incremental warm-start
+// Singleflight + incremental warm-start
 // ---------------------------------------------------------------------------
 
+// flight is one in-flight run its followers wait on.
 type flight[T any] struct {
 	done chan struct{}
 	res  T
 	err  error
 }
+
+// singleflight shares one run of fn among the concurrent callers of one key
+// in flights. The first caller leads: it runs fn under its own ctx and
+// publishes the answer. A caller arriving while the leader runs counts one
+// Coalesced and waits; its ctx bounds only its wait. GSP answers an expired
+// context with its best-so-far field, so an answer that cut reports short
+// belongs to the leader's deadline alone: a follower whose ctx is still live
+// goes back to the flight instead of taking it, so the live followers of one
+// aborted leader share the next run rather than each starting one. A nil
+// cut shares every answer.
+func singleflight[K comparable, T any](ctx context.Context, b *Batcher, flights map[K]*flight[T], key K, cut func(T) bool, fn func() (T, error)) (T, error) {
+	for joined := false; ; joined = true {
+		b.flightMu.Lock()
+		f, ok := flights[key]
+		if !ok {
+			f = &flight[T]{done: make(chan struct{})}
+			flights[key] = f
+			b.flightMu.Unlock()
+
+			f.res, f.err = fn()
+			b.flightMu.Lock()
+			delete(flights, key)
+			b.flightMu.Unlock()
+			close(f.done)
+			return f.res, f.err
+		}
+		b.flightMu.Unlock()
+		if !joined {
+			b.sys.Obs().Batch.Coalesced.Inc()
+		}
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			var zero T
+			return zero, ctx.Err()
+		}
+		if cut == nil || !cut(f.res) || ctx.Err() != nil {
+			return f.res, f.err
+		}
+	}
+}
+
+// aborted reports a field GSP cut short at its caller's deadline.
+func aborted(res gsp.Result) bool { return res.Aborted }
 
 // Estimate runs GSP at slot t from already-collected observations, like
 // System.Estimate, with two amortizations: identical concurrent requests
@@ -203,212 +212,31 @@ type flight[T any] struct {
 // around changed observations is swept. The result converges under the same
 // ε criterion as a cold run.
 func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	key := estimateDigest(t, observed)
-	pipe := b.sys.Obs()
-	b.flightMu.Lock()
-	if f, ok := b.estimate[key]; ok {
-		b.flightMu.Unlock()
-		pipe.Batch.Coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return gsp.Result{}, ctx.Err()
-		}
-	}
-	f := &flight[gsp.Result]{done: make(chan struct{})}
-	b.estimate[key] = f
-	b.flightMu.Unlock()
+	return singleflight(ctx, b, b.estimate, estimateDigest(t, observed), aborted, func() (gsp.Result, error) {
+		return b.propagate(ctx, t, observed)
+	})
+}
 
-	f.res, f.err = b.backend.Pin(b.warmSeed(t)).Estimate(ctx, t, observed)
-	if f.err == nil {
-		b.storeResult(t, f.res)
-		b.feedTemporal(t, observed, &f.res)
+// propagate runs one warm-started propagation. A field that ran to the end
+// becomes the slot's warm seed and cached-tier answer and feeds the temporal
+// filter; an aborted one is only its caller's best-so-far, so it does
+// neither.
+func (b *Batcher) propagate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
+	res, err := b.backend.Pin(b.warmSeed(t)).Estimate(ctx, t, observed)
+	if err == nil && !res.Aborted {
+		b.storeResult(t, res)
+		b.feedTemporal(t, observed, &res)
 	}
-	b.flightMu.Lock()
-	delete(b.estimate, key)
-	b.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.err
+	return res, err
 }
 
 // Select solves OCS like System.Select, but identical concurrent requests
 // (same slot, roads, workers, budget, θ, selector, seed) share one solve —
 // the request-level singleflight in front of the oracle's row-level one.
 func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
-	key := selectDigest(req)
-	pipe := b.sys.Obs()
-	b.flightMu.Lock()
-	if f, ok := b.selects[key]; ok {
-		b.flightMu.Unlock()
-		pipe.Batch.Coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, f.err
-		case <-ctx.Done():
-			return ocs.Solution{}, ctx.Err()
-		}
-	}
-	f := &flight[ocs.Solution]{done: make(chan struct{})}
-	b.selects[key] = f
-	b.flightMu.Unlock()
-
-	f.res, f.err = b.backend.Pin(nil).Select(ctx, req)
-	b.flightMu.Lock()
-	delete(b.selects, key)
-	b.flightMu.Unlock()
-	close(f.done)
-	return f.res, f.err
-}
-
-// ---------------------------------------------------------------------------
-// Query: same-slot group coalescing
-// ---------------------------------------------------------------------------
-
-// batchKey groups coalescible queries: same slot, θ, selector and policy.
-// Roads are unioned, the budget pools to the largest member's, and the
-// leader's worker pool, probe configuration and seed drive the shared pass.
-// The policy is part of the key because one pass answers every member: a
-// three-round member folded into a one-round leader's pass would get the
-// one-round answer.
-type batchKey struct {
-	slot tslot.Slot
-	sel  Selector
-	// thetaBits and targetBits are math.Float64bits of θ and the target SD
-	// — float keys must not be NaN-odd.
-	thetaBits, targetBits uint64
-	stages, rounds        int
-	retryPartial          bool
-}
-
-type batchGroup struct {
-	reqs  []QueryRequest
-	done  chan struct{}
-	timer *time.Timer
-	fired bool
-
-	shared *QueryResult
-	err    error
-}
-
-// Query answers one online query through the coalescing engine. Concurrent
-// callers whose requests share (slot, θ, selector, policy) are folded into
-// one shared pass of the query round loop (RunQuery): the queried road sets
-// are unioned, the budget pools to the largest member's, OCS and the oracle
-// warm run once per round, the crowd is probed once per round, and one
-// (warm-started) GSP field is sliced back per caller — QuerySpeeds,
-// QueryProvenance and MaxQuerySD cover exactly the caller's roads.
-//
-// Members of a group must share the worker pool and truth source (the
-// leader's are used); the server guarantees this by construction. The
-// returned result's Speeds/Probed/Selected are shared across the group and
-// must be treated as read-only. ctx bounds only this caller's wait: an
-// expired context abandons the shared pass for this caller without
-// cancelling it for the group.
-func (b *Batcher) Query(ctx context.Context, req QueryRequest) (*QueryResult, error) {
-	if err := req.validate(b.sys.net.N()); err != nil {
-		return nil, err
-	}
-	g := b.join(req)
-	select {
-	case <-g.done:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	if g.err != nil {
-		return nil, g.err
-	}
-	out := *g.shared
-	out.answer(req.Roads)
-	return &out, nil
-}
-
-// join adds req to the slot's pending group, creating it (and arming its
-// window timer) when absent, and fires the group early at MaxBatch members.
-func (b *Batcher) join(req QueryRequest) *batchGroup {
-	key := batchKey{
-		slot: req.Slot, sel: req.Selector,
-		thetaBits: math.Float64bits(req.Theta), targetBits: math.Float64bits(req.TargetSD),
-		stages: max(req.Stages, 1), rounds: max(req.Rounds, 1), retryPartial: req.RetryPartial,
-	}
-	b.mu.Lock()
-	g := b.pending[key]
-	if g == nil {
-		g = &batchGroup{done: make(chan struct{})}
-		b.pending[key] = g
-		g.timer = time.AfterFunc(b.opt.Window, func() { b.fire(key, g) })
-	}
-	g.reqs = append(g.reqs, req)
-	if len(g.reqs) >= b.opt.MaxBatch && !g.fired {
-		g.fired = true
-		delete(b.pending, key)
-		b.mu.Unlock()
-		g.timer.Stop()
-		go b.run(g)
-		return g
-	}
-	b.mu.Unlock()
-	return g
-}
-
-// fire is the window-timer path: detach the group from pending and run it,
-// unless the MaxBatch path already did.
-func (b *Batcher) fire(key batchKey, g *batchGroup) {
-	b.mu.Lock()
-	if g.fired {
-		b.mu.Unlock()
-		return
-	}
-	g.fired = true
-	if b.pending[key] == g {
-		delete(b.pending, key)
-	}
-	b.mu.Unlock()
-	b.run(g)
-}
-
-// run executes the shared pass for a fired group and wakes every member.
-func (b *Batcher) run(g *batchGroup) {
-	defer close(g.done)
-	pipe := b.sys.Obs()
-	pipe.Batch.Groups.Inc()
-	pipe.Batch.Members.Add(len(g.reqs))
-	if extra := len(g.reqs) - 1; extra > 0 {
-		pipe.Batch.Coalesced.Add(extra)
-	}
-
-	merged := g.reqs[0] // leader: pool, probe config, campaign, truth, seed
-	merged.Roads = unionRoads(g.reqs)
-	for _, r := range g.reqs[1:] {
-		if r.Budget > merged.Budget {
-			merged.Budget = r.Budget
-		}
-	}
-
-	// The shared pass runs under its own context: one member's deadline must
-	// not cancel the answer every other member is waiting for.
-	g.shared, g.err = RunQuery(context.Background(), b.backend.Pin(b.warmSeed(merged.Slot)), merged)
-	if g.err == nil {
-		b.storeResult(merged.Slot, g.shared.Propagation)
-		b.feedTemporal(merged.Slot, g.shared.Propagation.Observed, &g.shared.Propagation)
-	}
-}
-
-// unionRoads merges the members' queried road sets, sorted ascending so the
-// merged OCS problem is deterministic regardless of arrival order.
-func unionRoads(reqs []QueryRequest) []int {
-	seen := make(map[int]struct{})
-	for _, r := range reqs {
-		for _, road := range r.Roads {
-			seen[road] = struct{}{}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for road := range seen {
-		out = append(out, road)
-	}
-	sort.Ints(out)
-	return out
+	return singleflight(ctx, b, b.selects, selectDigest(req), nil, func() (ocs.Solution, error) {
+		return b.backend.Pin(nil).Select(ctx, req)
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/crowd"
+	"repro/internal/gsp"
 	"repro/internal/obs"
+	"repro/internal/ocs"
+	"repro/internal/qos"
 	"repro/internal/tslot"
 )
 
@@ -25,247 +29,9 @@ func instrumented(tb testing.TB, f *fixture) (*System, *obs.Pipeline) {
 	return sys, pipe
 }
 
-// TestBatchVsSequentialEquivalence is the tentpole acceptance gate: a
-// coalesced batch of 32 identical same-slot queries must (a) execute at least
-// 2× fewer total GSP sweeps than 32 independent Query calls — asserted via
-// the obs counters — and (b) return estimates identical within the GSP
-// Epsilon tolerance.
-func TestBatchVsSequentialEquivalence(t *testing.T) {
-	f := newFixture(t, 60, 5, 41)
-	const (
-		batch = 32
-		slot  = tslot.Slot(120)
-	)
-	pool := crowd.PlaceEverywhere(f.net)
-	truth := f.truth(f.hist.Days-1, slot)
-	mkReq := func() QueryRequest {
-		return QueryRequest{
-			Slot: slot, Roads: []int{1, 5, 9, 13, 21, 34}, Budget: 25, Theta: 0.9,
-			Workers: pool, Truth: truth, Seed: 7,
-		}
-	}
-
-	// Sequential: 32 independent Query calls on an instrumented system.
-	seqSys, seqPipe := instrumented(t, f)
-	var seqResults []*QueryResult
-	for i := 0; i < batch; i++ {
-		res, err := seqSys.Query(context.Background(), mkReq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqResults = append(seqResults, res)
-	}
-	seqSweeps := seqPipe.GSP.Iterations.Value()
-	if seqSweeps == 0 {
-		t.Fatal("sequential runs recorded zero GSP sweeps")
-	}
-
-	// Batched: the same 32 queries arriving concurrently through the Batcher.
-	batSys, batPipe := instrumented(t, f)
-	b, err := NewBatcher(batSys, BatcherOptions{Window: 50 * time.Millisecond, MaxBatch: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batResults := make([]*QueryResult, batch)
-	errs := make([]error, batch)
-	var wg sync.WaitGroup
-	for i := 0; i < batch; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			batResults[i], errs[i] = b.Query(context.Background(), mkReq())
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batched query %d: %v", i, err)
-		}
-	}
-	batSweeps := batPipe.GSP.Iterations.Value()
-
-	// Gate (a): ≥2× fewer total sweeps.
-	if batSweeps == 0 {
-		t.Fatal("batched run recorded zero GSP sweeps")
-	}
-	if ratio := float64(seqSweeps) / float64(batSweeps); ratio < 2 {
-		t.Errorf("sweep amortization %0.2f× < 2× (sequential %d, batched %d)",
-			ratio, seqSweeps, batSweeps)
-	}
-	groups := batPipe.Batch.Groups.Value()
-	if groups == 0 {
-		t.Error("no batch groups recorded")
-	}
-	// Each group runs one shared pass of the identical query, so it costs at
-	// most one sequential query's sweeps (warm-started later groups cost
-	// fewer). A batcher that coalesces but re-propagates per member fails here.
-	if perQuery := seqSweeps / batch; batSweeps > groups*perQuery {
-		t.Errorf("batched sweeps %d exceed %d groups × %d sweeps per query",
-			batSweeps, groups, perQuery)
-	}
-	if m := batPipe.Batch.Members.Value(); m != batch {
-		t.Errorf("batch members = %d, want %d", m, batch)
-	}
-	if c := batPipe.Batch.Coalesced.Value(); c == 0 {
-		t.Error("no coalesced queries recorded")
-	}
-
-	// Gate (b): estimates identical within Epsilon.
-	eps := DefaultConfig().GSP.Epsilon
-	for i, br := range batResults {
-		sr := seqResults[i]
-		for r, want := range sr.QuerySpeeds {
-			got, ok := br.QuerySpeeds[r]
-			if !ok {
-				t.Fatalf("batched result %d missing road %d", i, r)
-			}
-			if math.Abs(got-want) > eps {
-				t.Fatalf("batched result %d road %d: %v vs sequential %v (ε=%v)",
-					i, r, got, want, eps)
-			}
-		}
-	}
-}
-
-// TestBatchDistinctRoadsUnion verifies that members with different road sets
-// get exactly their own roads back, sliced from the union pass.
-func TestBatchDistinctRoadsUnion(t *testing.T) {
-	f := newFixture(t, 50, 4, 42)
-	slot := tslot.Slot(60)
-	pool := crowd.PlaceEverywhere(f.net)
-	truth := f.truth(f.hist.Days-1, slot)
-	sys, _ := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{Window: 50 * time.Millisecond, MaxBatch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	roadSets := [][]int{{0, 2, 4}, {4, 6, 8}, {10}}
-	results := make([]*QueryResult, len(roadSets))
-	errs := make([]error, len(roadSets))
-	var wg sync.WaitGroup
-	for i, roads := range roadSets {
-		wg.Add(1)
-		go func(i int, roads []int) {
-			defer wg.Done()
-			results[i], errs[i] = b.Query(context.Background(), QueryRequest{
-				Slot: slot, Roads: roads, Budget: 15, Theta: 0.9,
-				Workers: pool, Truth: truth, Seed: 3,
-			})
-		}(i, roads)
-	}
-	wg.Wait()
-	for i := range roadSets {
-		if errs[i] != nil {
-			t.Fatalf("member %d: %v", i, errs[i])
-		}
-		if len(results[i].QuerySpeeds) != len(roadSets[i]) {
-			t.Errorf("member %d got %d roads, want %d",
-				i, len(results[i].QuerySpeeds), len(roadSets[i]))
-		}
-		for _, r := range roadSets[i] {
-			if _, ok := results[i].QuerySpeeds[r]; !ok {
-				t.Errorf("member %d missing road %d", i, r)
-			}
-		}
-	}
-	// Overlapping road 4 must agree across members (one shared field).
-	if a, b := results[0].QuerySpeeds[4], results[1].QuerySpeeds[4]; a != b {
-		t.Errorf("shared road 4 differs across members: %v vs %v", a, b)
-	}
-}
-
-// TestBatcherGroupsByPolicy: concurrent same-slot members that differ only
-// in their policy must not share a pass. Each gets the answer its own policy
-// implies — the rounds, selection, probes and spend of that policy run alone
-// — which fails if the group key omits the policy and one member's pass
-// answers both.
-func TestBatcherGroupsByPolicy(t *testing.T) {
-	f := newFixture(t, 60, 5, 48)
-	slot := tslot.Slot(120)
-	base := QueryRequest{
-		Slot: slot, Roads: []int{1, 5, 9, 13, 21, 34}, Budget: 30, Theta: 0.9,
-		Workers: crowd.PlaceEverywhere(f.net), Truth: f.truth(f.hist.Days-1, slot), Seed: 7,
-	}
-	reqs := []QueryRequest{base, staged(base, 0, 3)}
-
-	sys, pipe := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{Window: 50 * time.Millisecond, MaxBatch: len(reqs)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]*QueryResult, len(reqs))
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, req := range reqs {
-		wg.Add(1)
-		go func(i int, req QueryRequest) {
-			defer wg.Done()
-			got[i], errs[i] = b.Query(context.Background(), req)
-		}(i, req)
-	}
-	wg.Wait()
-	if g := pipe.Batch.Groups.Value(); g != uint64(len(reqs)) {
-		t.Errorf("%d shared passes for %d policies", g, len(reqs))
-	}
-	var wantRounds []int
-	for i, req := range reqs {
-		if errs[i] != nil {
-			t.Fatalf("member %d: %v", i, errs[i])
-		}
-		alone, _ := instrumented(t, f)
-		want, err := alone.Query(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantRounds = append(wantRounds, want.Rounds)
-		g := got[i]
-		if g.Rounds != want.Rounds || g.Ledger != want.Ledger || len(g.Probed) != len(want.Probed) {
-			t.Errorf("member %d: rounds %d spent %d probed %d, its policy alone gives %d/%d/%d",
-				i, g.Rounds, g.Ledger.Spent, len(g.Probed), want.Rounds, want.Ledger.Spent, len(want.Probed))
-		}
-		for r, v := range want.Probed {
-			if g.Probed[r] != v {
-				t.Errorf("member %d: probe of road %d = %v, alone %v", i, r, g.Probed[r], v)
-			}
-		}
-	}
-	if wantRounds[0] == wantRounds[1] {
-		t.Fatalf("both policies run %d rounds: the test cannot tell them apart", wantRounds[0])
-	}
-}
-
 func TestBatcherValidation(t *testing.T) {
-	f := newFixture(t, 20, 4, 43)
-	if _, err := NewBatcher(nil, BatcherOptions{}); err == nil {
+	if _, err := NewBatcher(nil); err == nil {
 		t.Error("nil system accepted")
-	}
-	sys, _ := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := crowd.PlaceEverywhere(f.net)
-	truth := f.truth(0, 0)
-	ctx := context.Background()
-	if _, err := b.Query(ctx, QueryRequest{Slot: 0, Roads: []int{0}, Truth: truth}); err == nil {
-		t.Error("missing workers accepted")
-	}
-	if _, err := b.Query(ctx, QueryRequest{Slot: 0, Roads: []int{0}, Workers: pool}); err == nil {
-		t.Error("missing truth accepted")
-	}
-	if _, err := b.Query(ctx, QueryRequest{Slot: -1, Roads: []int{0}, Workers: pool, Truth: truth}); err == nil {
-		t.Error("invalid slot accepted")
-	}
-	if _, err := b.Query(ctx, QueryRequest{Slot: 0, Roads: []int{99}, Workers: pool, Truth: truth}); err == nil {
-		t.Error("out-of-range road accepted")
-	}
-	// Expired context: the caller's wait is bounded even though the group runs.
-	expired, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := b.Query(expired, QueryRequest{
-		Slot: 0, Roads: []int{0}, Budget: 5, Theta: 0.9, Workers: pool, Truth: truth,
-	}); err == nil {
-		t.Error("expired context did not bound the wait")
 	}
 }
 
@@ -276,7 +42,7 @@ func TestBatcherEstimateWarmStart(t *testing.T) {
 	f := newFixture(t, 60, 5, 44)
 	slot := tslot.Slot(30)
 	sys, pipe := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{})
+	b, err := NewBatcher(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,13 +91,14 @@ func TestBatcherEstimateWarmStart(t *testing.T) {
 	}
 }
 
-// TestBatcherConcurrentMixedSlots is the -race workout: 32 clients hammer
-// Query/Estimate/Select across a handful of slots while estimates warm-start
-// from each other.
+// TestBatcherConcurrentMixedSlots is the -race workout: 32 clients, two to a
+// slot, hammer Estimate/Select over 192 slots while estimates warm-start from
+// each other and identical selects share a solve. 96 slots are estimated,
+// more than the warm-start LRU keeps, so it evicts throughout.
 func TestBatcherConcurrentMixedSlots(t *testing.T) {
 	f := newFixture(t, 50, 4, 45)
 	sys, _ := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{Window: time.Millisecond, MaxBatch: 8, PrevSlots: 2})
+	b, err := NewBatcher(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,32 +110,24 @@ func TestBatcherConcurrentMixedSlots(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			slot := tslot.Slot((c % 4) * 12)
-			truth := f.truth(f.hist.Days-1, slot)
-			for i := 0; i < 6; i++ {
-				switch (c + i) % 3 {
-				case 0:
-					if _, err := b.Query(context.Background(), QueryRequest{
-						Slot: slot, Roads: []int{c % 10, 20 + c%10}, Budget: 12,
-						Theta: 0.9, Workers: pool, Truth: truth, Seed: int64(c),
-					}); err != nil {
-						errCh <- err
-						return
-					}
-				case 1:
+			m := c % 16
+			for i := 0; i < 12; i++ {
+				slot := tslot.Slot(m*12 + i)
+				truth := f.truth(f.hist.Days-1, slot)
+				if (m+i)%2 == 0 {
 					obs := map[int]float64{c % 50: truth(c % 50), (c + i) % 50: truth((c + i) % 50)}
 					if _, err := b.Estimate(context.Background(), slot, obs); err != nil {
 						errCh <- err
 						return
 					}
-				default:
-					if _, err := b.Select(context.Background(), SelectRequest{
-						Slot: slot, Roads: []int{0, 1, 2}, WorkerRoads: pool.Roads(),
-						Budget: 10, Theta: 0.9, Seed: int64(c % 3),
-					}); err != nil {
-						errCh <- err
-						return
-					}
+					continue
+				}
+				if _, err := b.Select(context.Background(), SelectRequest{
+					Slot: slot, Roads: []int{0, 1, 2}, WorkerRoads: pool.Roads(),
+					Budget: 10, Theta: 0.9, Seed: int64(m % 3),
+				}); err != nil {
+					errCh <- err
+					return
 				}
 			}
 		}(c)
@@ -378,125 +137,251 @@ func TestBatcherConcurrentMixedSlots(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-}
-
-// TestSubscriptionManual drives a standing query by hand through a map-backed
-// observation source.
-func TestSubscriptionManual(t *testing.T) {
-	f := newFixture(t, 40, 4, 46)
-	sys, _ := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &mapSource{obs: map[int]float64{}}
-	slot := tslot.Slot(18)
-	truth := f.truth(f.hist.Days-1, slot)
-
-	if _, err := b.Subscribe(slot, nil, src, SubscriptionOptions{}); err == nil {
-		t.Error("empty road set accepted")
-	}
-	if _, err := b.Subscribe(slot, []int{99}, src, SubscriptionOptions{}); err == nil {
-		t.Error("out-of-range road accepted")
-	}
-	if _, err := b.Subscribe(slot, []int{0}, nil, SubscriptionOptions{}); err == nil {
-		t.Error("nil source accepted")
-	}
-
-	sub, err := b.Subscribe(slot, []int{2, 4, 6}, src, SubscriptionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	// First refresh: no observations yet — still delivers (prior field).
-	up1, ok, err := sub.Refresh(context.Background(), false)
-	if err != nil || !ok {
-		t.Fatalf("first refresh: ok=%v err=%v", ok, err)
-	}
-	if up1.Seq != 1 || len(up1.Speeds) != 3 {
-		t.Errorf("update 1: seq=%d roads=%d", up1.Seq, len(up1.Speeds))
-	}
-	// Unchanged: no new estimate.
-	if _, ok, err := sub.Refresh(context.Background(), false); err != nil || ok {
-		t.Fatalf("unchanged refresh re-estimated: ok=%v err=%v", ok, err)
-	}
-	// New report arrives: refresh re-estimates, warm-started.
-	src.set(3, truth(3))
-	up2, ok, err := sub.Refresh(context.Background(), false)
-	if err != nil || !ok {
-		t.Fatalf("changed refresh: ok=%v err=%v", ok, err)
-	}
-	if up2.Seq != 2 || up2.Observed != 1 {
-		t.Errorf("update 2: seq=%d observed=%d", up2.Seq, up2.Observed)
-	}
-	if !up2.Result.WarmStarted {
-		t.Error("changed refresh not warm-started")
-	}
-	// Force re-delivers even without changes.
-	if _, ok, err := sub.Refresh(context.Background(), true); err != nil || !ok {
-		t.Fatalf("forced refresh: ok=%v err=%v", ok, err)
-	}
-	sub.Close() // idempotent
-	if _, _, err := sub.Refresh(context.Background(), true); err == nil {
-		t.Error("refresh after close accepted")
+	b.prevMu.Lock()
+	kept := len(b.prev)
+	b.prevMu.Unlock()
+	if kept != prevSlots {
+		t.Errorf("warm-start LRU keeps %d slots after 96 were estimated, want %d", kept, prevSlots)
 	}
 }
 
-// TestSubscriptionInterval exercises the background ticker mode.
-func TestSubscriptionInterval(t *testing.T) {
-	f := newFixture(t, 30, 4, 47)
-	sys, _ := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{})
-	if err != nil {
-		t.Fatal(err)
+// followPlanted starts n callers of call against a leader the test planted
+// by hand, waits until every one has joined it (Coalesced moved by n),
+// checks that none returned while the leader runs, then runs finish, which
+// publishes the leader's answer, and returns what each caller got.
+func followPlanted[T any](t *testing.T, pipe *obs.Pipeline, n int, call func() (T, error), finish func()) []T {
+	t.Helper()
+	type answer struct {
+		res T
+		err error
 	}
-	slot := tslot.Slot(6)
-	truth := f.truth(f.hist.Days-1, slot)
-	src := &mapSource{obs: map[int]float64{0: truth(0)}}
-	sub, err := b.Subscribe(slot, []int{1, 3}, src, SubscriptionOptions{Interval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	c0 := pipe.Batch.Coalesced.Value()
+	got := make(chan answer, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			res, err := call()
+			got <- answer{res, err}
+		}()
+	}
+	for deadline := time.Now().Add(10 * time.Second); pipe.Batch.Coalesced.Value()-c0 < uint64(n); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d callers joined the leader", pipe.Batch.Coalesced.Value()-c0, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	select {
-	case up := <-sub.Updates():
-		if up.Seq == 0 || len(up.Speeds) != 2 {
-			t.Errorf("bad update: %+v", up)
+	case a := <-got:
+		t.Fatalf("a follower returned before the leader finished (err %v)", a.err)
+	default:
+	}
+	finish()
+	out := make([]T, 0, n)
+	for i := 0; i < n; i++ {
+		a := <-got
+		if a.err != nil {
+			t.Fatal(a.err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no update within 2s")
+		out = append(out, a.res)
 	}
-	src.set(5, truth(5))
-	select {
-	case <-sub.Updates():
-	case <-time.After(2 * time.Second):
-		t.Fatal("no second update within 2s")
-	}
-	sub.Close()
-	if _, open := <-sub.Updates(); open {
-		// Drain: channel must eventually close.
-		for range sub.Updates() {
-		}
-	}
-}
-
-type mapSource struct {
-	mu  sync.Mutex
-	obs map[int]float64
-}
-
-func (m *mapSource) set(r int, v float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.obs[r] = v
-}
-
-func (m *mapSource) Observations(tslot.Slot) map[int]float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[int]float64, len(m.obs))
-	for r, v := range m.obs {
-		out[r] = v
+	if d := pipe.Batch.Coalesced.Value() - c0; d != uint64(n) {
+		t.Errorf("Coalesced moved by %d, want %d", d, n)
 	}
 	return out
+}
+
+// TestEstimateSingleflightShares pins the request-level singleflight of
+// Batcher.Estimate: 8 callers of an identical in-flight request block until
+// its leader finishes, return its field bit for bit and run no GSP.
+func TestEstimateSingleflightShares(t *testing.T) {
+	f := newFixture(t, 40, 4, 49)
+	sys, pipe := instrumented(t, f)
+	b, err := NewBatcher(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := tslot.Slot(70)
+	truth := f.truth(f.hist.Days-1, slot)
+	observed := map[int]float64{3: truth(3), 11: truth(11)}
+	key := estimateDigest(slot, observed)
+	leader := &flight[gsp.Result]{done: make(chan struct{})}
+	b.flightMu.Lock()
+	b.estimate[key] = leader
+	b.flightMu.Unlock()
+
+	n := f.net.N()
+	want := gsp.Result{Speeds: make([]float64, n), SD: make([]float64, n), Converged: true, Iterations: 7}
+	for i := range want.Speeds {
+		want.Speeds[i], want.SD[i] = 40+float64(i)/8, 1.5
+	}
+	got := followPlanted(t, pipe, 8, func() (gsp.Result, error) {
+		return b.Estimate(context.Background(), slot, observed)
+	}, func() {
+		leader.res = want
+		b.flightMu.Lock()
+		delete(b.estimate, key)
+		b.flightMu.Unlock()
+		close(leader.done)
+	})
+	for i, res := range got {
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("follower %d did not get the leader's field", i)
+		}
+	}
+	if r, s := pipe.GSP.Runs.Value(), pipe.GSP.Iterations.Value(); r != 0 || s != 0 {
+		t.Errorf("followers ran %d propagations and %d sweeps", r, s)
+	}
+}
+
+// TestSelectSingleflightShares pins the request-level singleflight of
+// Batcher.Select: 8 callers of an identical in-flight request block until
+// its leader finishes, return its solution and run no OCS solve.
+func TestSelectSingleflightShares(t *testing.T) {
+	f := newFixture(t, 40, 4, 50)
+	sys, pipe := instrumented(t, f)
+	b, err := NewBatcher(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := SelectRequest{
+		Slot: 70, Roads: []int{1, 2, 3}, WorkerRoads: crowd.PlaceEverywhere(f.net).Roads(),
+		Budget: 10, Theta: 0.9, Seed: 4,
+	}
+	key := selectDigest(req)
+	leader := &flight[ocs.Solution]{done: make(chan struct{})}
+	b.flightMu.Lock()
+	b.selects[key] = leader
+	b.flightMu.Unlock()
+
+	want := ocs.Solution{Roads: []int{5, 17, 30}, Value: 0.8125, Cost: 9}
+	got := followPlanted(t, pipe, 8, func() (ocs.Solution, error) {
+		return b.Select(context.Background(), req)
+	}, func() {
+		leader.res = want
+		b.flightMu.Lock()
+		delete(b.selects, key)
+		b.flightMu.Unlock()
+		close(leader.done)
+	})
+	for i, sol := range got {
+		if !reflect.DeepEqual(sol, want) {
+			t.Errorf("follower %d got %+v, want the leader's %+v", i, sol, want)
+		}
+	}
+	if s := pipe.OCS.Solves.Value(); s != 0 {
+		t.Errorf("followers ran %d OCS solves", s)
+	}
+}
+
+// TestAbortedFieldNotShared: a field GSP cut short at one caller's deadline
+// is that caller's best-so-far answer and nobody else's. The caller gets it,
+// but it becomes neither the slot's warm seed and cached-tier answer nor
+// filter evidence. Live followers of an aborted leader go back to the flight,
+// in the request-level and the slot-level flight alike: each gets a
+// converged field, and when another run is already in flight they share it
+// instead of each starting one.
+func TestAbortedFieldNotShared(t *testing.T) {
+	f := newFixture(t, 40, 5, 65)
+	slot := tslot.Slot(100)
+	b, filt := newTemporalBatcher(t, f, slot)
+	pipe := b.System().Obs()
+	truth := f.truth(f.hist.Days-1, slot)
+	observed := map[int]float64{2: truth(2), 7: truth(7), 19: truth(19)}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := b.Estimate(cancelled, slot, observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Aborted {
+		t.Fatal("an estimate under a cancelled context was not aborted")
+	}
+	if _, ok := b.CachedResult(slot); ok {
+		t.Error("the aborted field became the slot's cached estimate")
+	}
+	if got := filt.Fused(); got != 0 {
+		t.Errorf("the aborted field fed the filter (%d fused)", got)
+	}
+
+	n := f.net.N()
+	next := gsp.Result{Speeds: make([]float64, n), SD: make([]float64, n), Converged: true}
+	for i := range next.Speeds {
+		next.Speeds[i], next.SD[i] = 42, 2
+	}
+	digest := estimateDigest(slot, observed)
+	for _, tc := range []struct {
+		name string
+		set  func(*flight[gsp.Result])
+		drop func()
+		call func() (gsp.Result, error)
+	}{
+		{
+			name: "request flight",
+			set:  func(l *flight[gsp.Result]) { b.estimate[digest] = l },
+			drop: func() { delete(b.estimate, digest) },
+			call: func() (gsp.Result, error) {
+				return b.Estimate(context.Background(), slot, observed)
+			},
+		},
+		{
+			name: "slot flight",
+			set:  func(l *flight[gsp.Result]) { b.slotFlight[slot] = l },
+			drop: func() { delete(b.slotFlight, slot) },
+			call: func() (gsp.Result, error) {
+				res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed)
+				return res.Result, err
+			},
+		},
+	} {
+		// The aborted leader finishes with nothing in flight behind it: the
+		// live followers run the work again and get a converged field.
+		leader := &flight[gsp.Result]{done: make(chan struct{})}
+		b.flightMu.Lock()
+		tc.set(leader)
+		b.flightMu.Unlock()
+		got := followPlanted(t, pipe, 3, tc.call, func() {
+			leader.res = res
+			b.flightMu.Lock()
+			tc.drop()
+			b.flightMu.Unlock()
+			close(leader.done)
+		})
+		for i, g := range got {
+			if g.Aborted || !g.Converged {
+				t.Errorf("%s: live follower %d of an aborted leader got aborted=%v converged=%v",
+					tc.name, i, g.Aborted, g.Converged)
+			}
+		}
+
+		// The aborted leader hands its key to a run that has already
+		// finished and stays registered, so a follower that goes back to
+		// the flight takes that run's field however late it wakes. Every
+		// follower must: none runs GSP beside the flight, and none counts a
+		// second Coalesced.
+		leader = &flight[gsp.Result]{done: make(chan struct{})}
+		b.flightMu.Lock()
+		tc.set(leader)
+		b.flightMu.Unlock()
+		runs := pipe.GSP.Runs.Value()
+		got = followPlanted(t, pipe, 3, tc.call, func() {
+			done := &flight[gsp.Result]{done: make(chan struct{}), res: next}
+			close(done.done)
+			leader.res = res
+			b.flightMu.Lock()
+			tc.set(done)
+			b.flightMu.Unlock()
+			close(leader.done)
+		})
+		b.flightMu.Lock()
+		tc.drop()
+		b.flightMu.Unlock()
+		for i, g := range got {
+			if !reflect.DeepEqual(g.Speeds, next.Speeds) {
+				t.Errorf("%s: follower %d of an aborted leader did not join the next run", tc.name, i)
+			}
+		}
+		if d := pipe.GSP.Runs.Value() - runs; d != 0 {
+			t.Errorf("%s: followers of an aborted leader ran %d propagations beside the flight", tc.name, d)
+		}
+	}
 }

@@ -13,10 +13,11 @@
 //	})
 //	speeds := res.QuerySpeeds // road → estimated realtime speed
 //
-// System, Batcher and shard.Engine answer the same three ctx-first calls:
-// Select (OCS alone), Estimate (GSP alone) and Query (the whole pipeline:
-// RunQuery's round loop, whose request fields add adaptive stages and
-// fault-tolerant retry rounds).
+// System and shard.Engine answer the same three ctx-first calls: Select
+// (OCS alone), Estimate (GSP alone) and Query (the whole pipeline: RunQuery's
+// round loop, whose request fields add adaptive stages and fault-tolerant
+// retry rounds). The serving Batcher answers Select and Estimate, the two
+// steps the HTTP routes expose.
 package core
 
 import (
@@ -37,14 +38,9 @@ import (
 
 // Config controls the offline stage and the propagation defaults.
 type Config struct {
-	// Window pools ±Window neighboring slots when fitting RTF parameters.
+	// Window pools ±Window neighboring slots when fitting RTF parameters
+	// (moment fit: maximum-likelihood for μ and near-ML for σ, ρ).
 	Window int
-	// RefineSlots optionally runs CCD refinement (Alg. 1) on these slots
-	// after the moment fit; empty means moment fit only (the moment
-	// estimates are already maximum-likelihood for μ and near-ML for σ, ρ).
-	RefineSlots []tslot.Slot
-	// CCD configures the refinement when RefineSlots is non-empty.
-	CCD rtf.CCDOptions
 	// Transform selects the path-correlation transform (NegLog is exact).
 	Transform corr.Transform
 	// GSP configures the propagation engine.
@@ -63,7 +59,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Window:           1,
-		CCD:              rtf.DefaultCCD(),
 		Transform:        corr.NegLog,
 		GSP:              gsp.DefaultOptions(),
 		OracleCacheSlots: DefaultOracleCacheSlots,
@@ -127,11 +122,6 @@ func Train(net *network.Network, h rtf.History, cfg Config) (*System, error) {
 	model := rtf.New(net)
 	if err := rtf.FitMoments(model, h, cfg.Window); err != nil {
 		return nil, fmt.Errorf("core: offline fit: %w", err)
-	}
-	if len(cfg.RefineSlots) > 0 {
-		if _, err := rtf.RefineCCD(model, net, h, cfg.RefineSlots, cfg.CCD); err != nil {
-			return nil, fmt.Errorf("core: CCD refinement: %w", err)
-		}
 	}
 	s := &System{net: net, cfg: cfg}
 	s.state.Store(s.newState(model, 1))

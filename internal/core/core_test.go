@@ -146,6 +146,9 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := f.sys.Query(context.Background(), QueryRequest{Slot: 999, Roads: []int{1}, Budget: 5, Theta: 1, Workers: pool, Truth: truth}); err == nil {
 		t.Error("invalid slot accepted")
 	}
+	if _, err := f.sys.Query(context.Background(), QueryRequest{Slot: 0, Roads: []int{99}, Budget: 5, Theta: 1, Workers: pool, Truth: truth}); err == nil {
+		t.Error("out-of-range road accepted")
+	}
 	if _, err := f.sys.Query(context.Background(), QueryRequest{Slot: 0, Roads: []int{1}, Budget: 0, Theta: 1, Workers: pool, Truth: truth}); err == nil {
 		t.Error("zero budget accepted")
 	}

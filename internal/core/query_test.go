@@ -204,13 +204,9 @@ func TestQueryExpiredContextSpendsNothing(t *testing.T) {
 }
 
 // TestQueryRejectsNonPositiveBudget: a query that may not spend anything is
-// a caller error under every policy and on the Batcher, not a prior answer.
+// a caller error under every policy, not a prior answer.
 func TestQueryRejectsNonPositiveBudget(t *testing.T) {
 	f := newFixture(t, 30, 4, 53)
-	b, err := NewBatcher(f.sys, BatcherOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	camp := crowd.DefaultCampaign(1)
 	base := QueryRequest{
 		Slot: 100, Roads: []int{1, 2}, Theta: 0.92,
@@ -225,9 +221,6 @@ func TestQueryRejectsNonPositiveBudget(t *testing.T) {
 			req.Budget = budget
 			if _, err := f.sys.Query(context.Background(), req); err == nil {
 				t.Errorf("%s: budget %d accepted", name, budget)
-			}
-			if _, err := b.Query(context.Background(), req); err == nil {
-				t.Errorf("%s: Batcher accepted budget %d", name, budget)
 			}
 		}
 	}

@@ -33,7 +33,7 @@ func routePair(tb testing.TB, f *fixture) (int, int) {
 
 func TestRouteETABasic(t *testing.T) {
 	f := newFixture(t, 40, 5, 61)
-	b, err := NewBatcher(f.sys, BatcherOptions{})
+	b, err := NewBatcher(f.sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRouteETABasic(t *testing.T) {
 
 func TestRouteETAValidation(t *testing.T) {
 	f := newFixture(t, 20, 4, 62)
-	b, err := NewBatcher(f.sys, BatcherOptions{})
+	b, err := NewBatcher(f.sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestRouteETAForecastFan(t *testing.T) {
 // from the periodicity prior and labeled so; ForecastUsed stays false.
 func TestRouteETAPriorFallback(t *testing.T) {
 	f := newFixture(t, 40, 5, 64)
-	b, err := NewBatcher(f.sys, BatcherOptions{})
+	b, err := NewBatcher(f.sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRouteETAPriorFallback(t *testing.T) {
 // overflow.
 func TestRouteETAHorizonExceeded(t *testing.T) {
 	f := newFixture(t, 40, 5, 65)
-	b, err := NewBatcher(f.sys, BatcherOptions{})
+	b, err := NewBatcher(f.sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestRouteETAConcurrentSharesSlot(t *testing.T) {
 // delta-method sensitivity of the planned path.
 func TestRouteWeightsMatchSensitivity(t *testing.T) {
 	f := newFixture(t, 40, 5, 67)
-	b, err := NewBatcher(f.sys, BatcherOptions{})
+	b, err := NewBatcher(f.sys)
 	if err != nil {
 		t.Fatal(err)
 	}

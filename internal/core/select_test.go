@@ -90,7 +90,7 @@ func TestSelectValidatesBeforeWarm(t *testing.T) {
 		req := dispatchRequest(rng, w.net.N(), slot)
 		tc.edit(&req)
 		sys := w.system(t)
-		b, err := NewBatcher(sys, BatcherOptions{})
+		b, err := NewBatcher(sys)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 func newTemporalBatcher(tb testing.TB, f *fixture, start tslot.Slot) (*Batcher, *temporal.Filter) {
 	tb.Helper()
 	sys, pipe := instrumented(tb, f)
-	b, err := NewBatcher(sys, BatcherOptions{})
+	b, err := NewBatcher(sys)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTemporalSeedsWarmStart(t *testing.T) {
 	}
 
 	// Without a filter the same fresh-slot estimate runs cold.
-	b2, err := NewBatcher(b.System(), BatcherOptions{})
+	b2, err := NewBatcher(b.System())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,62 +111,6 @@ func TestTemporalSeedsWarmStart(t *testing.T) {
 	}
 	if got := pipe.GSP.WarmStarts.Value(); got != warm1 {
 		t.Errorf("filterless fresh-slot estimate unexpectedly warm-started")
-	}
-}
-
-// TestSubscriptionNoopRefresh: unchanged observations short-circuit to the
-// cached posterior and count into subscription_noop_refreshes.
-func TestSubscriptionNoopRefresh(t *testing.T) {
-	f := newFixture(t, 30, 4, 63)
-	sys, pipe := instrumented(t, f)
-	b, err := NewBatcher(sys, BatcherOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := &mapSource{obs: map[int]float64{}}
-	sub, err := b.Subscribe(55, []int{1, 2, 3}, src, SubscriptionOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sub.Close()
-
-	up1, ok, err := sub.Refresh(context.Background(), false)
-	if err != nil || !ok {
-		t.Fatalf("first refresh: ok=%v err=%v", ok, err)
-	}
-	runs0 := pipe.GSP.Runs.Value()
-
-	// Unchanged digest: no propagation, cached posterior comes back, counter
-	// increments.
-	up2, ok, err := sub.Refresh(context.Background(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("unchanged refresh reported a fresh estimate")
-	}
-	if up2.Seq != up1.Seq {
-		t.Errorf("cached posterior seq = %d, want %d", up2.Seq, up1.Seq)
-	}
-	for r, v := range up1.Speeds {
-		if up2.Speeds[r] != v {
-			t.Errorf("cached posterior road %d = %v, want %v", r, up2.Speeds[r], v)
-		}
-	}
-	if got := pipe.GSP.Runs.Value(); got != runs0 {
-		t.Errorf("noop refresh ran GSP (%d -> %d runs)", runs0, got)
-	}
-	if got := pipe.Batch.NoopRefreshes.Value(); got != 1 {
-		t.Errorf("noop refreshes = %d, want 1", got)
-	}
-
-	// A new report invalidates the digest: full path again, counter untouched.
-	src.set(2, 33)
-	if _, ok, err := sub.Refresh(context.Background(), false); err != nil || !ok {
-		t.Fatalf("changed refresh: ok=%v err=%v", ok, err)
-	}
-	if got := pipe.Batch.NoopRefreshes.Value(); got != 1 {
-		t.Errorf("changed refresh counted as noop (%d)", got)
 	}
 }
 

@@ -20,7 +20,7 @@ func tierFixture(t *testing.T, seed int64) (*fixture, *Batcher, tslot.Slot, map[
 	// cached tier's age widening never depends on how loaded the host is.
 	clock := obs.NewFakeClock(time.Unix(1_700_000_000, 0), 0)
 	f.sys.Instrument(obs.NewPipeline(obs.NewRegistry(), clock))
-	b, err := NewBatcher(f.sys, BatcherOptions{})
+	b, err := NewBatcher(f.sys)
 	if err != nil {
 		t.Fatal(err)
 	}

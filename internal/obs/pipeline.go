@@ -34,11 +34,8 @@ const (
 	MGSPWarmStarts  = "crowdrtse_gsp_warm_starts_total"
 	MWarmSweepSaved = "crowdrtse_warmstart_sweeps_saved_total"
 
-	// Batch/coalescing counters (PR 5): shared passes executed by the
-	// batcher, member queries folded into them, and the queries that rode an
-	// already-running or shared pass instead of paying for their own.
-	MBatchGroups      = "crowdrtse_batch_groups_total"
-	MBatchMembers     = "crowdrtse_batch_members_total"
+	// Coalescing counter: the requests that rode a run another caller had
+	// already started instead of paying for their own.
 	MCoalescedQueries = "crowdrtse_coalesced_queries_total"
 
 	MCorrRowSeconds = "crowdrtse_corr_row_compute_seconds"
@@ -50,8 +47,8 @@ const (
 	// probe-measurement updates, GSP pseudo-observation fallbacks on
 	// probe-less slots, and the forecast horizon-depth histogram (bucket
 	// bounds are slots, recorded as integer seconds). SubscriptionNoop counts
-	// standing-query refreshes short-circuited to the cached posterior
-	// because the slot's observation digest was unchanged.
+	// /v1/subscribe checks that found the slot's observation digest
+	// unchanged and so ran no propagation.
 	MTemporalPredicts  = "crowdrtse_temporal_predicts_total"
 	MTemporalUpdates   = "crowdrtse_temporal_updates_total"
 	MTemporalPseudoObs = "crowdrtse_temporal_pseudo_obs_total"
@@ -99,17 +96,15 @@ type GSPMetrics struct {
 	SweepsSaved *Counter
 }
 
-// BatchMetrics is the instrument handle core.Batcher records into: shared
-// passes executed (Groups), member queries folded into them (Members), and
-// queries that were answered by a pass another caller paid for (Coalesced =
-// Members − Groups plus singleflight followers).
+// BatchMetrics is the instrument handle of the serving Batcher and the
+// subscriptions it serves.
 type BatchMetrics struct {
-	Groups    *Counter
-	Members   *Counter
+	// Coalesced counts singleflight followers: requests that waited for a
+	// run another caller had already started.
 	Coalesced *Counter
 
-	// NoopRefreshes counts Subscription refreshes answered from the cached
-	// posterior because the slot's observations were unchanged (PR 8).
+	// NoopRefreshes counts /v1/subscribe checks that found the slot's
+	// observations unchanged and so ran no propagation.
 	NoopRefreshes *Counter
 }
 
@@ -152,7 +147,8 @@ type Pipeline struct {
 	OCS OCSMetrics
 	GSP GSPMetrics
 
-	// Batch is the coalescing-engine instrument block (core.Batcher).
+	// Batch is the serving Batcher's instrument block (core.Batcher and the
+	// /v1/subscribe digest loop).
 	Batch BatchMetrics
 
 	// Temporal is the state-space filter instrument block (package temporal).
@@ -202,10 +198,8 @@ func NewPipeline(reg *Registry, clock Clock) *Pipeline {
 			SweepsSaved: reg.Counter(MWarmSweepSaved, "GSP sweeps saved by warm-starting vs the seeding estimate"),
 		},
 		Batch: BatchMetrics{
-			Groups:        reg.Counter(MBatchGroups, "shared batch passes executed by the coalescing engine"),
-			Members:       reg.Counter(MBatchMembers, "member queries folded into shared batch passes"),
-			Coalesced:     reg.Counter(MCoalescedQueries, "queries answered by a pass another caller paid for"),
-			NoopRefreshes: reg.Counter(MSubscriptionNoop, "subscription refreshes served from the cached posterior (unchanged observations)"),
+			Coalesced:     reg.Counter(MCoalescedQueries, "requests that waited for a run another caller had already started"),
+			NoopRefreshes: reg.Counter(MSubscriptionNoop, "subscription checks that found the observations unchanged (no propagation)"),
 		},
 		Temporal: TemporalMetrics{
 			Predicts:      reg.Counter(MTemporalPredicts, "temporal-filter predict steps over slot transitions"),

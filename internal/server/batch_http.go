@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -11,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/tslot"
 )
 
@@ -105,8 +105,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// GET /v1/subscribe — the standing-query endpoint over the Batcher's
-// Subscription machinery. Two consumption modes:
+// GET /v1/subscribe — the standing-query endpoint. Both consumption modes
+// run one digest loop (nextUpdate) that answers as soon as the slot's
+// observations differ from the state the client last saw:
 //
 // Long-poll (default): the client passes the digest of the observation state
 // it last saw (from the previous response; "" on the first call). The server
@@ -183,7 +184,49 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.subscribePoll(w, r, slot, roads, q.Get("digest"), q.Get("wait"))
 }
 
-// subscribePoll implements the long-poll mode.
+// nextUpdate is the digest loop behind both /v1/subscribe modes. It re-reads
+// the slot's observations every subscribePollInterval until their digest
+// differs from last, counting every unchanged check
+// (crowdrtse_subscription_noop_refreshes_total), then estimates them through
+// the Batcher, warm-started from the slot's previous field. It returns the
+// update for roads with Seq unset, or nil when ctx or stop ends the wait
+// first; a nil stop never fires.
+func (s *Server) nextUpdate(ctx context.Context, slot tslot.Slot, roads []int, last string, stop <-chan time.Time) (*subscribeResponse, error) {
+	ticker := time.NewTicker(subscribePollInterval)
+	defer ticker.Stop()
+	for {
+		obs := s.collector.Observations(slot)
+		if digest := observationDigest(slot, obs); digest != last {
+			res, err := s.batcher.Estimate(ctx, slot, obs)
+			if err != nil {
+				return nil, err
+			}
+			out := &subscribeResponse{
+				Slot:        int(slot),
+				Observed:    len(obs),
+				Digest:      digest,
+				Speeds:      make(map[string]float64, len(roads)),
+				WarmStarted: res.WarmStarted,
+				SweepsSaved: res.SweepsSaved,
+			}
+			for _, id := range roads {
+				out.Speeds[strconv.Itoa(id)] = res.Speeds[id]
+			}
+			return out, nil
+		}
+		s.sys.Obs().Batch.NoopRefreshes.Inc()
+		select {
+		case <-ctx.Done():
+			return nil, nil
+		case <-stop:
+			return nil, nil
+		case <-ticker.C:
+		}
+	}
+}
+
+// subscribePoll implements the long-poll mode: one turn of the digest loop
+// from the client's digest.
 func (s *Server) subscribePoll(w http.ResponseWriter, r *http.Request, slot tslot.Slot, roads []int, prevDigest, waitRaw string) {
 	wait := 25 * time.Second
 	if waitRaw != "" {
@@ -194,104 +237,55 @@ func (s *Server) subscribePoll(w http.ResponseWriter, r *http.Request, slot tslo
 		}
 		wait = d
 	}
-	ctx := r.Context()
-	deadline := time.After(wait)
-	ticker := time.NewTicker(subscribePollInterval)
-	defer ticker.Stop()
-	for {
-		obs := s.collector.Observations(slot)
-		digest := observationDigest(slot, obs)
-		if digest != prevDigest {
-			res, err := s.batcher.Estimate(ctx, slot, obs)
-			if err != nil {
-				writeErr(w, r, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			out := subscribeResponse{
-				Slot:        int(slot),
-				Seq:         1,
-				Observed:    len(obs),
-				Digest:      digest,
-				Speeds:      make(map[string]float64, len(roads)),
-				WarmStarted: res.WarmStarted,
-				SweepsSaved: res.SweepsSaved,
-			}
-			for _, id := range roads {
-				out.Speeds[strconv.Itoa(id)] = res.Speeds[id]
-			}
-			writeJSON(w, http.StatusOK, out)
-			return
-		}
-		select {
-		case <-ctx.Done():
-			// The request deadline (withTimeout) or a client disconnect ends
-			// the hold; 204 tells a live client to simply poll again.
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-deadline:
-			w.WriteHeader(http.StatusNoContent)
-			return
-		case <-ticker.C:
-		}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	up, err := s.nextUpdate(r.Context(), slot, roads, prevDigest, timer.C)
+	if err != nil {
+		writeErr(w, r, http.StatusInternalServerError, "%v", err)
+		return
 	}
+	if up == nil {
+		// The wait budget, the request deadline (withTimeout) or a client
+		// disconnect ended the hold; 204 tells a live client to poll again.
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	up.Seq = 1
+	writeJSON(w, http.StatusOK, up)
 }
 
-// subscribeSSE implements the server-sent-events mode over a
-// core.Subscription: the stream.Collector is the observation source, every
-// observation change triggers one warm-started incremental re-estimate, and
-// each delivered update becomes one "estimate" event (the first immediately).
+// subscribeSSE implements the server-sent-events mode: the digest loop runs
+// from "" (so the first event comes immediately) and again from each
+// update's digest, and every update becomes one "estimate" event whose id is
+// its sequence number.
 func (s *Server) subscribeSSE(w http.ResponseWriter, r *http.Request, slot tslot.Slot, roads []int) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, r, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
-	sub, err := s.batcher.Subscribe(slot, roads, s.collector, core.SubscriptionOptions{})
-	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	defer sub.Close()
-
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	ctx := r.Context()
-	ticker := time.NewTicker(subscribePollInterval)
-	defer ticker.Stop()
-	for {
-		up, changed, err := sub.Refresh(ctx, false)
+	last := ""
+	for seq := uint64(1); ; seq++ {
+		up, err := s.nextUpdate(r.Context(), slot, roads, last, nil)
 		if err != nil {
 			fmt.Fprintf(w, "event: error\ndata: %q\n\n", err.Error())
 			flusher.Flush()
 			return
 		}
-		if changed {
-			out := subscribeResponse{
-				Slot:        int(slot),
-				Seq:         up.Seq,
-				Observed:    up.Observed,
-				Digest:      observationDigest(slot, up.Result.Observed),
-				Speeds:      make(map[string]float64, len(up.Speeds)),
-				WarmStarted: up.Result.WarmStarted,
-				SweepsSaved: up.Result.SweepsSaved,
-			}
-			for id, v := range up.Speeds {
-				out.Speeds[strconv.Itoa(id)] = v
-			}
-			data, err := json.Marshal(out)
-			if err != nil {
-				return
-			}
-			fmt.Fprintf(w, "event: estimate\nid: %d\ndata: %s\n\n", up.Seq, data)
-			flusher.Flush()
-		}
-		select {
-		case <-ctx.Done():
+		if up == nil {
 			return
-		case <-ticker.C:
 		}
+		up.Seq, last = seq, up.Digest
+		data, err := json.Marshal(up)
+		if err != nil {
+			return
+		}
+		fmt.Fprintf(w, "event: estimate\nid: %d\ndata: %s\n\n", seq, data)
+		flusher.Flush()
 	}
 }
 

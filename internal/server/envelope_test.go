@@ -397,6 +397,100 @@ func TestSubscribeSSE(t *testing.T) {
 	}
 }
 
+// TestSubscribeNoopChecks pins the digest loop behind both /v1/subscribe
+// modes: a check that finds the slot's observations unchanged runs no GSP and
+// counts crowdrtse_subscription_noop_refreshes_total, and each change runs
+// exactly one propagation and sends exactly one event.
+func TestSubscribeNoopChecks(t *testing.T) {
+	ts, sys, h := newTestServer(t)
+	pipe := sys.Obs()
+	first, err := http.Get(ts.URL + "/v1/subscribe?slot=40&roads=1,2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var up subscribeResponse
+	decode(t, first, &up)
+
+	// Long-poll from the current digest: 204 after the wait, no GSP, and the
+	// unchanged checks are counted.
+	runs, noops := pipe.GSP.Runs.Value(), pipe.Batch.NoopRefreshes.Value()
+	idle, err := http.Get(ts.URL + "/v1/subscribe?slot=40&roads=1,2&wait=80ms&digest=" + up.Digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.Body.Close()
+	if idle.StatusCode != http.StatusNoContent {
+		t.Fatalf("idle poll status %d, want 204", idle.StatusCode)
+	}
+	if got := pipe.GSP.Runs.Value(); got != runs {
+		t.Errorf("idle poll ran GSP (%d -> %d runs)", runs, got)
+	}
+	if got := pipe.Batch.NoopRefreshes.Value(); got <= noops {
+		t.Errorf("idle poll counted no unchanged check (%d -> %d)", noops, got)
+	}
+
+	// SSE: one event for the current state, none while nothing changes, and
+	// exactly one more, from one more GSP run, per new report.
+	resp, err := http.Get(ts.URL + "/v1/subscribe?slot=40&roads=1,2&stream=sse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events := make(chan subscribeResponse, 4)
+	go func() {
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok {
+				var up subscribeResponse
+				if json.Unmarshal([]byte(data), &up) == nil {
+					events <- up
+				}
+			}
+		}
+	}()
+	read := func(what string) subscribeResponse {
+		select {
+		case up := <-events:
+			return up
+		case <-time.After(3 * time.Second):
+			t.Fatalf("no %s event within 3s", what)
+			return subscribeResponse{}
+		}
+	}
+	// quiet waits until the stream has made two more unchanged checks, then
+	// requires that it sent nothing.
+	quiet := func(what string) {
+		n0 := pipe.Batch.NoopRefreshes.Value()
+		for deadline := time.Now().Add(3 * time.Second); pipe.Batch.NoopRefreshes.Value() < n0+2; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the stream made no unchanged check within 3s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case up := <-events:
+			t.Fatalf("%s: unexpected event %+v", what, up)
+		default:
+		}
+	}
+	if ev := read("first"); ev.Seq != 1 || ev.Digest != up.Digest {
+		t.Errorf("first event seq %d digest %s, want 1 and %s", ev.Seq, ev.Digest, up.Digest)
+	}
+	quiet("no report")
+	runs = pipe.GSP.Runs.Value()
+	rep := postJSON(t, ts.URL+"/v1/report", map[string]interface{}{
+		"road": 1, "slot": 40, "speed": h.At(0, 40, 1),
+	})
+	rep.Body.Close()
+	if ev := read("second"); ev.Seq != 2 || ev.Observed != 1 {
+		t.Errorf("second event seq %d observed %d, want 2 and 1", ev.Seq, ev.Observed)
+	}
+	quiet("one report")
+	if got := pipe.GSP.Runs.Value(); got != runs+1 {
+		t.Errorf("one report ran %d GSP propagations, want 1", got-runs)
+	}
+}
+
 // TestMetricsExposeBatchCounters: the Prometheus surface carries the PR-5
 // amortization counters after batched traffic.
 func TestMetricsExposeBatchCounters(t *testing.T) {
@@ -421,8 +515,6 @@ func TestMetricsExposeBatchCounters(t *testing.T) {
 	for _, name := range []string{
 		"crowdrtse_gsp_warm_starts_total",
 		"crowdrtse_warmstart_sweeps_saved_total",
-		"crowdrtse_batch_groups_total",
-		"crowdrtse_batch_members_total",
 		"crowdrtse_coalesced_queries_total",
 	} {
 		if !strings.Contains(text, name) {

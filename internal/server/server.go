@@ -23,13 +23,15 @@
 // Reports are kept per slot; an estimate uses the aggregated reports of its
 // slot as the GSP observations. All handlers are safe for concurrent use.
 //
-// Estimation runs through one core.Batcher, over the System or, after
-// AttachShards, a graph-partitioned shard.Engine: identical concurrent
-// estimates singleflight into one propagation, batch entries sharing a slot
-// coalesce into one pass, and every pass warm-starts from the slot's
-// previous field (incremental GSP). The amortization counters appear on /v1/metrics
-// (crowdrtse_batch_*, crowdrtse_gsp_warm_starts_total,
-// crowdrtse_warmstart_sweeps_saved_total).
+// Selection and estimation run through one core.Batcher, over the System
+// or, after AttachShards, a graph-partitioned shard.Engine: identical
+// concurrent selects or estimates (batch entries included) singleflight into
+// one run, and every propagation warm-starts from the slot's previous field
+// (incremental GSP). /v1/subscribe answers both its modes from one digest
+// loop over the report collector. The amortization counters appear on
+// /v1/metrics (crowdrtse_coalesced_queries_total,
+// crowdrtse_gsp_warm_starts_total, crowdrtse_warmstart_sweeps_saved_total,
+// crowdrtse_subscription_noop_refreshes_total).
 //
 // Errors: every /v1 handler answers failures with one JSON envelope,
 // {"error":{"code","message","request_id"}} — code derives from the HTTP
@@ -78,10 +80,9 @@ import (
 type Server struct {
 	sys       *core.System
 	collector *stream.Collector
-	// batcher is the coalescing layer in front of select/estimate/query:
-	// identical concurrent requests singleflight, same-slot batch entries
-	// share one pass, and every propagation warm-starts from the slot's
-	// previous field.
+	// batcher is the serving layer in front of select and estimate:
+	// identical concurrent requests singleflight, and every propagation
+	// warm-starts from the slot's previous field.
 	batcher *core.Batcher
 
 	// Timeout bounds each request; the estimate/alerts handlers plumb it
@@ -160,7 +161,7 @@ func New(sys *core.System) *Server {
 	s.collector.SetMetrics(pipe.Stream)
 	// The batcher reads the pipeline through sys.Obs(), so SetClock's pipeline
 	// rebuild is picked up automatically.
-	s.batcher, _ = core.NewBatcher(sys, core.BatcherOptions{})
+	s.batcher, _ = core.NewBatcher(sys)
 	// The cross-slot filter (PR 8): estimates feed it, probe-less warm starts
 	// seed from it, and /v1/forecast iterates its predict step. Default AR(1)
 	// parameters; embedders with history can refit via temporal.FitAR1 and

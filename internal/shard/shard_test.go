@@ -21,17 +21,22 @@ import (
 	"repro/internal/tslot"
 )
 
-// The unsharded system, its Batcher and the sharded engine answer the same
-// three ctx-first calls with core's types.
+// The unsharded system and the sharded engine answer the same three
+// ctx-first calls with core's types; the Batcher answers Select and
+// Estimate.
 var (
-	_ ctxEngine = (*core.System)(nil)
-	_ ctxEngine = (*core.Batcher)(nil)
-	_ ctxEngine = (*Engine)(nil)
+	_ ctxEngine      = (*core.System)(nil)
+	_ ctxEngine      = (*Engine)(nil)
+	_ selectEstimate = (*core.Batcher)(nil)
 )
 
-type ctxEngine interface {
+type selectEstimate interface {
 	Select(context.Context, core.SelectRequest) (ocs.Solution, error)
 	Estimate(context.Context, tslot.Slot, map[int]float64) (gsp.Result, error)
+}
+
+type ctxEngine interface {
+	selectEstimate
 	Query(context.Context, core.QueryRequest) (*core.QueryResult, error)
 }
 
@@ -283,7 +288,7 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := core.NewBatcher(sys, core.BatcherOptions{})
+	b, err := core.NewBatcher(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,10 +298,10 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		e    ctxEngine
+		e    selectEstimate
 	}{{"System", sys}, {"Batcher", b}, {"Engine", eng}}
 	// check fails unless every engine's error ends with the System's.
-	check := func(what string, call func(ctxEngine) error) {
+	check := func(what string, call func(selectEstimate) error) {
 		t.Helper()
 		want := call(sys)
 		if want == nil {
@@ -312,7 +317,7 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, observed := range []map[int]float64{{400: 30}, {-1: 30}, {5: 30, 100000: 20}} {
-		check(fmt.Sprintf("estimate with observations %v", observed), func(e ctxEngine) error {
+		check(fmt.Sprintf("estimate with observations %v", observed), func(e selectEstimate) error {
 			_, err := e.Estimate(ctx, 100, observed)
 			return err
 		})
@@ -331,7 +336,7 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 			Slot: 100, Roads: []int{}, WorkerRoads: []int{4, 5, 6}, Budget: 5, Theta: 0.9,
 		}},
 	} {
-		check(sc.what, func(e ctxEngine) error {
+		check(sc.what, func(e selectEstimate) error {
 			_, err := e.Select(ctx, sc.req)
 			return err
 		})

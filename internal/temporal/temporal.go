@@ -191,28 +191,21 @@ func clampPhi(phi float64) float64 {
 	return phi
 }
 
+const (
+	// measurementVar is the measurement-noise variance of a probe answer
+	// when the caller supplies no per-road noise: the crowd aggregates are
+	// already MAD-filtered means.
+	measurementVar = 1.0
+	// pseudoObsInflation multiplies the GSP field's variance when the field
+	// stands in for missing probes (4 ⇒ 2× the SD): the propagated field is
+	// smoothed evidence, not a direct measurement.
+	pseudoObsInflation = 4.0
+)
+
 // Options configure a Filter.
 type Options struct {
-	// MeasurementVar is the default measurement-noise variance of a probe
-	// answer when the caller supplies no per-road noise (default 1.0 — the
-	// crowd aggregates are already MAD-filtered means).
-	MeasurementVar float64
-	// PseudoObsInflation multiplies the GSP field's variance when the field
-	// stands in for missing probes (default 4 ⇒ 2× the SD): the propagated
-	// field is smoothed evidence, not a direct measurement.
-	PseudoObsInflation float64
 	// Metrics is the instrument block (nil-safe fields).
 	Metrics obs.TemporalMetrics
-}
-
-func (o Options) withDefaults() Options {
-	if o.MeasurementVar <= 0 {
-		o.MeasurementVar = 1.0
-	}
-	if o.PseudoObsInflation <= 0 {
-		o.PseudoObsInflation = 4.0
-	}
-	return o
 }
 
 // Estimate is a filtered field at one slot: posterior mean and SD per road.
@@ -264,7 +257,7 @@ func New(model *rtf.Model, start tslot.Slot, params Params, classes []network.Cl
 	n := model.N()
 	f := &Filter{
 		model: model,
-		opt:   opt.withDefaults(),
+		opt:   opt,
 		slot:  start,
 		x:     make([]float64, n),
 		p:     make([]float64, n),
@@ -335,7 +328,7 @@ func (f *Filter) predictLocked() {
 
 // Update fuses fresh probe answers into the current slot's state. noiseVar
 // maps a road to its measurement-noise variance (answer dispersion, e.g. from
-// workerqual reliabilities); nil uses Options.MeasurementVar for every road.
+// workerqual reliabilities); nil uses measurementVar for every road.
 // Roads outside the observation map keep their predicted state.
 func (f *Filter) Update(observed map[int]float64, noiseVar func(road int) float64) error {
 	f.mu.Lock()
@@ -346,7 +339,7 @@ func (f *Filter) Update(observed map[int]float64, noiseVar func(road int) float6
 		return err
 	}
 	for r, v := range observed {
-		rv := f.opt.MeasurementVar
+		rv := measurementVar
 		if noiseVar != nil {
 			if w := noiseVar(r); w > 0 {
 				rv = w
@@ -373,7 +366,7 @@ func (f *Filter) checkRoads(observed map[int]float64) error {
 // PseudoObserve fuses a GSP field as a weak full-network observation — the
 // probe-less-slot fallback. speeds must cover every road; sd may be nil (the
 // prior σ then prices each road) or per-road propagation SDs. The noise is
-// inflated by Options.PseudoObsInflation.
+// inflated by pseudoObsInflation.
 func (f *Filter) PseudoObserve(speeds, sd []float64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -385,7 +378,7 @@ func (f *Filter) PseudoObserve(speeds, sd []float64) error {
 		if r < len(sd) && sd[r] > 0 {
 			s = sd[r]
 		}
-		rv := f.opt.PseudoObsInflation * s * s
+		rv := pseudoObsInflation * s * s
 		f.updateOneLocked(r, speeds[r]-f.model.Mu(f.slot, r), rv)
 	}
 	f.fused++
@@ -493,7 +486,7 @@ func (f *Filter) ForecastFrom(base tslot.Slot, k int, observed map[int]float64, 
 		slot = slot.Next()
 	}
 	for r, z := range observed {
-		rv := f.opt.MeasurementVar
+		rv := measurementVar
 		if noiseVar != nil {
 			if w := noiseVar(r); w > 0 {
 				rv = w
