@@ -3,9 +3,11 @@
 //	crowdrtse datagen -out DIR [-roads N] [-days D] [-seed S] [-costmax C]
 //	    generate a synthetic network (network.json) and historical record
 //	    (history.csv)
-//	crowdrtse train -data DIR -out model.gob [-days D] [-window W]
-//	    fit the RTF model offline and save it
-//	crowdrtse query -data DIR -model model.gob -slot T -roads 1,2,3
+//	crowdrtse train -data DIR -out model.rtf [-days D] [-window W]
+//	    fit the RTF model offline and save it as a checksummed snapshot
+//	    (the one model file format; every command below reads it and
+//	    refuses a model fitted on another network topology)
+//	crowdrtse query -data DIR -model model.rtf -slot T -roads 1,2,3
 //	    [-budget K] [-theta θ] [-selector Hybrid] [-days D]
 //	    [-resilient] [-deadline 2s] [-rounds 3]
 //	    [-dropout 0.3] [-blackouts 5,9] [-late 0.1] [-stale 0.05] [-garbage 0.02]
@@ -15,7 +17,7 @@
 //	    fault-tolerant policy (a task campaign with -rounds re-selection
 //	    rounds) under the injected faults and reports its degradation
 //	    diagnostics
-//	crowdrtse serve -data DIR -model model.gob [-addr :8080] [-days D]
+//	crowdrtse serve -data DIR -model model.rtf [-addr :8080] [-days D]
 //	    [-timeout 5s] [-store DIR] [-refit 5m] [-alpha 0.1]
 //	    [-report-horizon 72]
 //	    [-qos] [-tenant key=K,name=N,class=C,rps=R,quota=Q]...
@@ -37,12 +39,12 @@
 //	    do not follow model swaps, so -shards refuses -store
 //	crowdrtse model <save|load|list|rollback> [flags]
 //	    manage the versioned snapshot store directly:
-//	    save -data DIR -model model.gob -store DIR [-note TEXT]
-//	        validate a gob model against the network and publish it as a
-//	        new checksummed store version
-//	    load -store DIR [-version N] [-out model.gob]
+//	    save -data DIR -model model.rtf -store DIR [-note TEXT]
+//	        validate a model file against the network and publish it as a
+//	        new store version
+//	    load -store DIR [-version N] [-out model.rtf]
 //	        decode + verify a stored version (0 = current) and optionally
-//	        re-export it as gob
+//	        export it as a standalone model file
 //	    list -store DIR
 //	        print the version history and the current pointer
 //	    rollback -store DIR
@@ -172,7 +174,7 @@ func loadData(dir string, days int) (*network.Network, *speedgen.History, error)
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory from datagen (required)")
-	out := fs.String("out", "model.gob", "output model path")
+	out := fs.String("out", "model.rtf", "output model snapshot path")
 	days := fs.Int("days", 30, "days recorded in history.csv")
 	window := fs.Int("window", 1, "slot pooling window for fitting")
 	if err := fs.Parse(args); err != nil {
@@ -189,12 +191,8 @@ func cmdTrain(args []string) error {
 	if err := rtf.FitMoments(model, hist, *window); err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := model.Write(f); err != nil {
+	meta := modelstore.Meta{CreatedAtUnix: time.Now().Unix(), Source: "offline-fit"}
+	if err := modelstore.WriteFile(*out, model, meta); err != nil {
 		return err
 	}
 	fmt.Printf("trained RTF on %d roads × %d days → %s\n", net.N(), *days, *out)
@@ -207,12 +205,7 @@ func loadSystem(data, modelPath string, days int) (*core.System, *speedgen.Histo
 	if err != nil {
 		return nil, nil, err
 	}
-	mf, err := os.Open(modelPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer mf.Close()
-	model, err := rtf.Read(mf)
+	model, err := modelstore.ReadFile(modelPath, net)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -241,13 +234,13 @@ func parseRoads(raw string, n int) ([]int, error) {
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory (required)")
-	modelPath := fs.String("model", "model.gob", "trained model path")
+	modelPath := fs.String("model", "model.rtf", "trained model snapshot path")
 	days := fs.Int("days", 30, "days recorded in history.csv")
 	slotN := fs.Int("slot", 102, "time slot [0,288)")
 	roadsRaw := fs.String("roads", "", "comma-separated queried road ids (required)")
 	budget := fs.Int("budget", 30, "crowdsourcing budget K")
 	theta := fs.Float64("theta", 0.92, "redundancy threshold")
-	selName := fs.String("selector", "Hybrid", "Hybrid | Ratio | OBJ | Rand")
+	selName := fs.String("selector", "Hybrid", "Hybrid | Ratio | OBJ | Rand | VarMin (or Objective, Random, VarianceMin)")
 	seed := fs.Int64("seed", 1, "probe/selector seed")
 	resilient := fs.Bool("resilient", false, "use the fault-tolerant policy: a task campaign with re-selection rounds")
 	deadline := fs.Duration("deadline", 0, "per-query deadline (0 = none)")
@@ -263,6 +256,13 @@ func cmdQuery(args []string) error {
 	if *data == "" || *roadsRaw == "" {
 		return fmt.Errorf("query: -data and -roads are required")
 	}
+	sel, err := core.ParseSelector(*selName)
+	if err != nil {
+		return err
+	}
+	if sel == core.RouteVar {
+		return fmt.Errorf("query: selector RouteVar weighs roads by a planned route: POST /v1/route with a budget instead")
+	}
 	sys, hist, err := loadSystem(*data, *modelPath, *days)
 	if err != nil {
 		return err
@@ -272,10 +272,6 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	slot := tslot.Slot(*slotN)
-	sel, err := parseSelectorName(*selName)
-	if err != nil {
-		return err
-	}
 	day := hist.Days - 1
 	pool := crowd.PlaceEverywhere(sys.Network())
 	truth := func(r int) float64 { return hist.At(day, slot, r) }
@@ -366,21 +362,6 @@ func printEstimates(query []int, est map[int]float64, truth func(int) float64) {
 	}
 }
 
-func parseSelectorName(name string) (core.Selector, error) {
-	switch name {
-	case "Hybrid":
-		return core.Hybrid, nil
-	case "Ratio":
-		return core.Ratio, nil
-	case "OBJ", "Objective":
-		return core.Objective, nil
-	case "Rand", "Random":
-		return core.RandomSel, nil
-	default:
-		return 0, fmt.Errorf("unknown selector %q", name)
-	}
-}
-
 func absf(x float64) float64 {
 	if x < 0 {
 		return -x
@@ -391,7 +372,7 @@ func absf(x float64) float64 {
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory (required)")
-	modelPath := fs.String("model", "model.gob", "trained model path")
+	modelPath := fs.String("model", "model.rtf", "trained model snapshot path")
 	days := fs.Int("days", 30, "days recorded in history.csv")
 	addr := fs.String("addr", ":8080", "listen address")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request deadline (0 = none)")
@@ -438,8 +419,12 @@ func cmdServe(args []string) error {
 			return err
 		}
 		if cur, ok := store.Current(); ok {
-			// Serve whatever the store says is current.
+			// Serve whatever the store says is current, once it passes
+			// the structural gate a reload applies.
 			m, _, err := store.Load(cur.Version)
+			if err == nil {
+				err = modelstore.ValidateModel(net, m)
+			}
 			if err != nil {
 				return fmt.Errorf("serve: load store current v%d: %w", cur.Version, err)
 			}
@@ -448,7 +433,7 @@ func cmdServe(args []string) error {
 		}
 	}
 	if model == nil {
-		if model, err = readGobModel(*modelPath); err != nil {
+		if model, err = modelstore.ReadFile(*modelPath, net); err != nil {
 			return err
 		}
 		bootstrapped = store != nil
@@ -494,7 +479,7 @@ func cmdServe(args []string) error {
 	}
 
 	if store != nil {
-		mgr, err := modelstore.NewManager(sys, store, modelstore.GateConfig{})
+		mgr, err := modelstore.NewManager(sys, store)
 		if err != nil {
 			return err
 		}
@@ -511,17 +496,14 @@ func cmdServe(args []string) error {
 		}
 		var refitter *modelstore.Refitter
 		if *refitEvery > 0 {
-			cfg := modelstore.DefaultRefitter()
-			cfg.Interval = *refitEvery
-			cfg.Alpha = *alpha
-			refitter, err = modelstore.NewRefitter(mgr, srv.Collector(), cfg)
+			refitter, err = modelstore.NewRefitter(mgr, srv.Collector(),
+				modelstore.RefitterConfig{Interval: *refitEvery, Alpha: *alpha})
 			if err != nil {
 				return err
 			}
 			refitter.Start()
 			defer refitter.Stop()
-			fmt.Printf("background refit every %s (alpha %.3g, holdout 1/%d)\n",
-				*refitEvery, cfg.Alpha, cfg.HoldoutMod)
+			fmt.Printf("background refit every %s (alpha %.3g)\n", *refitEvery, *alpha)
 		}
 		srv.AttachLifecycle(mgr, refitter)
 	}
@@ -537,16 +519,6 @@ func cmdServe(args []string) error {
 	}
 	fmt.Println()
 	return http.ListenAndServe(*addr, srv.Handler())
-}
-
-// readGobModel loads an offline-trained gob model from disk.
-func readGobModel(path string) (*rtf.Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return rtf.Read(f)
 }
 
 func cmdModel(args []string) error {
@@ -567,12 +539,12 @@ func cmdModel(args []string) error {
 	}
 }
 
-// cmdModelSave publishes a gob model into the snapshot store after validating
-// it against the network — the offline-fit → lifecycle hand-off.
+// cmdModelSave publishes a model file into the snapshot store after
+// validating it against the network — the offline-fit → lifecycle hand-off.
 func cmdModelSave(args []string) error {
 	fs := flag.NewFlagSet("model save", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory with network.json (required)")
-	modelPath := fs.String("model", "model.gob", "trained model path")
+	modelPath := fs.String("model", "model.rtf", "trained model snapshot path")
 	storeDir := fs.String("store", "", "snapshot store directory (required)")
 	note := fs.String("note", "", "operator annotation recorded in the snapshot")
 	days := fs.Int("days", 30, "days recorded in history.csv")
@@ -586,13 +558,13 @@ func cmdModelSave(args []string) error {
 	if err != nil {
 		return err
 	}
-	model, err := readGobModel(*modelPath)
+	model, err := modelstore.ReadFile(*modelPath, net)
 	if err != nil {
 		return err
 	}
-	// The same structural gate the server applies: a corrupt or
-	// wrong-topology model never enters the store.
-	if err := modelstore.ValidateModel(net, model, 0); err != nil {
+	// The same structural gate the server applies: a corrupt model never
+	// enters the store.
+	if err := modelstore.ValidateModel(net, model); err != nil {
 		return err
 	}
 	store, err := modelstore.Open(*storeDir)
@@ -609,12 +581,13 @@ func cmdModelSave(args []string) error {
 }
 
 // cmdModelLoad decodes a stored version — exercising every checksum — and
-// optionally re-exports it as gob for the offline tooling.
+// optionally exports it as a standalone model file for query, serve -model
+// and rtsereport.
 func cmdModelLoad(args []string) error {
 	fs := flag.NewFlagSet("model load", flag.ContinueOnError)
 	storeDir := fs.String("store", "", "snapshot store directory (required)")
 	version := fs.Uint64("version", 0, "version to load (0 = current)")
-	out := fs.String("out", "", "write the decoded model as gob to this path")
+	out := fs.String("out", "", "write the decoded model as a standalone snapshot to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -633,12 +606,7 @@ func cmdModelLoad(args []string) error {
 		info.Version, info.Roads, info.Edges, info.Meta.Source,
 		time.Unix(info.CreatedAtUnix, 0).UTC().Format(time.RFC3339))
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := model.Write(f); err != nil {
+		if err := modelstore.WriteFile(*out, model, info.Meta); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *out)

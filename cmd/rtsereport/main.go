@@ -1,20 +1,22 @@
-// Command rtsereport inspects a trained CrowdRTSE model from the terminal:
+// Command rtsereport inspects a trained CrowdRTSE model snapshot from the
+// terminal; a model fitted on another network topology is refused:
 //
-//	rtsereport -data DIR -model model.gob [-days D] [-slot T]              network summary
-//	rtsereport -data DIR -model model.gob [-days D] [-slot T] -roads 3,17  per-road profiles
+//	rtsereport -data DIR -model model.rtf [-slot T]              network summary
+//	rtsereport -data DIR -model model.rtf [-slot T] -roads 3,17  per-road profiles
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
+	"repro/internal/modelstore"
 	"repro/internal/network"
 	"repro/internal/report"
-	"repro/internal/rtf"
 	"repro/internal/tslot"
 )
 
@@ -25,10 +27,10 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rtsereport", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory from crowdrtse datagen (required)")
-	modelPath := fs.String("model", "model.gob", "trained model path")
+	modelPath := fs.String("model", "model.rtf", "trained model snapshot path")
 	slotN := fs.Int("slot", 102, "time slot for slot-specific statistics")
 	roadsRaw := fs.String("roads", "", "comma-separated road ids to profile (default: summary)")
 	if err := fs.Parse(args); err != nil {
@@ -51,17 +53,9 @@ func run(args []string, out *os.File) error {
 	if err != nil {
 		return err
 	}
-	mf, err := os.Open(*modelPath)
+	model, err := modelstore.ReadFile(*modelPath, net)
 	if err != nil {
 		return err
-	}
-	defer mf.Close()
-	model, err := rtf.Read(mf)
-	if err != nil {
-		return err
-	}
-	if model.N() != net.N() {
-		return fmt.Errorf("model covers %d roads, network has %d", model.N(), net.N())
 	}
 
 	if *roadsRaw == "" {

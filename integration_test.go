@@ -12,15 +12,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/detect"
 	"repro/internal/metrics"
+	"repro/internal/modelstore"
 	"repro/internal/network"
 	"repro/internal/router"
-	"repro/internal/rtf"
 	"repro/internal/server"
 	"repro/internal/speedgen"
 	"repro/internal/stream"
@@ -94,14 +95,15 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// Model persistence: a saved and reloaded model answers identically.
+// Model persistence: a model saved as a snapshot file and read back answers
+// identically.
 func TestEndToEndModelRoundTrip(t *testing.T) {
 	w := buildWorld(t, 60, 6, 110)
-	var buf bytes.Buffer
-	if err := w.sys.Model().Write(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "model.rtf")
+	if err := modelstore.WriteFile(path, w.sys.Model(), modelstore.Meta{Source: "offline-fit"}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := rtf.Read(&buf)
+	loaded, err := modelstore.ReadFile(path, w.net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,6 +269,28 @@ func (s Selector) String() string {
 	}
 }
 
+// ParseSelector is the inverse of String. It also accepts the long names
+// Objective, Random and VarianceMin, and "" for Hybrid, so the CLI flag and
+// the HTTP selector fields share one vocabulary.
+func ParseSelector(name string) (Selector, error) {
+	switch name {
+	case "", "Hybrid":
+		return Hybrid, nil
+	case "Ratio":
+		return Ratio, nil
+	case "OBJ", "Objective":
+		return Objective, nil
+	case "Rand", "Random":
+		return RandomSel, nil
+	case "VarMin", "VarianceMin":
+		return VarMin, nil
+	case "RouteVar":
+		return RouteVar, nil
+	default:
+		return 0, fmt.Errorf("unknown selector %q", name)
+	}
+}
+
 // SelectRequest is one OCS road-selection request, mirroring QueryRequest so
 // the two public entry points read the same.
 type SelectRequest struct {

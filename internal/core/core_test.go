@@ -82,6 +82,29 @@ func TestSelectorString(t *testing.T) {
 	}
 }
 
+// TestParseSelector pins the one selector vocabulary the CLI and the HTTP
+// routes share: every String name parses back to its selector, and the long
+// aliases and "" resolve as documented.
+func TestParseSelector(t *testing.T) {
+	for s := Hybrid; s <= RouteVar; s++ {
+		if got, err := ParseSelector(s.String()); err != nil || got != s {
+			t.Errorf("ParseSelector(%q) = %v, %v, want %v", s.String(), got, err, s)
+		}
+	}
+	for name, want := range map[string]Selector{
+		"": Hybrid, "Objective": Objective, "Random": RandomSel, "VarianceMin": VarMin,
+	} {
+		if got, err := ParseSelector(name); err != nil || got != want {
+			t.Errorf("ParseSelector(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"nope", "hybrid", "Selector(9)"} {
+		if _, err := ParseSelector(name); err == nil {
+			t.Errorf("ParseSelector(%q) accepted", name)
+		}
+	}
+}
+
 func TestOracleCached(t *testing.T) {
 	f := newFixture(t, 20, 4, 3)
 	a := f.sys.Oracle(100)

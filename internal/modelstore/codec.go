@@ -1,11 +1,12 @@
 // Package modelstore is the model-lifecycle subsystem of CrowdRTSE: a
-// deterministic, checksummed binary snapshot codec for fitted RTF models, a
-// versioned on-disk Store with atomic publication, GC and rollback, a
-// validation gate that refuses corrupt or likelihood-regressing candidates,
-// and a Manager/Refitter pair that folds streamed crowd reports into
-// background refits and hot-swaps the result into a serving core.System with
-// zero downtime (RCU semantics — in-flight queries finish on the model they
-// started with).
+// deterministic, checksummed binary snapshot codec for fitted RTF models —
+// the one model file format (WriteFile, and ReadFile, which refuses a model
+// fitted on another topology) — a versioned on-disk Store with atomic
+// publication, GC and rollback, a validation gate that refuses corrupt or
+// likelihood-regressing candidates, and a Manager/Refitter pair that folds
+// streamed crowd reports into background refits and hot-swaps the result
+// into a serving core.System with zero downtime (RCU semantics — in-flight
+// queries finish on the model they started with).
 //
 // The paper fits the RTF offline once and serves it forever (§IV); a
 // production deployment must instead treat the fitted model as a versioned,
@@ -350,7 +351,7 @@ func DecodeVerify(r io.Reader, wantTopo uint64) (*rtf.Model, Meta, Header, error
 		return nil, meta, hd, err
 	}
 	if hd.TopoHash != wantTopo {
-		return nil, meta, hd, fmt.Errorf("%w: snapshot %016x, serving network %016x", ErrTopologyMismatch, hd.TopoHash, wantTopo)
+		return nil, meta, hd, fmt.Errorf("%w: snapshot %016x, want %016x", ErrTopologyMismatch, hd.TopoHash, wantTopo)
 	}
 	return m, meta, hd, nil
 }

@@ -14,29 +14,21 @@ import (
 // errors.Is-match refusals without parsing reasons.
 var ErrGateRefused = errors.New("modelstore: gate refused candidate")
 
-// GateConfig tunes the publication gate.
-type GateConfig struct {
-	// LLTolerance is the maximum allowed regression of the candidate's mean
-	// holdout log-likelihood versus the live model's (per observed road).
-	// The candidate is refused when liveLL − candLL > LLTolerance. A small
-	// positive tolerance admits statistical noise while blocking genuinely
-	// worse models.
-	LLTolerance float64
-	// MinHoldout is the minimum number of holdout observations required to
-	// run the likelihood check; with fewer, only the structural validation
-	// applies (a fresh deployment has no holdout yet).
-	MinHoldout int
-	// MaxAbsMu bounds |μ| (km/h). Speeds far outside physical range indicate
-	// a corrupted or diverged fit. 0 selects the default (500).
-	MaxAbsMu float64
-}
-
-// DefaultGate returns the gate used by the refitter: half a log-likelihood
-// unit of slack per observation, at least 8 holdout observations before the
-// statistical check engages.
-func DefaultGate() GateConfig {
-	return GateConfig{LLTolerance: 0.5, MinHoldout: 8, MaxAbsMu: 500}
-}
+// The publication gate's settings.
+const (
+	// llTolerance is the largest allowed regression of the candidate's mean
+	// holdout log-likelihood below the live model's (per observed road): the
+	// candidate is refused when liveLL − candLL > llTolerance. Half a unit
+	// admits statistical noise while blocking genuinely worse models.
+	llTolerance = 0.5
+	// minHoldout is the fewest holdout observations that run the likelihood
+	// check; with fewer, only the structural validation applies (a fresh
+	// deployment has no holdout yet).
+	minHoldout = 8
+	// maxAbsMu bounds |μ| (km/h). Speeds far outside physical range indicate
+	// a corrupted or diverged fit.
+	maxAbsMu = 500
+)
 
 // HoldoutSample is one slot's held-out sparse observation set (road →
 // observed speed), the unit the likelihood gate scores models on.
@@ -57,15 +49,13 @@ type GateResult struct {
 
 // ValidateModel is the structural half of the gate: the candidate must cover
 // exactly the serving network's topology (road count and canonical edge
-// list, compared by hash) and every parameter must be finite and in range.
+// list, compared by hash) and every parameter must be finite and in range
+// (|μ| ≤ maxAbsMu).
 // rtf constructors enforce σ/ρ ranges already; μ finiteness and magnitude
 // are checked here because rtf.Model.SetMu deliberately accepts anything.
-func ValidateModel(net *network.Network, m *rtf.Model, maxAbsMu float64) error {
+func ValidateModel(net *network.Network, m *rtf.Model) error {
 	if net == nil || m == nil {
 		return fmt.Errorf("modelstore: validate: nil network or model")
-	}
-	if maxAbsMu <= 0 {
-		maxAbsMu = 500
 	}
 	if m.N() != net.N() {
 		return fmt.Errorf("modelstore: candidate covers %d roads, network has %d", m.N(), net.N())
@@ -137,28 +127,29 @@ func HoldoutLL(net *network.Network, m *rtf.Model, samples []HoldoutSample) (ll 
 }
 
 // Gate runs the full publication check of a candidate model against the live
-// one: structural validation first, then — given enough holdout data — the
-// likelihood-regression check. It never mutates either model.
-func Gate(net *network.Network, live, cand *rtf.Model, holdout []HoldoutSample, cfg GateConfig) GateResult {
+// one: structural validation first, then — given at least minHoldout holdout
+// observations — the likelihood-regression check. It never mutates either
+// model.
+func Gate(net *network.Network, live, cand *rtf.Model, holdout []HoldoutSample) GateResult {
 	res := GateResult{}
-	if err := ValidateModel(net, cand, cfg.MaxAbsMu); err != nil {
+	if err := ValidateModel(net, cand); err != nil {
 		res.Refused = true
 		res.Reason = err.Error()
 		return res
 	}
 	candLL, n := HoldoutLL(net, cand, holdout)
 	res.Observations = n
-	if live == nil || n < cfg.MinHoldout {
+	if live == nil || n < minHoldout {
 		return res // structural gate only
 	}
 	liveLL, _ := HoldoutLL(net, live, holdout)
 	res.LLChecked = true
 	res.CandidateLL = candLL
 	res.LiveLL = liveLL
-	if liveLL-candLL > cfg.LLTolerance {
+	if liveLL-candLL > llTolerance {
 		res.Refused = true
 		res.Reason = fmt.Sprintf("holdout log-likelihood regressed %.4f > tolerance %.4f (live %.4f, candidate %.4f over %d observations)",
-			liveLL-candLL, cfg.LLTolerance, liveLL, candLL, n)
+			liveLL-candLL, llTolerance, liveLL, candLL, n)
 	}
 	return res
 }

@@ -25,35 +25,35 @@ func holdoutFromHistory(f *fixture, day int, slots []tslot.Slot, roads int) []Ho
 
 func TestValidateModelStructural(t *testing.T) {
 	f := newFixture(t, 16, 3, 7)
-	if err := ValidateModel(f.net, f.model(), 0); err != nil {
+	if err := ValidateModel(f.net, f.model()); err != nil {
 		t.Fatalf("fitted model refused: %v", err)
 	}
 
 	nan := f.model().Clone()
 	nan.SetMu(5, 3, math.NaN())
-	if err := ValidateModel(f.net, nan, 0); err == nil {
+	if err := ValidateModel(f.net, nan); err == nil {
 		t.Error("NaN μ accepted")
 	}
 	inf := f.model().Clone()
 	inf.SetMu(0, 0, math.Inf(1))
-	if err := ValidateModel(f.net, inf, 0); err == nil {
+	if err := ValidateModel(f.net, inf); err == nil {
 		t.Error("Inf μ accepted")
 	}
 	huge := f.model().Clone()
 	huge.SetMu(200, 1, 1e6)
-	if err := ValidateModel(f.net, huge, 0); err == nil {
+	if err := ValidateModel(f.net, huge); err == nil {
 		t.Error("|μ|=1e6 accepted")
 	}
 
 	// Wrong road count.
 	small := network.Synthetic(network.SyntheticOptions{Roads: 12, Seed: 7})
-	if err := ValidateModel(small, f.model(), 0); err == nil {
+	if err := ValidateModel(small, f.model()); err == nil {
 		t.Error("wrong road count accepted")
 	}
 	// Same road count, different topology.
 	other := network.Synthetic(network.SyntheticOptions{Roads: 16, Seed: 77})
 	if NetworkTopologyHash(other) != NetworkTopologyHash(f.net) {
-		if err := ValidateModel(other, f.model(), 0); err == nil {
+		if err := ValidateModel(other, f.model()); err == nil {
 			t.Error("wrong topology accepted")
 		}
 	}
@@ -63,7 +63,7 @@ func TestGateRefusesStructuralCorruption(t *testing.T) {
 	f := newFixture(t, 16, 3, 7)
 	cand := f.model().Clone()
 	cand.SetMu(17, 2, math.NaN())
-	gr := Gate(f.net, f.model(), cand, nil, DefaultGate())
+	gr := Gate(f.net, f.model(), cand, nil)
 	if !gr.Refused {
 		t.Fatal("NaN candidate admitted")
 	}
@@ -78,11 +78,11 @@ func TestGateLikelihoodRegression(t *testing.T) {
 	holdout := holdoutFromHistory(f, day, []tslot.Slot{100, 101, 102}, 10)
 
 	// Identical candidate: zero regression, admitted, LL checked.
-	gr := Gate(f.net, f.model(), f.model().Clone(), holdout, DefaultGate())
+	gr := Gate(f.net, f.model(), f.model().Clone(), holdout)
 	if gr.Refused {
 		t.Fatalf("identical candidate refused: %s", gr.Reason)
 	}
-	if !gr.LLChecked || gr.Observations < DefaultGate().MinHoldout {
+	if !gr.LLChecked || gr.Observations < minHoldout {
 		t.Fatalf("LL check did not engage: %+v", gr)
 	}
 	// Map-iteration order varies the summation order, so identical models
@@ -99,7 +99,7 @@ func TestGateLikelihoodRegression(t *testing.T) {
 			worse.SetMu(s, r, worse.Mu(s, r)+40)
 		}
 	}
-	gr = Gate(f.net, f.model(), worse, holdout, DefaultGate())
+	gr = Gate(f.net, f.model(), worse, holdout)
 	if !gr.Refused {
 		t.Fatalf("likelihood-regressing candidate admitted (live %v cand %v)", gr.LiveLL, gr.CandidateLL)
 	}
@@ -115,7 +115,7 @@ func TestGateLikelihoodRegression(t *testing.T) {
 			inflated.SetSigma(s, r, 60)
 		}
 	}
-	gr = Gate(f.net, f.model(), inflated, holdout, DefaultGate())
+	gr = Gate(f.net, f.model(), inflated, holdout)
 	if !gr.Refused {
 		t.Error("variance-inflated regressing candidate gamed the gate")
 	}
@@ -132,9 +132,9 @@ func TestGateMinHoldout(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		worse.SetMu(100, r, worse.Mu(100, r)+40)
 	}
-	gr := Gate(f.net, f.model(), worse, tiny, DefaultGate())
+	gr := Gate(f.net, f.model(), worse, tiny)
 	if gr.LLChecked {
-		t.Errorf("LL check engaged with %d < %d observations", gr.Observations, DefaultGate().MinHoldout)
+		t.Errorf("LL check engaged with %d < %d observations", gr.Observations, minHoldout)
 	}
 	if gr.Refused {
 		t.Errorf("structurally valid candidate refused without LL evidence: %s", gr.Reason)

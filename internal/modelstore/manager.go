@@ -21,12 +21,7 @@ type Manager struct {
 	sys   *core.System
 	store *Store
 	net   *network.Network
-	gate  GateConfig
 	topo  uint64
-
-	// KeepVersions is the GC policy applied after each successful publish
-	// (0 disables automatic GC).
-	KeepVersions int
 
 	mu     sync.Mutex // serializes model mutations
 	stat   Status
@@ -47,29 +42,20 @@ type Status struct {
 	LastGate        GateResult `json:"last_gate"`
 }
 
+// keepVersions is the GC policy applied after each successful publish: the
+// newest 5 versions stay on disk, plus whatever is current.
+const keepVersions = 5
+
 // NewManager wires a manager around a serving system and an opened store.
-// gate zero-value fields fall back to DefaultGate.
-func NewManager(sys *core.System, store *Store, gate GateConfig) (*Manager, error) {
+func NewManager(sys *core.System, store *Store) (*Manager, error) {
 	if sys == nil || store == nil {
 		return nil, fmt.Errorf("modelstore: manager needs a system and a store")
 	}
-	def := DefaultGate()
-	if gate.LLTolerance == 0 {
-		gate.LLTolerance = def.LLTolerance
-	}
-	if gate.MinHoldout == 0 {
-		gate.MinHoldout = def.MinHoldout
-	}
-	if gate.MaxAbsMu == 0 {
-		gate.MaxAbsMu = def.MaxAbsMu
-	}
 	m := &Manager{
-		sys:          sys,
-		store:        store,
-		net:          sys.Network(),
-		gate:         gate,
-		topo:         NetworkTopologyHash(sys.Network()),
-		KeepVersions: 5,
+		sys:   sys,
+		store: store,
+		net:   sys.Network(),
+		topo:  NetworkTopologyHash(sys.Network()),
 	}
 	if cur, ok := store.Current(); ok {
 		m.setStatus(func(st *Status) { st.CurrentVersion = cur.Version })
@@ -82,9 +68,6 @@ func (m *Manager) Store() *Store { return m.store }
 
 // System returns the serving system.
 func (m *Manager) System() *core.System { return m.sys }
-
-// GateConfig returns the effective gate configuration.
-func (m *Manager) GateConfig() GateConfig { return m.gate }
 
 func (m *Manager) setStatus(f func(*Status)) {
 	m.statMu.Lock()
@@ -109,13 +92,14 @@ func (m *Manager) History() []VersionInfo { return m.store.Versions() }
 
 // Publish runs a candidate through the gate, persists it as a new store
 // version and hot-swaps it into the serving system, pre-warming the oracle
-// slots of the holdout samples. A refused candidate is neither stored nor
-// swapped; the error wraps ErrGateRefused.
+// slots of the holdout samples, then GCs the store down to keepVersions. A
+// refused candidate is neither stored nor swapped; the error wraps
+// ErrGateRefused.
 func (m *Manager) Publish(cand *rtf.Model, meta Meta, holdout []HoldoutSample) (VersionInfo, GateResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	gr := Gate(m.net, m.sys.Model(), cand, holdout, m.gate)
+	gr := Gate(m.net, m.sys.Model(), cand, holdout)
 	if gr.Refused {
 		m.setStatus(func(st *Status) {
 			st.Rejected++
@@ -146,10 +130,8 @@ func (m *Manager) Publish(cand *rtf.Model, meta Meta, holdout []HoldoutSample) (
 		st.LastError = ""
 		st.LastGate = gr
 	})
-	if m.KeepVersions > 0 {
-		if _, err := m.store.GC(m.KeepVersions); err != nil {
-			m.setStatus(func(st *Status) { st.LastError = "gc: " + err.Error() })
-		}
+	if _, err := m.store.GC(keepVersions); err != nil {
+		m.setStatus(func(st *Status) { st.LastError = "gc: " + err.Error() })
 	}
 	return info, gr, nil
 }
@@ -216,7 +198,7 @@ func (m *Manager) swapVersionLocked(info VersionInfo) error {
 		m.setStatus(func(st *Status) { st.LastError = err.Error() })
 		return err
 	}
-	if err := ValidateModel(m.net, model, m.gate.MaxAbsMu); err != nil {
+	if err := ValidateModel(m.net, model); err != nil {
 		m.setStatus(func(st *Status) { st.LastError = err.Error() })
 		return err
 	}

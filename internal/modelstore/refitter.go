@@ -9,27 +9,19 @@ import (
 	"repro/internal/tslot"
 )
 
-// RefitterConfig tunes the background refit loop.
+// RefitterConfig tunes the background refit loop (`serve -refit`/`-alpha`).
 type RefitterConfig struct {
 	// Interval between refit attempts (default 5 minutes — one slot width).
 	Interval time.Duration
 	// Alpha is the exponential-forgetting weight a folded day carries
 	// (stream.OnlineRTF); default 0.1 ≈ a 10-day sliding window.
 	Alpha float64
-	// HoldoutMod splits each slot's observed roads deterministically:
-	// roads with hash(slot,road) % HoldoutMod == 0 are withheld from the
-	// fold and used as the gate's holdout set. Default 4 (≈25% holdout).
-	HoldoutMod int
-	// DropFoldedSlots resets the collector buckets that were folded into a
-	// published refit, so the same reports are never folded twice. Default
-	// true (set explicitly to keep buckets, e.g. for diagnostics).
-	KeepFoldedSlots bool
 }
 
-// DefaultRefitter returns the production defaults.
-func DefaultRefitter() RefitterConfig {
-	return RefitterConfig{Interval: 5 * time.Minute, Alpha: 0.1, HoldoutMod: 4}
-}
+// holdoutMod splits each slot's observed roads deterministically: roads with
+// hash(slot, road) % holdoutMod == 0 are withheld from the fold and used as
+// the gate's holdout set (≈25% holdout).
+const holdoutMod = 4
 
 // RefitReport describes one refit attempt.
 type RefitReport struct {
@@ -71,15 +63,11 @@ func NewRefitter(mgr *Manager, col *stream.Collector, cfg RefitterConfig) (*Refi
 	if mgr == nil || col == nil {
 		return nil, fmt.Errorf("modelstore: refitter needs a manager and a collector")
 	}
-	def := DefaultRefitter()
 	if cfg.Interval <= 0 {
-		cfg.Interval = def.Interval
+		cfg.Interval = 5 * time.Minute
 	}
 	if cfg.Alpha <= 0 || cfg.Alpha >= 1 {
-		cfg.Alpha = def.Alpha
-	}
-	if cfg.HoldoutMod < 2 {
-		cfg.HoldoutMod = def.HoldoutMod
+		cfg.Alpha = 0.1
 	}
 	return &Refitter{
 		mgr:  mgr,
@@ -141,8 +129,8 @@ func holdoutRoad(t tslot.Slot, road, mod int) bool {
 
 // RefitOnce performs one fold→gate→publish→swap cycle synchronously and
 // returns its report. With no collector data it is a cheap no-op
-// (Skipped=true). On publication the folded slots' buckets are reset
-// (unless KeepFoldedSlots) so reports are folded exactly once.
+// (Skipped=true). On publication the folded slots' buckets are reset, so
+// reports are folded exactly once.
 func (r *Refitter) RefitOnce() (RefitReport, error) {
 	start := time.Now()
 	rep := RefitReport{AttemptsUnix: start.Unix()}
@@ -165,7 +153,7 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 		fSet := make(map[int]float64, len(obs))
 		hSet := make(map[int]float64)
 		for road, v := range obs {
-			if holdoutRoad(t, road, r.cfg.HoldoutMod) {
+			if holdoutRoad(t, road, holdoutMod) {
 				hSet[road] = v
 			} else {
 				fSet[road] = v
@@ -206,10 +194,8 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 	}
 	rep.Published = true
 	rep.Version = info.Version
-	if !r.cfg.KeepFoldedSlots {
-		for t := range fold {
-			r.col.Reset(t)
-		}
+	for t := range fold {
+		r.col.Reset(t)
 	}
 	return rep, nil
 }

@@ -35,7 +35,7 @@ func feedSlot(tb testing.TB, f *fixture, col *stream.Collector, day int, slot ts
 func TestRefitDrill(t *testing.T) {
 	f := newFixture(t, 20, 4, 9)
 	store := openStore(t)
-	mgr, err := NewManager(f.sys, store, GateConfig{})
+	mgr, err := NewManager(f.sys, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestRefitDrill(t *testing.T) {
 
 func TestRefitOnceEmptyCollectorSkips(t *testing.T) {
 	f := newFixture(t, 12, 2, 13)
-	mgr, err := NewManager(f.sys, openStore(t), GateConfig{})
+	mgr, err := NewManager(f.sys, openStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRefitOnceEmptyCollectorSkips(t *testing.T) {
 
 func TestRefitterBackgroundLoop(t *testing.T) {
 	f := newFixture(t, 12, 2, 13)
-	mgr, err := NewManager(f.sys, openStore(t), GateConfig{})
+	mgr, err := NewManager(f.sys, openStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestRefitterBackgroundLoop(t *testing.T) {
 
 func TestRefitterStopWithoutStart(t *testing.T) {
 	f := newFixture(t, 12, 2, 13)
-	mgr, err := NewManager(f.sys, openStore(t), GateConfig{})
+	mgr, err := NewManager(f.sys, openStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,10 @@ type manifest struct {
 
 // Store is a directory of versioned RTF snapshots plus a manifest naming the
 // current serving version. Publication is crash-safe: the snapshot is
-// written to a temp file, fsynced, renamed into place, and only then does
-// the manifest (also temp+rename) advance — a torn write can leave garbage
-// temp files, never a corrupt published version.
+// written to a temp file, fsynced, renamed into place (writeAtomic, the same
+// path WriteFile takes), and only then does the manifest advance the same
+// way — a torn write can leave garbage temp files, never a corrupt published
+// version.
 type Store struct {
 	dir string
 
@@ -98,31 +99,9 @@ func (s *Store) Save(m *rtf.Model, meta Meta) (VersionInfo, error) {
 	}
 	version := s.man.Next
 	name := fmt.Sprintf("v%06d.rtf", version)
-
-	tmp, err := os.CreateTemp(s.dir, ".tmp-snapshot-*")
+	size, err := writeAtomic(filepath.Join(s.dir, name), func(w io.Writer) error { return Encode(w, m, meta) })
 	if err != nil {
 		return VersionInfo{}, fmt.Errorf("modelstore: save: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after successful rename
-	if err := Encode(tmp, m, meta); err != nil {
-		tmp.Close()
-		return VersionInfo{}, fmt.Errorf("modelstore: save: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return VersionInfo{}, fmt.Errorf("modelstore: save: %w", err)
-	}
-	size, err := tmp.Seek(0, io.SeekEnd)
-	if err != nil {
-		tmp.Close()
-		return VersionInfo{}, fmt.Errorf("modelstore: save: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return VersionInfo{}, fmt.Errorf("modelstore: save: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, name)); err != nil {
-		return VersionInfo{}, fmt.Errorf("modelstore: publish: %w", err)
 	}
 
 	info := VersionInfo{
@@ -155,24 +134,10 @@ func (s *Store) writeManifestLocked(next manifest) error {
 		return fmt.Errorf("modelstore: manifest: %w", err)
 	}
 	raw = append(raw, '\n')
-	tmp, err := os.CreateTemp(s.dir, ".tmp-manifest-*")
-	if err != nil {
-		return fmt.Errorf("modelstore: manifest: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("modelstore: manifest: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("modelstore: manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("modelstore: manifest: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, manifestName)); err != nil {
+	if _, err := writeAtomic(filepath.Join(s.dir, manifestName), func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	}); err != nil {
 		return fmt.Errorf("modelstore: manifest: %w", err)
 	}
 	s.man = next
@@ -220,12 +185,7 @@ func (s *Store) Load(version uint64) (*rtf.Model, VersionInfo, error) {
 		}
 		return nil, VersionInfo{}, fmt.Errorf("%w: v%d", ErrNoSuchVersion, version)
 	}
-	f, err := os.Open(filepath.Join(s.dir, info.File))
-	if err != nil {
-		return nil, info, fmt.Errorf("modelstore: load v%d: %w", version, err)
-	}
-	defer f.Close()
-	m, _, _, err := DecodeVerify(f, info.TopoHash)
+	m, err := readSnapshot(filepath.Join(s.dir, info.File), info.TopoHash)
 	if err != nil {
 		return nil, info, fmt.Errorf("modelstore: load v%d: %w", version, err)
 	}

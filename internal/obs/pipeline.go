@@ -136,7 +136,9 @@ type StreamMetrics struct {
 type Pipeline struct {
 	Clock Clock
 
-	// Query-level counters (core.RunQuery, whatever the policy).
+	// Query-level counters (core.RunQuery, whatever the policy). They, the
+	// probe and the budget counters count Go-API System.Query calls; no HTTP
+	// route runs one, so a serving process leaves them at 0.
 	Queries       *Counter
 	QueryErrors   *Counter
 	QueryDegraded *Counter
@@ -176,11 +178,11 @@ func NewPipeline(reg *Registry, clock Clock) *Pipeline {
 	}
 	p := &Pipeline{
 		Clock:         clock,
-		Queries:       reg.Counter(MQueries, "online queries served by the query pipeline"),
-		QueryErrors:   reg.Counter(MQueryErrors, "queries that returned an error"),
-		QueryDegraded: reg.Counter(MQueryDegraded, "queries answered with zero successful probes (the periodicity prior)"),
-		QueryDeadline: reg.Counter(MQueryDeadline, "queries cut short by a context deadline"),
-		QueryLatency:  reg.Histogram(MQuerySeconds, "end-to-end online query latency", nil),
+		Queries:       reg.Counter(MQueries, "Go-API System.Query calls (no HTTP route runs one)"),
+		QueryErrors:   reg.Counter(MQueryErrors, "Go-API System.Query calls that returned an error"),
+		QueryDegraded: reg.Counter(MQueryDegraded, "Go-API System.Query calls answered with zero successful probes (the periodicity prior)"),
+		QueryDeadline: reg.Counter(MQueryDeadline, "Go-API System.Query calls cut short by a context deadline"),
+		QueryLatency:  reg.Histogram(MQuerySeconds, "Go-API System.Query end-to-end latency", nil),
 		OCS: OCSMetrics{
 			Solves:   reg.Counter(MOCSSolves, "OCS solver invocations"),
 			Selected: reg.Counter(MOCSSelectedRoads, "crowdsourced roads selected by OCS"),
@@ -207,11 +209,11 @@ func NewPipeline(reg *Registry, clock Clock) *Pipeline {
 			PseudoObs:     reg.Counter(MTemporalPseudoObs, "temporal-filter GSP pseudo-observation fallbacks"),
 			ForecastDepth: reg.Histogram(MForecastDepth, "forecast horizon depth in slots (recorded as seconds)", ForecastDepthBuckets),
 		},
-		ProbeRounds:    reg.Counter(MProbeRounds, "crowd probe/campaign rounds executed"),
-		ProbeAnswers:   reg.Counter(MProbeAnswers, "raw worker answers collected"),
-		ProbeLatency:   reg.Histogram(MProbeSeconds, "probe/campaign round latency", nil),
-		BudgetSpent:    reg.Counter(MBudgetSpent, "crowdsourcing budget spent"),
-		BudgetRecycled: reg.Counter(MBudgetRecycled, "budget recycled into re-selection rounds"),
+		ProbeRounds:    reg.Counter(MProbeRounds, "crowd probe/campaign rounds run by Go-API System.Query calls"),
+		ProbeAnswers:   reg.Counter(MProbeAnswers, "raw worker answers collected by Go-API System.Query calls"),
+		ProbeLatency:   reg.Histogram(MProbeSeconds, "probe/campaign round latency of Go-API System.Query calls", nil),
+		BudgetSpent:    reg.Counter(MBudgetSpent, "crowdsourcing budget spent by Go-API System.Query calls"),
+		BudgetRecycled: reg.Counter(MBudgetRecycled, "budget Go-API System.Query calls recycled into re-selection rounds"),
 		CorrRowCompute: reg.Histogram(MCorrRowSeconds, "correlation row Dijkstra computation latency", nil),
 		Stream: StreamMetrics{
 			Accepted: reg.Counter(MStreamReports, "speed reports accepted by the collector"),

@@ -110,16 +110,20 @@ const (
 	TierFull Tier = iota
 	// TierBatched forces same-slot requests to share one in-flight
 	// propagation even when their observation sets differ slightly — the
-	// leader's observations answer everyone, so a follower's answer may be
-	// marginally stale (mildly inflated variance).
+	// leader's observations answer everyone, so a follower's variance is
+	// widened by the measured gap between its own observations and the
+	// shared field.
 	TierBatched
 	// TierCached serves the slot's previous estimate straight from the warm
-	// LRU with no propagation at all (inflated variance); when the slot has
-	// no cached field it falls through to TierPrior.
+	// LRU with no propagation at all, its variance aged through each road's
+	// AR(1) transition and widened by the same evidence gap against the
+	// slot's current observations; when the slot has no cached field it
+	// falls through to TierPrior.
 	TierCached
 	// TierPrior answers from the periodicity prior μ alone — structurally
-	// valid, zero realtime signal, strongly inflated variance. The last rung
-	// before shedding.
+	// valid, zero realtime signal — with the prior spread Σ as its SD and
+	// no further inflation (VarianceInflation 1.0): Σ already prices the
+	// missing realtime signal. The last rung before shedding.
 	TierPrior
 
 	numTiers = 4

@@ -14,9 +14,7 @@
 package rtf
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/network"
@@ -34,7 +32,7 @@ const (
 )
 
 // Model is a fitted RTF over a fixed network. Create with New and fill via
-// FitMoments / RefineCCD, or decode a previously-saved model with Read.
+// FitMoments / RefineCCD, or decode a saved snapshot with package modelstore.
 type Model struct {
 	n     int      // number of roads
 	edges [][2]int // sorted edge list, u < v
@@ -231,10 +229,11 @@ func (m *Model) Clone() *Model {
 }
 
 // FromParams reconstructs a model from raw parameter tensors — the
-// constructor used by snapshot decoders (package modelstore). It takes
-// ownership of the slices and validates shape and value ranges exactly like
-// Read: every slot must cover n roads and len(edges) edges, σ must be
-// positive and finite, ρ inside (0, 1], and μ finite.
+// constructor the snapshot decoder (package modelstore) uses. It takes
+// ownership of the slices and validates shape and value ranges: every slot
+// must cover n roads and len(edges) edges, every edge must be u < v, in
+// range and listed once, σ must be positive and finite, ρ inside (0, 1],
+// and μ finite.
 func FromParams(n int, edges [][2]int, mu, sigma, rho [][]float64) (*Model, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("rtf: negative road count %d", n)
@@ -272,35 +271,6 @@ func FromParams(n int, edges [][2]int, mu, sigma, rho [][]float64) (*Model, erro
 				return nil, fmt.Errorf("rtf: slot %d edge %d has ρ=%v", t, i, r)
 			}
 		}
-	}
-	return m, nil
-}
-
-// modelWire is the gob wire form.
-type modelWire struct {
-	N     int
-	Edges [][2]int
-	Mu    [][]float64
-	Sigma [][]float64
-	Rho   [][]float64
-}
-
-// Write serializes the model with encoding/gob.
-func (m *Model) Write(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(modelWire{
-		N: m.n, Edges: m.edges, Mu: m.mu, Sigma: m.sigma, Rho: m.rho,
-	})
-}
-
-// Read decodes a model written by Write.
-func Read(r io.Reader) (*Model, error) {
-	var w modelWire
-	if err := gob.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("rtf: decode: %w", err)
-	}
-	m, err := FromParams(w.N, w.Edges, w.Mu, w.Sigma, w.Rho)
-	if err != nil {
-		return nil, fmt.Errorf("rtf: decode: %w", err)
 	}
 	return m, nil
 }

@@ -1,7 +1,6 @@
 package rtf_test
 
 import (
-	"bytes"
 	"math"
 	. "repro/internal/rtf"
 	"testing"
@@ -352,41 +351,4 @@ func TestJointLikelihoodPanicsOnBadLength(t *testing.T) {
 		}
 	}()
 	JointLikelihood(net, m.At(0), make([]float64, 3))
-}
-
-func TestModelRoundTrip(t *testing.T) {
-	net, h := testSetup(t, 25, 5, 13)
-	m := New(net)
-	if err := FitMoments(m, h, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != m.N() || len(got.Edges()) != len(m.Edges()) {
-		t.Fatal("round trip changed shape")
-	}
-	for _, slot := range []tslot.Slot{0, 99, 287} {
-		for r := 0; r < m.N(); r++ {
-			if got.Mu(slot, r) != m.Mu(slot, r) || got.Sigma(slot, r) != m.Sigma(slot, r) {
-				t.Fatalf("round trip differs at slot %d road %d", slot, r)
-			}
-		}
-		for _, e := range m.Edges() {
-			if got.Rho(slot, e[0], e[1]) != m.Rho(slot, e[0], e[1]) {
-				t.Fatalf("ρ differs at slot %d edge %v", slot, e)
-			}
-		}
-	}
-}
-
-func TestReadRejectsCorrupt(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("garbage accepted")
-	}
 }

@@ -71,7 +71,7 @@ func (rs *RoadSetRequest) selector(def core.Selector) (core.Selector, error) {
 	if rs.Objective == "" {
 		return def, nil
 	}
-	return parseSelector(rs.Objective)
+	return core.ParseSelector(rs.Objective)
 }
 
 // endpointInfo is one row of the machine-readable route inventory.

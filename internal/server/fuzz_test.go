@@ -48,7 +48,7 @@ func FuzzHandlers(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	mgr, err := modelstore.NewManager(sys, store, modelstore.GateConfig{})
+	mgr, err := modelstore.NewManager(sys, store)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func newLifecycleServer(tb testing.TB) (*httptest.Server, *Server, *core.System,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	mgr, err := modelstore.NewManager(sys, store, modelstore.GateConfig{})
+	mgr, err := modelstore.NewManager(sys, store)
 	if err != nil {
 		tb.Fatal(err)
 	}

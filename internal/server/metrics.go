@@ -192,14 +192,11 @@ func (s *Server) SetClock(clk obs.Clock) {
 
 // obsRollup is the /v1/healthz observability block. Every number is read
 // from the same instruments /v1/metrics exports — the two surfaces cannot
-// diverge.
+// diverge. It holds only counters a serving process moves: the query,
+// probe-round and budget series count Go-API System.Query calls, which no
+// HTTP route runs, so they stay on /v1/metrics alone.
 type obsRollup struct {
-	Queries         uint64  `json:"queries"`
-	QueryErrors     uint64  `json:"query_errors"`
-	QueryDegraded   uint64  `json:"query_degraded"`
-	QueryP95Seconds float64 `json:"query_p95_seconds"`
 	GSPRuns         uint64  `json:"gsp_runs"`
-	ProbeRounds     uint64  `json:"probe_rounds"`
 	ReportsAccepted uint64  `json:"reports_accepted"`
 	ReportsRejected uint64  `json:"reports_rejected"`
 	HTTPInFlight    float64 `json:"http_in_flight"`
@@ -208,12 +205,7 @@ type obsRollup struct {
 func (s *Server) rollup() *obsRollup {
 	p := s.pipe
 	return &obsRollup{
-		Queries:         p.Queries.Value(),
-		QueryErrors:     p.QueryErrors.Value(),
-		QueryDegraded:   p.QueryDegraded.Value(),
-		QueryP95Seconds: p.QueryLatency.Quantile(0.95),
 		GSPRuns:         p.GSP.Runs.Value(),
-		ProbeRounds:     p.ProbeRounds.Value(),
 		ReportsAccepted: p.Stream.Accepted.Value(),
 		ReportsRejected: p.Stream.Rejected.Value(),
 		HTTPInFlight:    s.httpm.inFlight.Value(),

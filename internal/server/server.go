@@ -356,9 +356,9 @@ type selectRequest struct {
 	Roads  []int   `json:"roads"`
 	Budget int     `json:"budget"`
 	Theta  float64 `json:"theta"`
-	// Selector is "Hybrid" (default), "Ratio", "OBJ", "Rand" or "VarMin";
-	// "RouteVar" needs a planned route's weights and is refused here
-	// (budgeted /v1/route runs it).
+	// Selector is a core.ParseSelector name: "Hybrid" (default), "Ratio",
+	// "OBJ", "Rand" or "VarMin"; "RouteVar" needs a planned route's weights
+	// and is refused here (budgeted /v1/route runs it).
 	Selector string `json:"selector"`
 	Seed     int64  `json:"seed"`
 }
@@ -367,25 +367,6 @@ type selectResponse struct {
 	Roads []int   `json:"roads"`
 	Value float64 `json:"value"`
 	Cost  int     `json:"cost"`
-}
-
-func parseSelector(name string) (core.Selector, error) {
-	switch name {
-	case "", "Hybrid":
-		return core.Hybrid, nil
-	case "Ratio":
-		return core.Ratio, nil
-	case "OBJ", "Objective":
-		return core.Objective, nil
-	case "Rand", "Random":
-		return core.RandomSel, nil
-	case "VarMin", "VarianceMin":
-		return core.VarMin, nil
-	case "RouteVar":
-		return core.RouteVar, nil
-	default:
-		return 0, fmt.Errorf("unknown selector %q", name)
-	}
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
@@ -398,7 +379,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
 		return
 	}
-	sel, err := parseSelector(req.Selector)
+	sel, err := core.ParseSelector(req.Selector)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return

@@ -321,19 +321,3 @@ func TestAlertsEndpoint(t *testing.T) {
 		}
 	}
 }
-
-func TestParseSelector(t *testing.T) {
-	for name, want := range map[string]core.Selector{
-		"": core.Hybrid, "Hybrid": core.Hybrid, "Ratio": core.Ratio,
-		"OBJ": core.Objective, "Objective": core.Objective,
-		"Rand": core.RandomSel, "Random": core.RandomSel,
-	} {
-		got, err := parseSelector(name)
-		if err != nil || got != want {
-			t.Errorf("parseSelector(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseSelector("nope"); err == nil {
-		t.Error("unknown selector accepted")
-	}
-}
