@@ -43,9 +43,10 @@ fault-determinism:
 # followers share the next run), one row deepened from many goroutines while
 # others read it, the greedy's eager-reference equivalence corpora (random
 # instances, and the certified rows on the 5k metro), concurrent greedy
-# solves over one shared oracle, mixed-slot System.Query under LRU eviction,
-# and the model hot-swap under 32 concurrent fault-tolerant query clients —
-# all under the race detector.
+# solves over one shared oracle, concurrent mixed-slot queries of the
+# simulated query loop (sim.RunQuery on pinned engines) under oracle-LRU
+# eviction, and the model hot-swap under 32 concurrent fault-tolerant
+# sim.RunQuery clients — all under the race detector.
 race-hotpath:
 	$(GO) test -race -run '$(HOTPATH_RUN)' $(HOTPATH_PKGS)
 
@@ -58,14 +59,15 @@ fuzz-seed:
 fuzz-snapshot:
 	$(GO) test -fuzz FuzzSnapshotRoundTrip -fuzztime 15s ./internal/modelstore/
 
-# Full race-detector pass over every package with concurrent state: the query
-# pipeline, the correlation oracle, the report collector, the shard fan-out
+# Full race-detector pass over every package with concurrent state: the
+# serving engine, the simulated query loop that drives it, the correlation
+# oracle, the report collector, the shard fan-out
 # (one goroutine per shard on every sharded select and estimate), the HTTP
 # surface (including the 32-client metrics-scrape-during-hot-swap test and
 # sharded serving) and the instrument primitives themselves.
 race-suite:
-	$(GO) test -race ./internal/core/ ./internal/corr/ ./internal/stream/ \
-		./internal/shard/ ./internal/server/ ./internal/obs/
+	$(GO) test -race ./internal/core/ ./internal/sim/ ./internal/corr/ \
+		./internal/stream/ ./internal/shard/ ./internal/server/ ./internal/obs/
 
 # Smoke test of the serving benchmark: every workload briefly, every metric
 # BENCHMARK.json names, no failed answer. bench/ is its own module, so the

@@ -24,6 +24,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/ocs"
 	"repro/internal/rtf"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
@@ -420,7 +421,7 @@ func BenchmarkConcurrentPipeline(b *testing.B) {
 							return
 						}
 						slot := tslot.Slot(int(i/benchSlotGroup)%benchSlotCount + 60)
-						_, err := sys.Query(context.Background(), core.QueryRequest{
+						_, err := sim.RunQuery(context.Background(), sys.Pin(nil), e.Net, sim.QueryRequest{
 							Slot: slot, Roads: e.Query, Budget: 20, Theta: 0.92,
 							Workers: pool, Seed: i + 1,
 							Truth: func(r int) float64 { return e.Hist.At(day, slot, r) },

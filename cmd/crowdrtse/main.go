@@ -11,8 +11,9 @@
 //	    [-budget K] [-theta θ] [-selector Hybrid] [-days D]
 //	    [-resilient] [-deadline 2s] [-rounds 3]
 //	    [-dropout 0.3] [-blackouts 5,9] [-late 0.1] [-stale 0.05] [-garbage 0.02]
-//	    run the online pipeline (OCS → probe → GSP) against the last
-//	    recorded day as ground truth and print the estimates; with
+//	    run the paper's query loop (OCS → probe → GSP, package sim) with
+//	    simulated workers answering from the last recorded day, and print
+//	    the estimates; with
 //	    -resilient (implied by any fault flag) the query runs the
 //	    fault-tolerant policy (a task campaign with -rounds re-selection
 //	    rounds) under the injected faults and reports its degradation
@@ -73,6 +74,7 @@ import (
 	"repro/internal/rtf"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
@@ -278,7 +280,7 @@ func cmdQuery(args []string) error {
 
 	anyFault := *dropout > 0 || *blackoutsRaw != "" || *late > 0 || *staleP > 0 || *garbage > 0
 	if !*resilient && !anyFault && *deadline == 0 {
-		res, err := sys.Query(context.Background(), core.QueryRequest{
+		res, err := sim.RunQuery(context.Background(), sys.Pin(nil), sys.Network(), sim.QueryRequest{
 			Slot: slot, Roads: query, Budget: *budget, Theta: *theta,
 			Workers:  pool,
 			Selector: sel, Seed: *seed,
@@ -324,7 +326,7 @@ func cmdQuery(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *deadline)
 		defer cancel()
 	}
-	res, err := sys.Query(ctx, core.QueryRequest{
+	res, err := sim.RunQuery(ctx, sys.Pin(nil), sys.Network(), sim.QueryRequest{
 		Slot: slot, Roads: query, Budget: *budget, Theta: *theta,
 		Workers:  inj.FilterPool(pool),
 		Selector: sel, Seed: *seed,

@@ -7,16 +7,20 @@
 // The final drill turns from supply faults to demand faults: a deterministic
 // overload scenario (faults.NewOverload — diurnal surge, transient bursts,
 // collector latency spike) is replayed through a qos.Controller, showing the
-// QoS ladder stepping batch → interactive tiers down under pressure while
-// the alerting class rides through at full fidelity, then recovering.
+// QoS ladder shedding batch and interactive traffic under pressure while the
+// alerting class, stepped down to cheaper tiers at the peak, is never shed,
+// then recovering.
 //
 //	go run ./examples/chaosdrill
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -26,21 +30,28 @@ import (
 	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 200, Seed: 7, CostMax: 5})
 	hist, err := speedgen.Generate(net, speedgen.Default(14, 8))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	trainDays := hist.Days - 1
 	evalDay := hist.Days - 1
 	sys, err := core.Train(net, hist.DayRange(0, trainDays), core.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	slot := tslot.OfMinute(8*60 + 30)
@@ -48,22 +59,22 @@ func main() {
 	truth := func(r int) float64 { return hist.At(evalDay, slot, r) }
 	pool := crowd.PlaceEverywhere(net)
 
-	run := func(label string, cfg faults.Config) {
+	drill := func(label string, cfg faults.Config) error {
 		inj, err := faults.New(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		camp := inj.WrapCampaign(crowd.DefaultCampaign(1))
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		res, err := sys.Query(ctx, core.QueryRequest{
+		res, err := sim.RunQuery(ctx, sys.Pin(nil), net, sim.QueryRequest{
 			Slot: slot, Roads: query, Budget: 40, Theta: 0.92,
 			Workers: inj.FilterPool(pool), Seed: 1,
 			Campaign: &camp, Rounds: 3,
 			Truth: inj.WrapTruth(truth),
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var est, tru []float64
 		for _, r := range query {
@@ -71,22 +82,24 @@ func main() {
 			tru = append(tru, truth(r))
 		}
 		mape := metrics.MAPE(est, tru)
-		fmt.Printf("\n== %s ==\n", label)
-		fmt.Printf("rounds %d, spent %d/40, recycled %d, tasks %d ok / %d partial / %d failed / %d late\n",
+		fmt.Fprintf(w, "\n== %s ==\n", label)
+		fmt.Fprintf(w, "rounds %d, spent %d/40, recycled %d, tasks %d ok / %d partial / %d failed / %d late\n",
 			res.Rounds, res.Ledger.Spent, res.BudgetRecycled,
 			res.Campaign.Fulfilled, res.Campaign.Partial, res.Campaign.Failed, res.Campaign.Late)
 		if len(res.AbandonedRoads) > 0 {
-			fmt.Printf("abandoned roads: %v\n", res.AbandonedRoads)
+			fmt.Fprintf(w, "abandoned roads: %v\n", res.AbandonedRoads)
 		}
-		fmt.Printf("degraded=%v deadlineHit=%v  query MAPE %.1f%%\n",
+		fmt.Fprintf(w, "degraded=%v deadlineHit=%v  query MAPE %.1f%%\n",
 			res.Degraded, res.DeadlineHit, 100*mape)
+		return nil
 	}
 
 	history := func(r, lag int) float64 { return hist.At(evalDay, slot.Add(-lag), r) }
 
-	run("calm seas (no faults)", faults.Config{Seed: 42})
-
-	run("storm: 30% dropout + blackouts on roads 17,42 + stale/garbage/late answers",
+	if err := drill("calm seas (no faults)", faults.Config{Seed: 42}); err != nil {
+		return err
+	}
+	if err := drill("storm: 30% dropout + blackouts on roads 17,42 + stale/garbage/late answers",
 		faults.Config{
 			Seed:        42,
 			DropoutProb: 0.30,
@@ -94,18 +107,21 @@ func main() {
 			StaleProb:   0.10, StaleLag: 1, History: history,
 			GarbageProb: 0.05,
 			LatencyProb: 0.10,
-		})
-
-	run("total blackout: 100% dropout (fallback to the periodicity prior)",
-		faults.Config{Seed: 42, DropoutProb: 1})
-
-	overloadDrill()
+		}); err != nil {
+		return err
+	}
+	if err := drill("total blackout: 100% dropout (fallback to the periodicity prior)",
+		faults.Config{Seed: 42, DropoutProb: 1}); err != nil {
+		return err
+	}
+	return overloadDrill(w)
 }
 
 // overloadDrill replays a deterministic surge through the admission
 // controller: demand quadruples, the collector slows down, pressure climbs,
-// and the QoS ladder sheds batch traffic while alerting rides through.
-func overloadDrill() {
+// and the QoS ladder sheds batch and interactive traffic while alerting is
+// never shed.
+func overloadDrill(w io.Writer) error {
 	sc, err := faults.NewOverload(faults.OverloadConfig{
 		Seed:         42,
 		Steps:        60,
@@ -120,7 +136,7 @@ func overloadDrill() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	clk := obs.NewFakeClock(time.Unix(1_700_000_000, 0), 0)
@@ -133,14 +149,14 @@ func overloadDrill() {
 		},
 	}, clk)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var load float64
 	ctl.SetSignals(func() float64 { return load }, func() float64 { return 0 })
 	keys := map[string]string{"ops": "ops-key", "maps": "maps-key", "etl": "etl-key"}
 
-	fmt.Printf("\n== overload drill: diurnal surge through the admission controller ==\n")
-	fmt.Printf("%4s %9s %6s  %s\n", "step", "pressure", "shed", "tiers served (this step)")
+	fmt.Fprintf(w, "\n== overload drill: diurnal surge through the admission controller ==\n")
+	fmt.Fprintf(w, "%4s %9s %6s  %s\n", "step", "pressure", "shed", "tiers served (this step)")
 	firstShed := map[qos.Class]int{}
 	for step := 0; step < sc.Steps(); step++ {
 		load = sc.OfferedLoad(step)
@@ -149,11 +165,11 @@ func overloadDrill() {
 		for _, a := range sc.Arrivals(step) {
 			tenant, ok := ctl.Resolve(keys[a.Tenant])
 			if !ok {
-				log.Fatalf("unknown tenant %q", a.Tenant)
+				return fmt.Errorf("unknown tenant %q", a.Tenant)
 			}
 			class, err := qos.ParseClass(a.Class)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			d := ctl.Admit(tenant, class, 1)
 			if !d.Admit {
@@ -167,19 +183,20 @@ func overloadDrill() {
 		}
 		clk.Advance(time.Second)
 		if step%5 == 0 || shed > 0 && step%2 == 0 {
-			fmt.Printf("%4d %9.2f %6d  %v\n", step, ctl.Pressure(), shed, tiers)
+			fmt.Fprintf(w, "%4d %9.2f %6d  %v\n", step, ctl.Pressure(), shed, tiers)
 		}
 	}
 
 	rep := ctl.Report()
-	fmt.Println("\ntenant totals (admitted / shed by class):")
+	fmt.Fprintln(w, "\ntenant totals (admitted / shed by class):")
 	for _, tr := range rep.Tenants {
-		fmt.Printf("  %-5s admitted=%v shed=%v tiers=%v\n", tr.Name, tr.Admitted, tr.Shed, tr.Tiers)
+		fmt.Fprintf(w, "  %-5s admitted=%v shed=%v tiers=%v\n", tr.Name, tr.Admitted, tr.Shed, tr.Tiers)
 		if tr.Name == "ops" && tr.Shed["alerting"] > 0 {
-			log.Fatal("drill invariant violated: alerting traffic was shed")
+			return errors.New("drill invariant violated: alerting traffic was shed")
 		}
 	}
 	if len(firstShed) > 0 {
-		fmt.Printf("first shed step by class: %v (batch must shed first)\n", firstShed)
+		fmt.Fprintf(w, "first shed step by class: %v (batch sheds no later than interactive)\n", firstShed)
 	}
+	return nil
 }

@@ -11,18 +11,27 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/metrics"
 	"repro/internal/network"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 300, Seed: 21, CostMax: 5})
 
 	// Heavier incident load makes the realtime day genuinely deviate from
@@ -31,18 +40,18 @@ func main() {
 	cfg.IncidentsPerDay = 8
 	hist, err := speedgen.Generate(net, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	evalDay := hist.Days - 1
 	sys, err := core.Train(net, hist.DayRange(0, hist.Days-1), core.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The monitored district: a connected patch of 40 roads.
 	district, _, err := net.ConnectedSubnetwork(120, 40)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	_ = district
 	query := net.Graph().ConnectedSubset(120, 40)
@@ -50,10 +59,10 @@ func main() {
 	pool := crowd.PlaceEverywhere(net)
 	rng := rand.New(rand.NewSource(23))
 
-	fmt.Println("time   probed  spent  MAPE(CrowdRTSE)  MAPE(periodic)  worst-road APE")
+	fmt.Fprintln(w, "time   probed  spent  MAPE(CrowdRTSE)  MAPE(periodic)  worst-road APE")
 	for minute := 6 * 60; minute <= 21*60; minute += 30 {
 		slot := tslot.OfMinute(minute)
-		res, err := sys.Query(context.Background(), core.QueryRequest{
+		res, err := sim.RunQuery(context.Background(), sys.Pin(nil), net, sim.QueryRequest{
 			Slot:    slot,
 			Roads:   query,
 			Budget:  20,
@@ -64,7 +73,7 @@ func main() {
 			Truth:   func(r int) float64 { return hist.At(evalDay, slot, r) },
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		est := make([]float64, len(query))
 		per := make([]float64, len(query))
@@ -79,8 +88,9 @@ func main() {
 				worst = ape
 			}
 		}
-		fmt.Printf("%s   %4d   %4d        %7.4f         %7.4f         %7.4f\n",
+		fmt.Fprintf(w, "%s   %4d   %4d        %7.4f         %7.4f         %7.4f\n",
 			slot, len(res.Selected.Roads), res.Ledger.Spent,
 			metrics.MAPE(est, truth), metrics.MAPE(per, truth), worst)
 	}
+	return nil
 }

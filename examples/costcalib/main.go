@@ -11,27 +11,36 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/network"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 	"repro/internal/workerqual"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 150, Seed: 51})
 	hist, err := speedgen.Generate(net, speedgen.Default(12, 52))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	evalDay := hist.Days - 1
 	sys, err := core.Train(net, hist.DayRange(0, hist.Days-1), core.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 1. Simulate a month of past probe answers: 40 workers with individual
@@ -62,16 +71,16 @@ func main() {
 	model := workerqual.CostModel{TargetSE: 2.0, MinCost: 1, MaxCost: 8}
 	costs, err := workerqual.CalibrateCosts(answers, nWorkers, net.N(), model, workerqual.DefaultOptions())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	histCount := map[int]int{}
 	for _, c := range costs {
 		histCount[c]++
 	}
-	fmt.Printf("calibrated costs from %d historical answers:\n", len(answers))
+	fmt.Fprintf(w, "calibrated costs from %d historical answers:\n", len(answers))
 	for c := model.MinCost; c <= model.MaxCost; c++ {
 		if histCount[c] > 0 {
-			fmt.Printf("  cost %d: %3d roads\n", c, histCount[c])
+			fmt.Fprintf(w, "  cost %d: %3d roads\n", c, histCount[c])
 		}
 	}
 
@@ -82,30 +91,31 @@ func main() {
 	}
 	net2, err := network.New(net.Graph(), roads)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys2, err := core.NewFromModel(net2, sys.Model(), core.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. Query through a campaign with 70% worker willingness.
 	camp := crowd.DefaultCampaign(54)
 	query := rng.Perm(net.N())[:12]
-	res, err := sys2.Query(context.Background(), core.QueryRequest{
+	res, err := sim.RunQuery(context.Background(), sys2.Pin(nil), net2, sim.QueryRequest{
 		Slot: slot, Roads: query, Budget: 30, Theta: 0.92,
 		Workers:  crowd.PlaceEverywhere(net2),
 		Campaign: &camp,
 		Truth:    func(r int) float64 { return hist.At(evalDay, slot, r) },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncampaign: %d fulfilled, %d partial, %d failed; spent %d/%d\n",
+	fmt.Fprintf(w, "\ncampaign: %d fulfilled, %d partial, %d failed; spent %d/%d\n",
 		res.Campaign.Fulfilled, res.Campaign.Partial, res.Campaign.Failed,
 		res.Ledger.Spent, 30)
-	fmt.Printf("%-6s %10s %10s\n", "road", "estimate", "truth")
+	fmt.Fprintf(w, "%-6s %10s %10s\n", "road", "estimate", "truth")
 	for _, r := range query {
-		fmt.Printf("%-6d %10.1f %10.1f\n", r, res.QuerySpeeds[r], hist.At(evalDay, slot, r))
+		fmt.Fprintf(w, "%-6d %10.1f %10.1f\n", r, res.QuerySpeeds[r], hist.At(evalDay, slot, r))
 	}
+	return nil
 }

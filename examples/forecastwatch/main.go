@@ -11,8 +11,10 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/network"
@@ -24,18 +26,24 @@ import (
 const fanDepth = 3
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 120, Seed: 21, CostMax: 5})
 	hist, err := speedgen.Generate(net, speedgen.Default(10, 22))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys, err := core.Train(net, hist.DayRange(0, hist.Days-1), core.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b, err := core.NewBatcher(sys)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Fit the per-class AR(1) transition from the training days and attach
@@ -48,7 +56,7 @@ func main() {
 	params := temporal.FitAR1(sys.Model(), hist.DayRange(0, hist.Days-1), classes)
 	filt, err := temporal.New(sys.Model(), start, params, classes, temporal.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	b.AttachTemporal(filt)
 
@@ -56,7 +64,7 @@ func main() {
 	evalDay := hist.Days - 1
 	rng := rand.New(rand.NewSource(23))
 
-	fmt.Printf("watching roads %v from slot %d (5:00pm), %d-slot forecast fan\n\n", watch, start, fanDepth)
+	fmt.Fprintf(w, "watching roads %v from slot %d (5:00pm), %d-slot forecast fan\n\n", watch, start, fanDepth)
 	slot := start
 	for step := 0; step < 4; step++ {
 		// A handful of probe-vehicle reports for this slot (truth + noise).
@@ -69,29 +77,30 @@ func main() {
 		// the filter (probe update at this slot) and seeds GSP warm starts.
 		res, err := b.Estimate(context.Background(), slot, obs)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 
 		now := filt.Now()
-		fmt.Printf("slot %d (%d reports in):\n", slot, len(obs))
+		fmt.Fprintf(w, "slot %d (%d reports in):\n", slot, len(obs))
 		for _, r := range watch {
-			fmt.Printf("  road %3d  gsp %5.1f  filtered %5.1f ± %4.1f km/h  (truth %5.1f)\n",
+			fmt.Fprintf(w, "  road %3d  gsp %5.1f  filtered %5.1f ± %4.1f km/h  (truth %5.1f)\n",
 				r, res.Speeds[r], now.Speeds[r], now.SD[r], hist.At(evalDay, slot, r))
 		}
 
 		fan, err := filt.Forecast(fanDepth)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, r := range watch {
-			fmt.Printf("  road %3d forecast:", r)
+			fmt.Fprintf(w, "  road %3d forecast:", r)
 			for _, f := range fan {
-				fmt.Printf("  +%dm %5.1f ± %4.1f", 5*f.Step, f.Speeds[r], f.SD[r])
+				fmt.Fprintf(w, "  +%dm %5.1f ± %4.1f", 5*f.Step, f.Speeds[r], f.SD[r])
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 		slot = slot.Next()
 	}
-	fmt.Println("the band widens with every step ahead — the filter forgets honestly.")
+	fmt.Fprintln(w, "the band widens with every step ahead — the filter forgets honestly.")
+	return nil
 }

@@ -11,26 +11,35 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/network"
 	"repro/internal/router"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 250, Seed: 31, CostMax: 5})
 	hist, err := speedgen.Generate(net, speedgen.Default(15, 32))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	evalDay := hist.Days - 1
 	sys, err := core.Train(net, hist.DayRange(0, hist.Days-1), core.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	depart := 17*60 + 30.0 // evening rush
@@ -47,10 +56,10 @@ func main() {
 	perSpeeds := append([]float64(nil), view.Mu...)
 	perRoute, err := router.Static(net, perSpeeds, src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(perRoute.Roads) < 5 {
-		log.Fatalf("degenerate route of %d roads", len(perRoute.Roads))
+		return fmt.Errorf("degenerate route of %d roads", len(perRoute.Roads))
 	}
 
 	// A jam erupts mid-route: the middle road and its neighbors crawl.
@@ -74,19 +83,19 @@ func main() {
 	for i := range all {
 		all[i] = i
 	}
-	res, err := sys.Query(context.Background(), core.QueryRequest{
+	res, err := sim.RunQuery(context.Background(), sys.Pin(nil), net, sim.QueryRequest{
 		Slot: slot, Roads: all, Budget: 60, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 33},
 		Truth:   truth,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	crowdRoute, err := router.Static(net, res.Speeds, src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	truthSpeeds := make([]float64, net.N())
 	for r := range truthSpeeds {
@@ -94,19 +103,25 @@ func main() {
 	}
 	optRoute, err := router.Static(net, truthSpeeds, src, dst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	show := func(name string, r router.Route, note string) {
-		actual, err := router.Evaluate(net, truthField, depart, r)
+	fmt.Fprintf(w, "routing %d → %d at %s; jam on road %d and its neighbors\n\n", src, dst, slot, mid)
+	fmt.Fprintf(w, "%-22s %8s %10s\n", "plan", "roads", "minutes")
+	for _, p := range []struct {
+		name  string
+		route router.Route
+		note  string
+	}{
+		{"periodic speeds", perRoute, "(drives into the jam)"},
+		{"CrowdRTSE estimates", crowdRoute, ""},
+		{"true speeds", optRoute, "(hindsight optimum)"},
+	} {
+		actual, err := router.Evaluate(net, truthField, depart, p.route)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-22s %8d %10.1f   %s\n", name, len(r.Roads), actual, note)
+		fmt.Fprintf(w, "%-22s %8d %10.1f   %s\n", p.name, len(p.route.Roads), actual, p.note)
 	}
-	fmt.Printf("routing %d → %d at %s; jam on road %d and its neighbors\n\n", src, dst, slot, mid)
-	fmt.Printf("%-22s %8s %10s\n", "plan", "roads", "minutes")
-	show("periodic speeds", perRoute, "(drives into the jam)")
-	show("CrowdRTSE estimates", crowdRoute, "")
-	show("true speeds", optRoute, "(hindsight optimum)")
+	return nil
 }

@@ -11,23 +11,32 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/rtf"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/trajectory"
 	"repro/internal/tslot"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 120, Seed: 61})
 	hist, err := speedgen.Generate(net, speedgen.Default(10, 62))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	evalDay := hist.Days - 1
 
@@ -39,7 +48,7 @@ func main() {
 		field := func(t tslot.Slot, road int) float64 { return hist.At(d, t, road) }
 		_, fixes, err := trajectory.Simulate(net, field, trajectory.DefaultConfig(400, int64(63+day)))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		totalFixes += len(fixes)
 		for _, rec := range trajectory.ExtractRecords(fixes) {
@@ -48,7 +57,7 @@ func main() {
 			})
 		}
 	}
-	fmt.Printf("fleet produced %d GPS fixes → %d sparse records\n", totalFixes, len(samples))
+	fmt.Fprintf(w, "fleet produced %d GPS fixes → %d sparse records\n", totalFixes, len(samples))
 
 	// 2. Prior: a crude class-level model (no dense feed available); then
 	//    refine the trajectory-covered cells.
@@ -61,26 +70,26 @@ func main() {
 	}
 	rep, err := rtf.FitMomentsSparse(model, samples, 1, 4)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("sparse fit covered %.1f%% of node cells (%d/%d), %d edge cells\n",
+	fmt.Fprintf(w, "sparse fit covered %.1f%% of node cells (%d/%d), %d edge cells\n",
 		100*rep.MuCoverage(), rep.MuCells, rep.TotalMuCells, rep.RhoCells)
 
 	// 3. Query through the trajectory-trained model.
 	sys, err := core.NewFromModel(net, model, core.DefaultConfig())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	slot := tslot.OfMinute(8*60 + 30)
 	query := []int{2, 11, 25, 37, 48, 59, 73, 88, 97, 110}
-	res, err := sys.Query(context.Background(), core.QueryRequest{
+	res, err := sim.RunQuery(context.Background(), sys.Pin(nil), net, sim.QueryRequest{
 		Slot: slot, Roads: query, Budget: 20, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 64},
 		Truth:   func(r int) float64 { return hist.At(evalDay, slot, r) },
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	est := make([]float64, len(query))
 	tv := make([]float64, len(query))
@@ -90,6 +99,7 @@ func main() {
 		tv[i] = hist.At(evalDay, slot, r)
 		prior[i] = hist.Profiles[r].Base * 0.8
 	}
-	fmt.Printf("\nquery MAPE with trajectory-trained model: %.4f (crude prior alone: %.4f)\n",
+	fmt.Fprintf(w, "\nquery MAPE with trajectory-trained model: %.4f (crude prior alone: %.4f)\n",
 		metrics.MAPE(est, tv), metrics.MAPE(prior, tv))
+	return nil
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/router"
 	"repro/internal/server"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/stream"
 	"repro/internal/tslot"
@@ -59,7 +60,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	w := buildWorld(t, 120, 10, 100)
 	slot := tslot.OfMinute(8*60 + 30)
 	query := []int{3, 17, 29, 41, 57, 66, 81, 99, 104, 118}
-	res, err := w.sys.Query(context.Background(), core.QueryRequest{
+	res, err := sim.RunQuery(context.Background(), w.sys.Pin(nil), w.net, sim.QueryRequest{
 		Slot: slot, Roads: query, Budget: 30, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(w.net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 101},
@@ -216,7 +217,7 @@ func TestEndToEndRoutingAndDetection(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	res, err := w.sys.Query(context.Background(), core.QueryRequest{
+	res, err := sim.RunQuery(context.Background(), w.sys.Pin(nil), w.net, sim.QueryRequest{
 		Slot: slot, Roads: all, Budget: 40, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(w.net),
 		Probe:   crowd.ProbeConfig{NoiseSD: 0.02, Seed: 141},

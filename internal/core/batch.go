@@ -41,6 +41,39 @@ type Backend interface {
 	Pin(initial *gsp.Result) Engine
 }
 
+// Engine selects (OCS) and propagates (GSP) in one road numbering, fixed to
+// one model generation: what a Backend's Pin returns (System.Pin,
+// shard.Engine.Pin). The Batcher selects and propagates only through it.
+type Engine interface {
+	Select(ctx context.Context, req SelectRequest) (ocs.Solution, error)
+	Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error)
+}
+
+// Pin implements Backend: the returned engine selects and propagates on the
+// serving model generation even if a hot-swap lands while it is in use
+// (RCU — the swap retires the state only after the engine is dropped), and
+// warm-starts every propagation from initial when it is a previous
+// full-network field.
+func (s *System) Pin(initial *gsp.Result) Engine {
+	return pinned{s, s.current(), initial}
+}
+
+// pinned is a System fixed to one model state, with an optional warm-start
+// seed for its propagations.
+type pinned struct {
+	sys     *System
+	st      *modelState
+	initial *gsp.Result
+}
+
+func (p pinned) Select(ctx context.Context, req SelectRequest) (ocs.Solution, error) {
+	return p.sys.selectState(ctx, p.st, req)
+}
+
+func (p pinned) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
+	return p.sys.estimateState(ctx, p.st, t, observed, p.initial)
+}
+
 // Batcher shares concurrent identical work and warm-starts GSP from the
 // slot's previous estimate. Safe for concurrent use; construct one per
 // System and share it.

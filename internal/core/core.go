@@ -4,20 +4,22 @@
 // roads (OCS), probe them through the worker pool, and propagate the probed
 // speeds over the network (GSP).
 //
+// core serves the two steps that need no crowd. System and shard.Engine
+// answer the same two ctx-first calls, Select (OCS) and Estimate (GSP), and
+// the serving Batcher answers them for the HTTP routes. The probe step
+// belongs to the crowd: a server takes the workers' reports over HTTP, and
+// package sim simulates the crowd for the paper's query loop.
+//
 // Typical use:
 //
 //	sys, err := core.Train(net, history, core.DefaultConfig())
-//	res, err := sys.Query(ctx, core.QueryRequest{
-//		Slot: slot, Roads: queried, Budget: 60, Theta: 0.92,
-//		Workers: pool, Truth: truth,
+//	sol, err := sys.Select(ctx, core.SelectRequest{
+//		Slot: slot, Roads: queried, WorkerRoads: pool.Roads(),
+//		Budget: 60, Theta: 0.92,
 //	})
-//	speeds := res.QuerySpeeds // road → estimated realtime speed
-//
-// System and shard.Engine answer the same three ctx-first calls: Select
-// (OCS alone), Estimate (GSP alone) and Query (the whole pipeline: RunQuery's
-// round loop, whose request fields add adaptive stages and fault-tolerant
-// retry rounds). The serving Batcher answers Select and Estimate, the two
-// steps the HTTP routes expose.
+//	// ...the workers on sol.Roads report their speeds...
+//	res, err := sys.Estimate(ctx, slot, reports)
+//	speeds := res.Speeds // road → estimated realtime speed
 package core
 
 import (
@@ -291,8 +293,7 @@ func ParseSelector(name string) (Selector, error) {
 	}
 }
 
-// SelectRequest is one OCS road-selection request, mirroring QueryRequest so
-// the two public entry points read the same.
+// SelectRequest is one OCS road-selection request.
 type SelectRequest struct {
 	Slot  tslot.Slot
 	Roads []int // R^q, the queried roads

@@ -2,7 +2,6 @@ package core
 
 import (
 	"log/slog"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/ocs"
@@ -24,11 +23,10 @@ const (
 	MModelSwaps            = "crowdrtse_model_swaps_total"
 )
 
-// Instrument attaches a pipeline instrument set to the system. Every query
-// (whatever its policy) and every stage it drives (OCS, probing, GSP, the
-// correlation-row miss path) records into p from then on.
-// Safe to call concurrently with queries: in-flight queries keep the
-// instrument set they started with.
+// Instrument attaches a pipeline instrument set to the system. Every stage it
+// runs (OCS, GSP, the correlation-row miss path, the Batcher) records into p
+// from then on. Safe to call concurrently with requests: a stage already
+// running keeps the instrument set it started with.
 func (s *System) Instrument(p *obs.Pipeline) {
 	if p == nil {
 		return
@@ -82,21 +80,5 @@ func spanAttrsOCS(sol *ocs.Solution) []slog.Attr {
 		slog.Int("selected", len(sol.Roads)),
 		slog.Int("cost", sol.Cost),
 		slog.Float64("value", sol.Value),
-	}
-}
-
-// observeProbeRound counts one probe/campaign round into pipe (round count,
-// raw answers, budget spent, latency) and records a "probe" span on tr. start
-// must come from pipe.Clock.
-func observeProbeRound(pipe *obs.Pipeline, tr *obs.Trace, start time.Time, answers, spent int) {
-	pipe.ProbeRounds.Inc()
-	pipe.ProbeAnswers.Add(answers)
-	pipe.BudgetSpent.Add(spent)
-	pipe.ProbeLatency.Observe(pipe.Clock.Since(start))
-	if tr != nil {
-		tr.Span("probe", start,
-			slog.Int("answers", answers),
-			slog.Int("spent", spent),
-		)
 	}
 }

@@ -1,12 +1,14 @@
-package core
+package core_test
 
 import (
 	"context"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/tslot"
 )
 
@@ -14,17 +16,12 @@ import (
 // exact-count assertions can be derived from the actual results rather than
 // hard-coded guesses.
 type scriptOutcome struct {
-	snap map[string]float64
-
-	plainLedgers  int
-	plainAnswers  int
-	adaptive      *QueryResult
-	resilient     *QueryResult
-	adaptiveProbe int // probe rounds recorded for the adaptive query
+	snap      map[string]float64
+	resilient *sim.QueryResult
 }
 
 // runScriptedQueries builds a fresh fixture on a FakeClock-backed pipeline
-// and drives a fixed query mix through every pipeline flavor. Deterministic:
+// and drives a fixed query mix through the loop's policies. Deterministic:
 // same inputs, same seeds, same FakeClock steps.
 func runScriptedQueries(t *testing.T) scriptOutcome {
 	t.Helper()
@@ -38,7 +35,7 @@ func runScriptedQueries(t *testing.T) scriptOutcome {
 	pool := crowd.PlaceEverywhere(f.net)
 	slot := tslot.Slot(100)
 	truth := f.truth(0, slot)
-	req := QueryRequest{
+	req := sim.QueryRequest{
 		Slot: slot, Roads: []int{1, 5, 9}, Budget: 30, Theta: 0.9,
 		Workers: pool, Truth: truth, Seed: 7,
 	}
@@ -46,39 +43,26 @@ func runScriptedQueries(t *testing.T) scriptOutcome {
 	out := scriptOutcome{}
 
 	// Three plain queries, one per greedy selector.
-	for _, sel := range []Selector{Hybrid, Ratio, Objective} {
+	for _, sel := range []core.Selector{core.Hybrid, core.Ratio, core.Objective} {
 		r := req
 		r.Selector = sel
-		res, err := f.sys.Query(context.Background(), r)
-		if err != nil {
+		if _, err := f.query(context.Background(), r); err != nil {
 			t.Fatalf("query %v: %v", sel, err)
 		}
-		out.plainLedgers += res.Ledger.Spent
-		out.plainAnswers += len(res.Answers)
 	}
 
-	// One failing query: invalid slot counts as a query and an error.
+	// One failing query: an invalid slot is refused before any stage runs.
 	bad := req
 	bad.Slot = tslot.Slot(-1)
-	if _, err := f.sys.Query(context.Background(), bad); err == nil {
+	if _, err := f.query(context.Background(), bad); err == nil {
 		t.Fatal("invalid slot should fail")
 	}
-
-	// One adaptive query (2 stages, impossible SD target so both stages run
-	// unless the data converges early — either way the diagnostics tell us).
-	probeBefore := pipe.ProbeRounds.Value()
-	ar, err := f.sys.Query(context.Background(), staged(req, 0, 2))
-	if err != nil {
-		t.Fatalf("adaptive: %v", err)
-	}
-	out.adaptive = ar
-	out.adaptiveProbe = int(pipe.ProbeRounds.Value() - probeBefore)
 
 	// One resilient query with the default campaign.
 	camp := crowd.DefaultCampaign(req.Seed)
 	rreq := req
 	rreq.Rounds, rreq.Campaign = 3, &camp
-	rr, err := f.sys.Query(context.Background(), rreq)
+	rr, err := f.query(context.Background(), rreq)
 	if err != nil {
 		t.Fatalf("resilient: %v", err)
 	}
@@ -99,19 +83,13 @@ func TestPipelineCountsExactly(t *testing.T) {
 		}
 	}
 
-	// Query-level counters: 3 plain ok + 1 plain error, 1 adaptive, 1 resilient.
-	expect(obs.MQueries, 4+1+1)
-	expect(obs.MQueryErrors, 1)
-	expect(obs.MQuerySeconds+"_count", 6)
-
-	// OCS: one solve per plain success, per adaptive stage, per resilient round.
-	wantSolves := float64(3 + o.adaptive.Rounds + o.resilient.Rounds)
+	// OCS: one solve per plain success and per resilient round.
+	wantSolves := float64(3 + o.resilient.Rounds)
 	expect(obs.MOCSSolves, wantSolves)
 	expect(obs.MOCSSeconds+"_count", wantSolves)
 
-	// GSP: one run per plain success, per adaptive stage, plus the resilient
-	// final propagation.
-	wantGSP := float64(3 + o.adaptive.Rounds + 1)
+	// GSP: one run per plain success plus the resilient final propagation.
+	wantGSP := float64(3 + 1)
 	expect(obs.MGSPRuns, wantGSP)
 	expect(obs.MGSPSeconds+"_count", wantGSP)
 	if snap[obs.MGSPConverged]+snap[obs.MGSPAborted] > snap[obs.MGSPRuns] {
@@ -122,26 +100,16 @@ func TestPipelineCountsExactly(t *testing.T) {
 		t.Errorf("iterations %v below runs %v", snap[obs.MGSPIterations], snap[obs.MGSPRuns])
 	}
 
-	// Probe accounting: 3 plain rounds + adaptive stage rounds + resilient rounds.
-	expect(obs.MProbeRounds, float64(3+o.adaptiveProbe+o.resilient.Rounds))
-	expect(obs.MProbeAnswers, float64(o.plainAnswers+len(o.adaptive.Answers)+len(o.resilient.Answers)))
-	expect(obs.MProbeSeconds+"_count", float64(3+o.adaptiveProbe+o.resilient.Rounds))
-
-	// Budget: every coin spent is counted once, recycling matches diagnostics.
-	wantSpent := float64(o.plainLedgers + o.adaptive.Ledger.Spent + o.resilient.Ledger.Spent)
-	expect(obs.MBudgetSpent, wantSpent)
-	expect(obs.MBudgetRecycled, float64(o.resilient.BudgetRecycled))
-
 	// Correlation rows were computed at least once (cold oracle) and the
 	// func-backed cache counters surfaced in the same snapshot.
 	if snap[obs.MCorrRowSeconds+"_count"] == 0 {
 		t.Error("no correlation row computations recorded")
 	}
-	if snap[MOracleCacheMisses] == 0 {
+	if snap[core.MOracleCacheMisses] == 0 {
 		t.Error("oracle cache misses should be exported via CounterFunc")
 	}
-	if snap[MModelVersion] != 1 {
-		t.Errorf("model version gauge = %v, want 1", snap[MModelVersion])
+	if snap[core.MModelVersion] != 1 {
+		t.Errorf("model version gauge = %v, want 1", snap[core.MModelVersion])
 	}
 }
 
@@ -159,8 +127,8 @@ func TestPipelineDeterministic(t *testing.T) {
 	a := runScriptedQueries(t).snap
 	b := runScriptedQueries(t).snap
 	for _, s := range []map[string]float64{a, b} {
-		s[MOracleCacheHits] += s[MOracleCacheInflight]
-		delete(s, MOracleCacheInflight)
+		s[core.MOracleCacheHits] += s[core.MOracleCacheInflight]
+		delete(s, core.MOracleCacheInflight)
 		for _, q := range []string{"_sum", "_p50", "_p95", "_p99"} {
 			delete(s, obs.MCorrRowSeconds+q)
 		}
@@ -188,7 +156,7 @@ func TestTraceSpansCoverStages(t *testing.T) {
 	slot := tslot.Slot(60)
 	tr := obs.NewTrace("q-1", clock)
 	ctx := obs.WithTrace(context.Background(), tr)
-	_, err := f.sys.Query(ctx, QueryRequest{
+	_, err := f.query(ctx, sim.QueryRequest{
 		Slot: slot, Roads: []int{2, 4}, Budget: 20, Theta: 0.9,
 		Workers: pool, Truth: f.truth(0, slot), Seed: 3,
 	})

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
-	"sync"
 	"testing"
 
-	"repro/internal/crowd"
 	"repro/internal/tslot"
 )
 
@@ -103,68 +100,5 @@ func TestOracleCacheHitRate(t *testing.T) {
 	}
 	if rep.HitRate < 0.66 || rep.HitRate > 0.67 {
 		t.Errorf("hit rate = %v, want 2/3", rep.HitRate)
-	}
-}
-
-// TestConcurrentQueryMixedSlots hammers one System with concurrent full
-// queries across more slots than the LRU holds, under -race: exercises the
-// singleflight row cache, the parallel OCS rounds, and LRU eviction under
-// load simultaneously.
-func TestConcurrentQueryMixedSlots(t *testing.T) {
-	f := newFixture(t, 40, 5, 6)
-	cfg := DefaultConfig()
-	cfg.OracleCacheSlots = 3
-	sys, err := NewFromModel(f.net, f.sys.Model(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := crowd.PlaceEverywhere(f.net)
-	slots := []tslot.Slot{20, 21, 22, 23, 24, 25}
-	query := []int{1, 5, 9, 13, 17, 21}
-
-	const goroutines = 12
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				slot := slots[(g+i)%len(slots)]
-				res, err := sys.Query(context.Background(), QueryRequest{
-					Slot:    slot,
-					Roads:   query,
-					Budget:  12,
-					Theta:   0.92,
-					Workers: pool,
-					Seed:    int64(g*100 + i),
-					Truth:   f.truth(3, slot),
-				})
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(res.QuerySpeeds) != len(query) {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	rep := sys.OracleCacheReport()
-	if rep.Evictions == 0 {
-		t.Errorf("expected LRU evictions with 6 slots over capacity 3: %+v", rep)
-	}
-	if rep.ResidentOracles > 3 {
-		t.Errorf("resident oracles %d exceed capacity 3", rep.ResidentOracles)
-	}
-	if rep.Misses == 0 || rep.Hits == 0 {
-		t.Errorf("cache counters flat: %+v", rep)
 	}
 }

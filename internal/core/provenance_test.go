@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/crowd"
 	"repro/internal/gsp"
+	"repro/internal/sim"
 	"repro/internal/tslot"
 )
 
@@ -59,7 +60,7 @@ func TestQueryResilientPriorProvenance(t *testing.T) {
 	slot := tslot.Slot(102)
 	camp := crowd.DefaultCampaign(1)
 	camp.AcceptProb = 0 // nobody ever answers
-	res, err := f.sys.Query(context.Background(), QueryRequest{
+	res, err := f.query(context.Background(), sim.QueryRequest{
 		Slot: slot, Roads: []int{1, 5, 9}, Budget: 20, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(f.net),
 		Seed:    9, Campaign: &camp,

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -7,40 +7,41 @@ import (
 
 	"repro/internal/crowd"
 	"repro/internal/faults"
+	"repro/internal/sim"
 	"repro/internal/tslot"
 )
 
 func TestQueryResilientValidation(t *testing.T) {
 	f := newFixture(t, 20, 4, 31)
 	day := f.hist.Days - 1
-	good := QueryRequest{Slot: 100, Roads: []int{1, 2}, Budget: 10, Theta: 0.9,
+	good := sim.QueryRequest{Slot: 100, Roads: []int{1, 2}, Budget: 10, Theta: 0.9,
 		Workers: crowd.PlaceEverywhere(f.net), Truth: f.truth(day, 100), Seed: 1}
 	camp := crowd.DefaultCampaign(good.Seed)
 	good.Rounds, good.Campaign = 3, &camp
 	bad := good
 	bad.Workers = nil
-	if _, err := f.sys.Query(context.Background(), bad); err == nil {
+	if _, err := f.query(context.Background(), bad); err == nil {
 		t.Error("nil workers accepted")
 	}
 	bad = good
 	bad.Truth = nil
-	if _, err := f.sys.Query(context.Background(), bad); err == nil {
+	if _, err := f.query(context.Background(), bad); err == nil {
 		t.Error("nil truth accepted")
 	}
 	bad = good
 	bad.Slot = -1
-	if _, err := f.sys.Query(context.Background(), bad); err == nil {
+	if _, err := f.query(context.Background(), bad); err == nil {
 		t.Error("invalid slot accepted")
 	}
 	// nil context is tolerated (treated as Background).
-	if _, err := f.sys.Query(nil, good); err != nil { //nolint:staticcheck
+	if _, err := f.query(nil, good); err != nil { //nolint:staticcheck
 		t.Errorf("nil context rejected: %v", err)
 	}
 }
 
 // chaosRun executes the acceptance scenario: 30% worker dropout, two
 // blackout roads inside the query set, and a per-query deadline.
-func chaosRun(t *testing.T, f *fixture, deadline time.Duration) *QueryResult {
+func chaosRun(t *testing.T, f *fixture, deadline time.Duration) *sim.QueryResult {
 	t.Helper()
 	day := f.hist.Days - 1
 	slot := tslot.Slot(102)
@@ -64,7 +65,7 @@ func chaosRun(t *testing.T, f *fixture, deadline time.Duration) *QueryResult {
 	camp = inj.WrapCampaign(camp)
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	res, err := f.sys.Query(ctx, QueryRequest{
+	res, err := f.query(ctx, sim.QueryRequest{
 		Slot: slot, Roads: query, Budget: 40, Theta: 0.92,
 		Workers: inj.FilterPool(crowd.PlaceEverywhere(f.net)),
 		Seed:    7, Campaign: &camp,
@@ -166,7 +167,7 @@ func TestQueryResilientTotalDropoutFallsBackToPrior(t *testing.T) {
 		t.Fatal(err)
 	}
 	camp := inj.WrapCampaign(crowd.DefaultCampaign(1))
-	res, err := f.sys.Query(context.Background(), QueryRequest{
+	res, err := f.query(context.Background(), sim.QueryRequest{
 		Slot: 102, Roads: []int{1, 2, 3}, Budget: 20, Theta: 0.92,
 		Workers: inj.FilterPool(crowd.PlaceEverywhere(f.net)),
 		Seed:    3, Campaign: &camp,
@@ -198,7 +199,7 @@ func TestQueryResilientExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	camp := crowd.DefaultCampaign(3)
-	res, err := f.sys.Query(ctx, QueryRequest{
+	res, err := f.query(ctx, sim.QueryRequest{
 		Slot: 102, Roads: []int{1, 2}, Budget: 20, Theta: 0.92,
 		Workers: crowd.PlaceEverywhere(f.net),
 		Seed:    3, Truth: f.truth(day, 102),
@@ -233,7 +234,7 @@ func TestQueryResilientNoFaultsSingleRound(t *testing.T) {
 			ws = append(ws, crowd.Worker{Road: r})
 		}
 	}
-	res, err := f.sys.Query(context.Background(), QueryRequest{
+	res, err := f.query(context.Background(), sim.QueryRequest{
 		Slot: 102, Roads: []int{1, 2, 3, 4}, Budget: 25, Theta: 0.92,
 		Workers: crowd.NewPool(ws), Seed: 5, Campaign: &camp,
 		Truth:  f.truth(day, 102),

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/crowd"
 	"repro/internal/rtf"
 	"repro/internal/tslot"
 )
@@ -110,74 +106,6 @@ func TestSwapModelPrewarm(t *testing.T) {
 	rep := f.sys.OracleCacheReport()
 	if rep.ResidentOracles < len(warm) {
 		t.Errorf("%d resident oracles after pre-warming %d slots", rep.ResidentOracles, len(warm))
-	}
-}
-
-// TestHotSwapRaceUnderLoad is the acceptance test for zero-downtime swaps: 32
-// concurrent fault-tolerant Query clients hammer the system while the main
-// goroutine hot-swaps model clones; every query must succeed (no torn state,
-// no nil fields, no stalls) under the race detector.
-func TestHotSwapRaceUnderLoad(t *testing.T) {
-	f := newFixture(t, 24, 3, 45)
-	day := f.hist.Days - 1
-	pool := crowd.PlaceEverywhere(f.net)
-
-	const clients = 32
-	const queriesPerClient = 4
-	var failed atomic.Int64
-	var done atomic.Bool
-	var wg sync.WaitGroup
-
-	// Swapper: keep replacing the model with perturbed clones until all
-	// clients finish.
-	swapperDone := make(chan struct{})
-	go func() {
-		defer close(swapperDone)
-		for i := 0; !done.Load(); i++ {
-			next := f.sys.Model().Clone()
-			slot := tslot.Slot((90 + i) % int(tslot.PerDay))
-			for r := 0; r < next.N(); r++ {
-				next.SetMu(slot, r, next.Mu(slot, r)+0.01)
-			}
-			if _, _, err := f.sys.SwapModel(next, []tslot.Slot{slot}); err != nil {
-				t.Errorf("swap %d: %v", i, err)
-				return
-			}
-		}
-	}()
-
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for q := 0; q < queriesPerClient; q++ {
-				slot := tslot.Slot(90 + (c+q)%8)
-				camp := crowd.DefaultCampaign(int64(c*100 + q))
-				res, err := f.sys.Query(context.Background(), QueryRequest{
-					Slot:   slot,
-					Roads:  []int{c % f.net.N(), (c + 7) % f.net.N()},
-					Budget: 12, Theta: 0.9,
-					Workers: pool,
-					Truth:   f.truth(day, slot),
-					Seed:    int64(c*100 + q),
-					Rounds:  2, Campaign: &camp,
-				})
-				if err != nil || res == nil || res.Speeds == nil {
-					failed.Add(1)
-					t.Errorf("client %d query %d failed: %v", c, q, err)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	done.Store(true)
-	<-swapperDone
-
-	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d queries failed during hot-swaps", n)
-	}
-	if f.sys.Swaps() == 0 {
-		t.Fatal("swapper never swapped — test exercised nothing")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/gsp"
 	"repro/internal/network"
 	"repro/internal/rtf"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
@@ -58,7 +59,7 @@ func TestNoAlertsOnNormalDay(t *testing.T) {
 	slot := tslot.Slot(100)
 	day := hist.Days - 1
 	pool := crowd.PlaceEverywhere(net)
-	res, err := sys.Query(context.Background(), core.QueryRequest{
+	res, err := sim.RunQuery(context.Background(), sys.Pin(nil), net, sim.QueryRequest{
 		Slot: slot, Roads: []int{1, 5, 9}, Budget: 20, Theta: 0.92,
 		Workers: pool, Truth: func(r int) float64 { return hist.At(day, slot, r) },
 	})

@@ -216,14 +216,12 @@ func TestTraceContextRoundtrip(t *testing.T) {
 func TestPipelineRegistersEverything(t *testing.T) {
 	reg := NewRegistry()
 	p := NewPipeline(reg, nil)
-	p.Queries.Inc()
+	p.OCS.Solves.Inc()
 	p.GSP.Runs.Inc()
 	p.Stream.Accepted.Inc()
 	snap := reg.Snapshot()
 	for _, name := range []string{
-		MQueries, MQueryErrors, MQueryDegraded, MQueryDeadline,
-		MOCSSolves, MOCSSelectedRoads, MProbeRounds, MProbeAnswers,
-		MBudgetSpent, MBudgetRecycled,
+		MOCSSolves, MOCSSelectedRoads,
 		MGSPRuns, MGSPIterations, MGSPConverged, MGSPAborted,
 		MStreamReports, MStreamReportsRejected,
 	} {
@@ -231,12 +229,12 @@ func TestPipelineRegistersEverything(t *testing.T) {
 			t.Fatalf("pipeline did not register %s", name)
 		}
 	}
-	for _, name := range []string{MQuerySeconds, MOCSSeconds, MProbeSeconds, MGSPSeconds, MCorrRowSeconds} {
+	for _, name := range []string{MOCSSeconds, MGSPSeconds, MCorrRowSeconds} {
 		if _, ok := snap[name+"_count"]; !ok {
 			t.Fatalf("pipeline did not register histogram %s", name)
 		}
 	}
-	if snap[MQueries] != 1 || snap[MGSPRuns] != 1 || snap[MStreamReports] != 1 {
+	if snap[MOCSSolves] != 1 || snap[MGSPRuns] != 1 || snap[MStreamReports] != 1 {
 		t.Fatal("pipeline counters not wired to the registry instruments")
 	}
 }

@@ -5,22 +5,9 @@ import "sync"
 // Metric names of the online pipeline. Exported so the server's healthz
 // rollup, the exposition tests and the documentation agree on one spelling.
 const (
-	MQueries       = "crowdrtse_queries_total"
-	MQueryErrors   = "crowdrtse_query_errors_total"
-	MQueryDegraded = "crowdrtse_query_degraded_total"
-	MQueryDeadline = "crowdrtse_query_deadline_total"
-	MQuerySeconds  = "crowdrtse_query_seconds"
-
 	MOCSSolves        = "crowdrtse_ocs_select_total"
 	MOCSSelectedRoads = "crowdrtse_ocs_selected_roads_total"
 	MOCSSeconds       = "crowdrtse_ocs_select_seconds"
-
-	MProbeRounds  = "crowdrtse_probe_rounds_total"
-	MProbeAnswers = "crowdrtse_probe_answers_total"
-	MProbeSeconds = "crowdrtse_probe_seconds"
-
-	MBudgetSpent    = "crowdrtse_budget_spent_total"
-	MBudgetRecycled = "crowdrtse_budget_recycled_total"
 
 	MGSPRuns       = "crowdrtse_gsp_runs_total"
 	MGSPIterations = "crowdrtse_gsp_iterations_total"
@@ -129,21 +116,14 @@ type StreamMetrics struct {
 	Rejected *Counter
 }
 
-// Pipeline is the standard instrument set of the online estimation pipeline
-// (OCS → crowd probing → GSP), wired once at startup and shared by every
-// stage. Counters are plain atomics; the per-event cost is a few atomic adds
-// and zero allocations.
+// Pipeline is the standard instrument set of the serving stages (OCS, GSP,
+// the correlation rows, the Batcher, the temporal filter and the report
+// collector), wired once at startup and shared by every stage. Counters are
+// plain atomics; the per-event cost is a few atomic adds and zero
+// allocations. Crowd probing is not a serving stage: it is timed only as the
+// "probe" span of a trace.
 type Pipeline struct {
 	Clock Clock
-
-	// Query-level counters (core.RunQuery, whatever the policy). They, the
-	// probe and the budget counters count Go-API System.Query calls; no HTTP
-	// route runs one, so a serving process leaves them at 0.
-	Queries       *Counter
-	QueryErrors   *Counter
-	QueryDegraded *Counter
-	QueryDeadline *Counter
-	QueryLatency  *Histogram
 
 	// Stage instruments, shared with the stage packages.
 	OCS OCSMetrics
@@ -155,13 +135,6 @@ type Pipeline struct {
 
 	// Temporal is the state-space filter instrument block (package temporal).
 	Temporal TemporalMetrics
-
-	ProbeRounds  *Counter
-	ProbeAnswers *Counter
-	ProbeLatency *Histogram
-
-	BudgetSpent    *Counter
-	BudgetRecycled *Counter
 
 	// CorrRowCompute is the Dijkstra row-computation latency of the
 	// correlation oracle's miss path (hits are lock-free and unmeasured).
@@ -177,12 +150,7 @@ func NewPipeline(reg *Registry, clock Clock) *Pipeline {
 		clock = SystemClock()
 	}
 	p := &Pipeline{
-		Clock:         clock,
-		Queries:       reg.Counter(MQueries, "Go-API System.Query calls (no HTTP route runs one)"),
-		QueryErrors:   reg.Counter(MQueryErrors, "Go-API System.Query calls that returned an error"),
-		QueryDegraded: reg.Counter(MQueryDegraded, "Go-API System.Query calls answered with zero successful probes (the periodicity prior)"),
-		QueryDeadline: reg.Counter(MQueryDeadline, "Go-API System.Query calls cut short by a context deadline"),
-		QueryLatency:  reg.Histogram(MQuerySeconds, "Go-API System.Query end-to-end latency", nil),
+		Clock: clock,
 		OCS: OCSMetrics{
 			Solves:   reg.Counter(MOCSSolves, "OCS solver invocations"),
 			Selected: reg.Counter(MOCSSelectedRoads, "crowdsourced roads selected by OCS"),
@@ -209,11 +177,6 @@ func NewPipeline(reg *Registry, clock Clock) *Pipeline {
 			PseudoObs:     reg.Counter(MTemporalPseudoObs, "temporal-filter GSP pseudo-observation fallbacks"),
 			ForecastDepth: reg.Histogram(MForecastDepth, "forecast horizon depth in slots (recorded as seconds)", ForecastDepthBuckets),
 		},
-		ProbeRounds:    reg.Counter(MProbeRounds, "crowd probe/campaign rounds run by Go-API System.Query calls"),
-		ProbeAnswers:   reg.Counter(MProbeAnswers, "raw worker answers collected by Go-API System.Query calls"),
-		ProbeLatency:   reg.Histogram(MProbeSeconds, "probe/campaign round latency of Go-API System.Query calls", nil),
-		BudgetSpent:    reg.Counter(MBudgetSpent, "crowdsourcing budget spent by Go-API System.Query calls"),
-		BudgetRecycled: reg.Counter(MBudgetRecycled, "budget Go-API System.Query calls recycled into re-selection rounds"),
 		CorrRowCompute: reg.Histogram(MCorrRowSeconds, "correlation row Dijkstra computation latency", nil),
 		Stream: StreamMetrics{
 			Accepted: reg.Counter(MStreamReports, "speed reports accepted by the collector"),

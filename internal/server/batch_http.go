@@ -50,8 +50,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -96,4 +97,27 @@ func writeErr(w http.ResponseWriter, r *http.Request, status int, format string,
 		Message:   fmt.Sprintf(format, args...),
 		RequestID: requestID(r),
 	}})
+}
+
+// decodeRequest decodes r's JSON body into v, the route's request type, under
+// the strict request contract: the body is exactly one JSON value and names
+// no field v's type lacks. A refused body gets the envelope's 400, whose
+// message names the unknown field (or the trailing value), and decodeRequest
+// returns false. A route's required fields are pointers or slices in its
+// request type, which absent and null both leave nil, and the route refuses a
+// nil one itself.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, extra := dec.Token(); extra != io.EOF {
+			err = fmt.Errorf("body holds more than one JSON value")
+		}
+	}
+	if err != nil {
+		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+		return false
+	}
+	return true
 }

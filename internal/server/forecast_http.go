@@ -16,7 +16,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -71,8 +70,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req forecastRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	out, status, err := s.forecastOne(req)

@@ -17,9 +17,11 @@ var jsonRoutes = []string{
 }
 
 // FuzzHandlers POSTs each input body to every route whose handler decodes
-// JSON, through the full middleware chain. No body may provoke a 5xx, and
-// every non-2xx answer must be the unified error envelope with a code, a
-// message and a request id. The seed corpus is the example body of each
+// JSON, through the full middleware chain. No body may provoke a 5xx, every
+// non-2xx answer must be the unified error envelope with a code, a message
+// and a request id, and a body that names a key its route's request type
+// lacks, or misses a required field, never answers 2xx (breaksContract).
+// The seed corpus is the example body of each
 // route from README.md (and, for workers, report and select, from the
 // package documentation).
 func FuzzHandlers(f *testing.F) {
@@ -38,6 +40,10 @@ func FuzzHandlers(f *testing.F) {
 		`{"action":"refit"}`,
 		`{"action":"rollback"}`,
 		`{"action":"reload"}`,
+		`{}`,
+		`{"reports":[{"road":1,"slot":102,"speed":40}]}`,
+		`{"worker":[{"road":3}]}`,
+		`{"slot":102,"roads":[1,2]} {"slot":103}`,
 	} {
 		f.Add(body)
 	}
@@ -66,6 +72,9 @@ func FuzzHandlers(f *testing.F) {
 				t.Fatalf("POST %s %q: status %d: %s", route, body, rec.Code, rec.Body)
 			}
 			if rec.Code < 300 {
+				if why := breaksContract(route, body); why != "" {
+					t.Fatalf("POST %s %q: status %d for a body with %s", route, body, rec.Code, why)
+				}
 				continue
 			}
 			var env errorEnvelope

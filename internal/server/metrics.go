@@ -190,11 +190,9 @@ func (s *Server) SetClock(clk obs.Clock) {
 	s.started = clk.Now()
 }
 
-// obsRollup is the /v1/healthz observability block. Every number is read
-// from the same instruments /v1/metrics exports — the two surfaces cannot
-// diverge. It holds only counters a serving process moves: the query,
-// probe-round and budget series count Go-API System.Query calls, which no
-// HTTP route runs, so they stay on /v1/metrics alone.
+// obsRollup is the /v1/healthz observability block: counters a serving
+// process moves, read from the same instruments /v1/metrics exports, so the
+// two surfaces cannot diverge.
 type obsRollup struct {
 	GSPRuns         uint64  `json:"gsp_runs"`
 	ReportsAccepted uint64  `json:"reports_accepted"`

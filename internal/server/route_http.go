@@ -25,7 +25,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -107,8 +106,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req routeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	n := s.sys.Network().N()

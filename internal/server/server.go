@@ -47,7 +47,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
@@ -308,8 +307,11 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req workersRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
+		return
+	}
+	if req.Workers == nil {
+		writeErr(w, r, http.StatusBadRequest, "decode: missing required field %q", "workers")
 		return
 	}
 	n := s.sys.Network().N()
@@ -327,10 +329,12 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"workers": len(ws)})
 }
 
+// reportRequest's fields are pointers so that a body leaving one absent or
+// null is refused, not read as road 0, slot 0 or 0 km/h.
 type reportRequest struct {
-	Road  int     `json:"road"`
-	Slot  int     `json:"slot"`
-	Speed float64 `json:"speed"`
+	Road  *int     `json:"road"`
+	Slot  *int     `json:"slot"`
+	Speed *float64 `json:"speed"`
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -339,16 +343,28 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req reportRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
-	slot := tslot.Slot(req.Slot)
-	if err := s.collector.Add(stream.Report{Road: req.Road, Slot: slot, Speed: req.Speed}); err != nil {
+	missing := ""
+	switch {
+	case req.Road == nil:
+		missing = "road"
+	case req.Slot == nil:
+		missing = "slot"
+	case req.Speed == nil:
+		missing = "speed"
+	}
+	if missing != "" {
+		writeErr(w, r, http.StatusBadRequest, "decode: missing required field %q", missing)
+		return
+	}
+	road, slot := *req.Road, tslot.Slot(*req.Slot)
+	if err := s.collector.Add(stream.Report{Road: road, Slot: slot, Speed: *req.Speed}); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"answers": s.collector.Count(slot, req.Road)})
+	writeJSON(w, http.StatusOK, map[string]int{"answers": s.collector.Count(slot, road)})
 }
 
 type selectRequest struct {
@@ -375,8 +391,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req selectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	sel, err := core.ParseSelector(req.Selector)
@@ -604,8 +619,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req estimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	out, status, err := s.estimateOne(r.Context(), req)
@@ -836,8 +850,7 @@ type alertsPredicateResponse struct {
 // the threshold to reach the same confidence.
 func (s *Server) handleAlertPredicates(w http.ResponseWriter, r *http.Request) {
 	var req alertsPredicateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	slot := tslot.Slot(req.Slot)
@@ -965,8 +978,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req modelActionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, r, http.StatusBadRequest, "decode: %v", err)
+		if !decodeRequest(w, r, &req) {
 			return
 		}
 		switch req.Action {

@@ -103,13 +103,18 @@ func TestWorkersEndpoint(t *testing.T) {
 	}
 }
 
+// reportBody is a /v1/report body carrying all three fields.
+func reportBody(road, slot int, speed float64) reportRequest {
+	return reportRequest{Road: &road, Slot: &slot, Speed: &speed}
+}
+
 func TestReportValidation(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	cases := []reportRequest{
-		{Road: -1, Slot: 0, Speed: 50},
-		{Road: 0, Slot: 999, Speed: 50},
-		{Road: 0, Slot: 0, Speed: -3},
-		{Road: 0, Slot: 0, Speed: 500},
+		reportBody(-1, 0, 50),
+		reportBody(0, 999, 50),
+		reportBody(0, 0, -3),
+		reportBody(0, 0, 500),
 	}
 	for i, c := range cases {
 		resp := postJSON(t, ts.URL+"/v1/report", c)
@@ -118,7 +123,7 @@ func TestReportValidation(t *testing.T) {
 			t.Errorf("case %d status = %d", i, resp.StatusCode)
 		}
 	}
-	ok := postJSON(t, ts.URL+"/v1/report", reportRequest{Road: 0, Slot: 100, Speed: 44})
+	ok := postJSON(t, ts.URL+"/v1/report", reportBody(0, 100, 44))
 	var out map[string]int
 	decode(t, ok, &out)
 	if out["answers"] != 1 {
@@ -186,9 +191,7 @@ func TestEstimateFlow(t *testing.T) {
 	day := h.Days - 1
 	// Report ground truth on a few roads.
 	for _, road := range []int{0, 7, 19} {
-		resp := postJSON(t, ts.URL+"/v1/report", reportRequest{
-			Road: road, Slot: slot, Speed: h.At(day, 100, road),
-		})
+		resp := postJSON(t, ts.URL+"/v1/report", reportBody(road, slot, h.At(day, 100, road)))
 		resp.Body.Close()
 	}
 	resp := postJSON(t, ts.URL+"/v1/estimate", map[string]interface{}{
@@ -291,9 +294,7 @@ func TestAlertsEndpoint(t *testing.T) {
 		t.Skip("no strong-periodicity road in fixture")
 	}
 	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/v1/report", reportRequest{
-			Road: jam, Slot: slot, Speed: view.Mu[jam] * 0.2,
-		}).Body.Close()
+		postJSON(t, ts.URL+"/v1/report", reportBody(jam, slot, view.Mu[jam]*0.2)).Body.Close()
 	}
 	resp2, err := http.Get(fmt.Sprintf("%s/v1/alerts?slot=%d", ts.URL, slot))
 	if err != nil {

@@ -9,7 +9,8 @@
 // it (Batcher.SetBackend), so singleflight, the warm-start LRU, the QoS
 // tiers, the temporal filter, route ETAs and subscriptions keep one body in
 // core and work in global road ids; the engine only partitions Select and
-// Estimate.
+// Estimate. The core.Engine its Pin returns is also what sim.RunQuery runs
+// the paper's query loop on.
 //
 // # Halo stitching
 //
@@ -398,20 +399,6 @@ func splitBudget(budget int, queries [][]int) []int {
 	}
 	return out
 }
-
-// Query runs core's online pipeline (core.RunQuery) on the sharded engine,
-// every shard pinned to one model generation for the whole query: each round
-// selects per shard under a split budget (Select), probes the crowd globally
-// — a worker does not care which shard owns the road it drives on — and
-// propagates halo-stitched (Estimate). Policies, campaigns and retry rounds
-// behave as on core.System.
-func (e *Engine) Query(ctx context.Context, req core.QueryRequest) (*core.QueryResult, error) {
-	return core.RunQuery(ctx, e.Pin(nil), req)
-}
-
-// Obs returns the instrument set the query loop counts into: shard 0's,
-// which Instrument attaches to every shard alike.
-func (e *Engine) Obs() *obs.Pipeline { return e.shards[0].sys.Obs() }
 
 // ShardReport is one shard's health rollup for /v1/healthz.
 type ShardReport struct {

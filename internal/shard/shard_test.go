@@ -13,32 +13,23 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/faults"
-	"repro/internal/gsp"
 	"repro/internal/network"
-	"repro/internal/ocs"
 	"repro/internal/rtf"
+	"repro/internal/sim"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
 
-// The unsharded system and the sharded engine answer the same three
-// ctx-first calls with core's types; the Batcher answers Select and
-// Estimate.
+// The unsharded system, the sharded engine and the Batcher answer the same
+// two ctx-first calls with core's types, and both backends pin an engine
+// that does.
 var (
-	_ ctxEngine      = (*core.System)(nil)
-	_ ctxEngine      = (*Engine)(nil)
-	_ selectEstimate = (*core.Batcher)(nil)
+	_ core.Engine  = (*core.System)(nil)
+	_ core.Engine  = (*Engine)(nil)
+	_ core.Engine  = (*core.Batcher)(nil)
+	_ core.Backend = (*core.System)(nil)
+	_ core.Backend = (*Engine)(nil)
 )
-
-type selectEstimate interface {
-	Select(context.Context, core.SelectRequest) (ocs.Solution, error)
-	Estimate(context.Context, tslot.Slot, map[int]float64) (gsp.Result, error)
-}
-
-type ctxEngine interface {
-	selectEstimate
-	Query(context.Context, core.QueryRequest) (*core.QueryResult, error)
-}
 
 // metroFixture builds a small metro network with a synthesized fitted model.
 func metroFixture(tb testing.TB, roads, districts int) (*network.Network, *rtf.Model, []speedgen.Profile) {
@@ -298,10 +289,10 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		e    selectEstimate
+		e    core.Engine
 	}{{"System", sys}, {"Batcher", b}, {"Engine", eng}}
 	// check fails unless every engine's error ends with the System's.
-	check := func(what string, call func(selectEstimate) error) {
+	check := func(what string, call func(core.Engine) error) {
 		t.Helper()
 		want := call(sys)
 		if want == nil {
@@ -317,7 +308,7 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 	}
 	ctx := context.Background()
 	for _, observed := range []map[int]float64{{400: 30}, {-1: 30}, {5: 30, 100000: 20}} {
-		check(fmt.Sprintf("estimate with observations %v", observed), func(e selectEstimate) error {
+		check(fmt.Sprintf("estimate with observations %v", observed), func(e core.Engine) error {
 			_, err := e.Estimate(ctx, 100, observed)
 			return err
 		})
@@ -336,7 +327,7 @@ func TestOutOfRangeRoadsRejected(t *testing.T) {
 			Slot: 100, Roads: []int{}, WorkerRoads: []int{4, 5, 6}, Budget: 5, Theta: 0.9,
 		}},
 	} {
-		check(sc.what, func(e selectEstimate) error {
+		check(sc.what, func(e core.Engine) error {
 			_, err := e.Select(ctx, sc.req)
 			return err
 		})
@@ -426,7 +417,7 @@ func TestConcurrentCrossShardQueries(t *testing.T) {
 			for r := gi; r < net.N(); r += 20 {
 				query = append(query, r)
 			}
-			res, err := eng.Query(context.Background(), core.QueryRequest{
+			res, err := sim.RunQuery(context.Background(), eng.Pin(nil), net, sim.QueryRequest{
 				Slot: slot, Roads: query, Budget: 40, Theta: 0.95,
 				Workers: pool, Truth: truth, Seed: int64(gi + 1),
 				Probe: crowd.ProbeConfig{NoiseSD: 0.02},
@@ -456,7 +447,7 @@ func TestConcurrentCrossShardQueries(t *testing.T) {
 				query = append(query, r)
 			}
 			const budget = 40
-			res, err := eng.Query(context.Background(), core.QueryRequest{
+			res, err := sim.RunQuery(context.Background(), eng.Pin(nil), net, sim.QueryRequest{
 				Slot: slot, Roads: query, Budget: budget, Theta: 0.95,
 				Workers: inj.FilterPool(pool), Truth: inj.WrapTruth(truth), Seed: int64(slot),
 				Campaign: &camp, Rounds: 3,
