@@ -23,7 +23,7 @@ race:
 # The -run and -bench patterns of the targets below. run-patterns checks
 # that every alternative still selects a test or benchmark.
 FAULT_RUN = Fault
-HOTPATH_RUN = Singleflight|AbortedField|ConcurrentMixedRows|RowConcurrentDeepening|LazyMatchesEager|CertifiedMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad
+HOTPATH_RUN = Singleflight|AbortedField|ConcurrentMixedRows|RowConcurrentDeepening|LazyMatchesEager|CertifiedMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad|ReportWalkConcurrent
 HOTPATH_PKGS = ./internal/corr/ ./internal/ocs/ ./internal/core/
 FUZZ_RUN = FuzzSnapshotRoundTrip|FuzzHandlers
 FUZZ_PKGS = ./internal/modelstore/ ./internal/server/
@@ -39,8 +39,10 @@ fault-determinism:
 # singleflight (one Dijkstra under 32 hammering goroutines), the Batcher's
 # Estimate and Select singleflights (8 followers of one in-flight request run
 # nothing and get its answer bit for bit), a field aborted at one caller's
-# deadline that no live follower, warm seed or filter receives (its live
-# followers share the next run), one row deepened from many goroutines while
+# deadline that no live follower or warm seed receives (its live followers
+# share the next run), eight clients reporting one slot and then the next
+# while others estimate (the filter walks once and fuses the left slot's
+# aggregates once), one row deepened from many goroutines while
 # others read it, the greedy's eager-reference equivalence corpora (random
 # instances, and the certified rows on the 5k metro), concurrent greedy
 # solves over one shared oracle, concurrent mixed-slot queries of the

@@ -498,7 +498,7 @@ func cmdServe(args []string) error {
 		}
 		var refitter *modelstore.Refitter
 		if *refitEvery > 0 {
-			refitter, err = modelstore.NewRefitter(mgr, srv.Collector(),
+			refitter, err = modelstore.NewRefitter(mgr, srv.Batcher(),
 				modelstore.RefitterConfig{Interval: *refitEvery, Alpha: *alpha})
 			if err != nil {
 				return err

@@ -1,9 +1,11 @@
-// Forecastwatch: the PR-8 temporal layer end-to-end. A watcher follows a
-// small road set while slots advance: each slot's reports are estimated
-// through the Batcher, which feeds them to the cross-slot Kalman filter, and
-// after every advance the watcher prints the GSP estimate, the filtered
-// now-cast and a 3-slot forecast fan — mean and an honestly widening ± band
-// per road.
+// Forecastwatch: the temporal layer end-to-end. A watcher follows a small
+// road set while slots advance. Each slot's probe-vehicle reports go through
+// the Batcher's ingest path (Batcher.Report): the first report of a slot
+// walks the cross-slot Kalman filter there, fusing the slot it leaves once.
+// After every slot the watcher prints the GSP estimate, the filter's
+// now-cast (carried in from the slots before) and a 3-slot forecast fan
+// from this slot's reports — mean and an honestly widening ± band per
+// road.
 //
 //	go run ./examples/forecastwatch
 package main
@@ -19,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/speedgen"
+	"repro/internal/stream"
 	"repro/internal/temporal"
 	"repro/internal/tslot"
 )
@@ -47,7 +50,7 @@ func run(w io.Writer) error {
 	}
 
 	// Fit the per-class AR(1) transition from the training days and attach
-	// the filter: from here on, every estimate the Batcher runs feeds it.
+	// the filter: from here on, the reports the Batcher ingests walk it.
 	classes := make([]network.Class, net.N())
 	for i := range classes {
 		classes[i] = net.Road(i).Class
@@ -58,7 +61,9 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	b.AttachTemporal(filt)
+	if err := b.AttachTemporal(filt); err != nil {
+		return err
+	}
 
 	watch := []int{7, 33, 88}
 	evalDay := hist.Days - 1
@@ -68,13 +73,16 @@ func run(w io.Writer) error {
 	slot := start
 	for step := 0; step < 4; step++ {
 		// A handful of probe-vehicle reports for this slot (truth + noise).
-		obs := map[int]float64{}
 		for _, r := range rng.Perm(net.N())[:6] {
-			obs[r] = hist.At(evalDay, slot, r) * (1 + 0.02*rng.NormFloat64())
+			v := hist.At(evalDay, slot, r) * (1 + 0.02*rng.NormFloat64())
+			if err := b.Report(stream.Report{Road: r, Slot: slot, Speed: v}); err != nil {
+				return err
+			}
 		}
 
-		// The estimate runs through the Batcher, so it simultaneously feeds
-		// the filter (probe update at this slot) and seeds GSP warm starts.
+		// The estimate and the fan read the slot's aggregates; neither moves
+		// the filter.
+		obs := b.Collector().Observations(slot)
 		res, err := b.Estimate(context.Background(), slot, obs)
 		if err != nil {
 			return err
@@ -87,7 +95,7 @@ func run(w io.Writer) error {
 				r, res.Speeds[r], now.Speeds[r], now.SD[r], hist.At(evalDay, slot, r))
 		}
 
-		fan, err := filt.Forecast(fanDepth)
+		fan, err := filt.ForecastFrom(slot, fanDepth, obs, sys.ObsNoiseFunc())
 		if err != nil {
 			return err
 		}

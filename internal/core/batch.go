@@ -1,13 +1,17 @@
 // The serving Batcher. Every HTTP route that selects or propagates runs
 // through one Batcher, which amortizes the work concurrent requests share:
 //
-//   - identical concurrent Estimate calls (same slot, same observations)
-//     share one propagation, and identical Select calls share one OCS solve:
-//     one singleflight helper, keyed by an FNV digest of the request;
+//   - identical concurrent Estimate calls (same slot, same observations,
+//     same what-if overrides) share one propagation, and identical Select
+//     calls share one OCS solve: one singleflight helper, keyed by an FNV
+//     digest of the request;
 //   - every propagation warm-starts from the slot's previous estimate
 //     (gsp.Options.WithInitial), so re-estimating after a handful of new
 //     reports sweeps only the dirty frontier;
 //   - the batched QoS tier shares one propagation per slot (tiered.go).
+//
+// The Batcher also owns the evidence those runs read: the report collector
+// and the cross-slot filter, which only Report writes (temporal.go).
 //
 // Callers served by another caller's run count into
 // crowdrtse_coalesced_queries_total; warm starts and the sweeps they saved
@@ -24,7 +28,9 @@ import (
 	"time"
 
 	"repro/internal/gsp"
+	"repro/internal/network"
 	"repro/internal/ocs"
+	"repro/internal/stream"
 	"repro/internal/temporal"
 	"repro/internal/tslot"
 )
@@ -93,24 +99,32 @@ type Batcher struct {
 	prev    map[tslot.Slot]*prevEntry
 	prevSeq uint64
 
-	// temporal is the attached cross-slot filter (PR 8), nil until
-	// AttachTemporal. See temporal.go.
-	temporalMu sync.Mutex
-	temporal   *temporal.Filter
-
-	// decayPhi/decayQ is the per-road-class default AR(1) table used to age
-	// cached-tier variance when no temporal filter is attached (tiered.go),
-	// built once on first use.
-	decayOnce sync.Once
-	decayPhi  []float64
-	decayQ    []float64
+	// collector holds the crowd reports and temporal the cross-slot filter;
+	// walkMu serializes Report's walks, the filter's only writes
+	// (temporal.go).
+	collector *stream.Collector
+	walkMu    sync.Mutex
+	temporal  *temporal.Filter
 }
 
-// NewBatcher wraps a trained system in the serving Batcher.
+// NewBatcher wraps a trained system in the serving Batcher, with an empty
+// report collector and a filter at slot 0 with the default AR(1) parameters
+// of each road's class. Both count into the system's instruments.
 func NewBatcher(sys *System) (*Batcher, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("core: batcher over nil system")
 	}
+	classes := make([]network.Class, sys.net.N())
+	for i := range classes {
+		classes[i] = sys.net.Road(i).Class
+	}
+	filt, err := temporal.New(sys.Model(), 0, temporal.DefaultParams(), classes,
+		temporal.Options{Metrics: sys.Obs().Temporal})
+	if err != nil {
+		return nil, err
+	}
+	col := stream.NewCollector(sys.net.N())
+	col.SetMetrics(sys.Obs().Stream)
 	return &Batcher{
 		sys:        sys,
 		backend:    sys,
@@ -118,6 +132,8 @@ func NewBatcher(sys *System) (*Batcher, error) {
 		selects:    make(map[uint64]*flight[ocs.Solution]),
 		slotFlight: make(map[tslot.Slot]*flight[gsp.Result]),
 		prev:       make(map[tslot.Slot]*prevEntry),
+		collector:  col,
+		temporal:   filt,
 	}, nil
 }
 
@@ -127,8 +143,8 @@ func (b *Batcher) System() *System { return b.sys }
 // SetBackend makes the batcher select and propagate through be, which must
 // work in the wrapped System's road ids and model (a shard.Engine built from
 // it). Everything else — singleflight, the warm-start LRU, the tiers, the
-// temporal filter and routes — stays in the batcher. Call it before the
-// batcher serves.
+// collector, the temporal filter and routes — stays in the batcher. Call it
+// before the batcher serves.
 func (b *Batcher) SetBackend(be Backend) { b.backend = be }
 
 // ---------------------------------------------------------------------------
@@ -245,22 +261,37 @@ func aborted(res gsp.Result) bool { return res.Aborted }
 // around changed observations is swept. The result converges under the same
 // ε criterion as a cold run.
 func (b *Batcher) Estimate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	return singleflight(ctx, b, b.estimate, estimateDigest(t, observed), aborted, func() (gsp.Result, error) {
-		return b.propagate(ctx, t, observed)
+	return b.estimateWhatIf(ctx, t, observed, nil)
+}
+
+// estimateWhatIf is Estimate over observed with a request's what-if
+// overrides on top, which replace or extend the aggregates GSP sees and are
+// part of the flight's key. A field that ran to the end over no overrides
+// becomes the slot's warm seed and cached-tier answer. A field that saw an
+// override, or was aborted at its caller's deadline, is its callers' alone.
+func (b *Batcher) estimateWhatIf(ctx context.Context, t tslot.Slot, observed, overrides map[int]float64) (gsp.Result, error) {
+	return singleflight(ctx, b, b.estimate, estimateDigest(t, observed, overrides), aborted, func() (gsp.Result, error) {
+		res, err := b.backend.Pin(b.warmSeed(t)).Estimate(ctx, t, withOverrides(observed, overrides))
+		if err == nil && !res.Aborted && len(overrides) == 0 {
+			b.storeResult(t, res)
+		}
+		return res, err
 	})
 }
 
-// propagate runs one warm-started propagation. A field that ran to the end
-// becomes the slot's warm seed and cached-tier answer and feeds the temporal
-// filter; an aborted one is only its caller's best-so-far, so it does
-// neither.
-func (b *Batcher) propagate(ctx context.Context, t tslot.Slot, observed map[int]float64) (gsp.Result, error) {
-	res, err := b.backend.Pin(b.warmSeed(t)).Estimate(ctx, t, observed)
-	if err == nil && !res.Aborted {
-		b.storeResult(t, res)
-		b.feedTemporal(t, observed, &res)
+// withOverrides returns observed with the overrides applied, on a copy when
+// there are any.
+func withOverrides(observed, overrides map[int]float64) map[int]float64 {
+	if len(overrides) == 0 {
+		return observed
 	}
-	return res, err
+	out := make(map[int]float64, len(observed)+len(overrides))
+	for _, m := range []map[int]float64{observed, overrides} {
+		for r, v := range m {
+			out[r] = v
+		}
+	}
+	return out
 }
 
 // Select solves OCS like System.Select, but identical concurrent requests
@@ -276,17 +307,22 @@ func (b *Batcher) Select(ctx context.Context, req SelectRequest) (ocs.Solution, 
 // Request digests (singleflight keys)
 // ---------------------------------------------------------------------------
 
-func estimateDigest(t tslot.Slot, observed map[int]float64) uint64 {
-	roads := make([]int, 0, len(observed))
-	for r := range observed {
-		roads = append(roads, r)
-	}
-	sort.Ints(roads)
+// estimateDigest keys an estimate by its slot, its observations and its
+// overrides, each map length-prefixed so the two never alias.
+func estimateDigest(t tslot.Slot, observed, overrides map[int]float64) uint64 {
 	h := fnv.New64a()
 	writeU64(h, uint64(t))
-	for _, r := range roads {
-		writeU64(h, uint64(r))
-		writeU64(h, math.Float64bits(observed[r]))
+	for _, m := range []map[int]float64{observed, overrides} {
+		roads := make([]int, 0, len(m))
+		for r := range m {
+			roads = append(roads, r)
+		}
+		sort.Ints(roads)
+		writeU64(h, uint64(len(roads)))
+		for _, r := range roads {
+			writeU64(h, uint64(r))
+			writeU64(h, math.Float64bits(m[r]))
+		}
 	}
 	return h.Sum64()
 }

@@ -202,7 +202,7 @@ func TestEstimateSingleflightShares(t *testing.T) {
 	slot := tslot.Slot(70)
 	truth := f.truth(f.hist.Days-1, slot)
 	observed := map[int]float64{3: truth(3), 11: truth(11)}
-	key := estimateDigest(slot, observed)
+	key := estimateDigest(slot, observed, nil)
 	leader := &flight[gsp.Result]{done: make(chan struct{})}
 	b.flightMu.Lock()
 	b.estimate[key] = leader
@@ -308,7 +308,7 @@ func TestAbortedFieldNotShared(t *testing.T) {
 	for i := range next.Speeds {
 		next.Speeds[i], next.SD[i] = 42, 2
 	}
-	digest := estimateDigest(slot, observed)
+	digest := estimateDigest(slot, observed, nil)
 	for _, tc := range []struct {
 		name string
 		set  func(*flight[gsp.Result])
@@ -328,7 +328,7 @@ func TestAbortedFieldNotShared(t *testing.T) {
 			set:  func(l *flight[gsp.Result]) { b.slotFlight[slot] = l },
 			drop: func() { delete(b.slotFlight, slot) },
 			call: func() (gsp.Result, error) {
-				res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed)
+				res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed, nil)
 				return res.Result, err
 			},
 		},

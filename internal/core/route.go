@@ -29,13 +29,12 @@ type RouteETARequest struct {
 	// start of Slot.
 	DepartMinute float64
 	// Horizon is how many slots past Slot the trip may cross (served from
-	// the temporal filter's forecast fan, or the prior when no filter is
-	// attached). A trip that would enter Slot+Horizon+1 fails with
+	// the temporal filter's forecast fan, or the prior while the filter has
+	// fused nothing). A trip that would enter Slot+Horizon+1 fails with
 	// router.ErrHorizonExceeded. 0 confines the trip to the departure slot.
 	Horizon int
-	// Observed is the departure slot's probe set (collector observations
-	// plus any overrides), used both for the base field and to condition
-	// the forecast fan.
+	// Observed is the departure slot's collected aggregates, used both for
+	// the base field and to condition the forecast fan.
 	Observed map[int]float64
 	// Tier is the admitted QoS tier for the base field.
 	Tier qos.Tier
@@ -69,7 +68,7 @@ func (b *Batcher) RouteETA(ctx context.Context, req RouteETARequest) (RouteETARe
 	if req.Horizon < 0 || req.Horizon > maxTemporalAdvance {
 		return RouteETAResult{}, fmt.Errorf("core: route horizon %d outside [0,%d]", req.Horizon, maxTemporalAdvance)
 	}
-	base, err := b.EstimateTier(ctx, req.Tier, req.Slot, req.Observed)
+	base, err := b.EstimateTier(ctx, req.Tier, req.Slot, req.Observed, nil)
 	if err != nil {
 		return RouteETAResult{}, err
 	}
@@ -94,8 +93,8 @@ func (b *Batcher) RouteETA(ctx context.Context, req RouteETARequest) (RouteETARe
 // DistField over [Slot, Slot+Horizon]. The fan is materialized lazily on the
 // first segment that crosses the slot boundary — a trip that fits in the
 // departure slot never touches the filter — and falls back to the per-slot
-// prior when no filter is attached. forecastUsed flips to true the first
-// time a fan step actually prices a segment.
+// prior while the filter has fused nothing. forecastUsed flips to true the
+// first time a fan step actually prices a segment.
 func (b *Batcher) routeField(req RouteETARequest, base *TierResult) (router.DistField, *bool) {
 	fanReady := false
 	var fan []temporalStepField
@@ -134,11 +133,11 @@ type temporalStepField struct {
 }
 
 // forecastFan prices slots Slot+1..Slot+Horizon: the temporal filter's
-// read-only fan when one is attached and has absorbed evidence, else the
-// periodicity prior per slot.
+// read-only fan once the filter has absorbed evidence, else the periodicity
+// prior per slot.
 func (b *Batcher) forecastFan(req RouteETARequest) []temporalStepField {
 	out := make([]temporalStepField, req.Horizon)
-	if f := b.Temporal(); f != nil && f.Fused() > 0 {
+	if f := b.temporal; f.Fused() > 0 {
 		if fan, err := f.ForecastFrom(req.Slot, req.Horizon, req.Observed, b.sys.ObsNoiseFunc()); err == nil && len(fan) == req.Horizon {
 			for i, step := range fan {
 				out[i] = temporalStepField{speeds: step.Speeds, sd: step.SD, provenance: "forecast", forecast: true}

@@ -106,11 +106,11 @@ func TestRouteETAForecastFan(t *testing.T) {
 	src, dst := routePair(t, f)
 	ctx := context.Background()
 
-	// Feed the filter at slot 100 so Fused() > 0.
+	// Reports at slot 99, then one at 100, walk the filter to 100 so that
+	// Fused() > 0.
 	truth := f.truth(f.hist.Days-1, 100)
-	if _, err := b.Estimate(ctx, 100, map[int]float64{2: truth(2), 7: truth(7)}); err != nil {
-		t.Fatal(err)
-	}
+	report(t, b, 99, map[int]float64{2: truth(2), 7: truth(7)})
+	report(t, b, 100, map[int]float64{2: truth(2)})
 	if filt.Fused() == 0 {
 		t.Fatal("filter absorbed nothing")
 	}
@@ -144,8 +144,9 @@ func TestRouteETAForecastFan(t *testing.T) {
 	}
 }
 
-// TestRouteETAPriorFallback: no filter attached — future slots are priced
-// from the periodicity prior and labeled so; ForecastUsed stays false.
+// TestRouteETAPriorFallback: the filter has fused nothing — future slots
+// are priced from the periodicity prior and labeled so; ForecastUsed stays
+// false.
 func TestRouteETAPriorFallback(t *testing.T) {
 	f := newFixture(t, 40, 5, 64)
 	b, err := NewBatcher(f.sys)
@@ -238,7 +239,7 @@ func TestRouteETAConcurrentSharesSlot(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if _, err := b.EstimateTier(ctx, qos.TierBatched, 100, nil); err != nil {
+			if _, err := b.EstimateTier(ctx, qos.TierBatched, 100, nil, nil); err != nil {
 				errs <- fmt.Errorf("point client %d: %v", c, err)
 			}
 		}(c)

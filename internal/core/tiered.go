@@ -55,15 +55,19 @@ type TierResult struct {
 	VarianceInflation float64
 }
 
-// EstimateTier answers an estimate request at a service tier:
+// EstimateTier answers an estimate request at a service tier. observed is
+// the slot's collected aggregates and overrides the request's what-if
+// speeds, which replace or extend them for this request only:
 //
-//	TierFull    — Batcher.Estimate: dedicated propagation over the request's
-//	              exact observations (plus the ε-equivalent singleflight and
-//	              warm-start amortizations, which do not change the answer).
+//	TierFull    — a dedicated propagation over observed plus overrides
+//	              (with the ε-equivalent singleflight and warm-start
+//	              amortizations, which do not change the answer); only an
+//	              override-free field is kept as the slot's warm seed.
 //	TierBatched — slot-keyed singleflight: all concurrent requests for the
-//	              slot share whichever propagation runs first, even when
-//	              their observation sets differ; the follower's variance is
-//	              widened by its measured evidence gap (BatchedTierResult).
+//	              slot share whichever propagation of collected aggregates
+//	              runs first, even when their observation sets differ; the
+//	              follower's variance is widened by its measured evidence
+//	              gap, overrides included (BatchedTierResult).
 //	TierCached  — the slot's previous field straight from the warm LRU, no
 //	              propagation, variance aged through the AR(1) transition
 //	              (CachedTierResult); falls through to TierPrior when the
@@ -73,25 +77,26 @@ type TierResult struct {
 //
 // Lower tiers never return an error: their whole point is answering when
 // the full pipeline can't be afforded.
-func (b *Batcher) EstimateTier(ctx context.Context, tier qos.Tier, t tslot.Slot, observed map[int]float64) (TierResult, error) {
+func (b *Batcher) EstimateTier(ctx context.Context, tier qos.Tier, t tslot.Slot, observed, overrides map[int]float64) (TierResult, error) {
 	switch tier {
 	case qos.TierBatched:
 		res, err := b.estimateSlotShared(ctx, t, observed)
 		if err != nil {
 			return TierResult{}, err
 		}
-		return BatchedTierResult(res, observed), nil
+		return BatchedTierResult(res, withOverrides(observed, overrides)), nil
 	case qos.TierCached:
 		if res, at := b.lastResultAt(t); res != nil {
-			age := b.cacheAgeSlots(at)
-			phi, q := b.decayParams()
-			return CachedTierResult(*res, observed, age, phi, q), nil
+			f := b.temporal
+			phi := func(r int) float64 { p, _ := f.RoadParams(r); return p }
+			q := func(r int) float64 { _, q := f.RoadParams(r); return q }
+			return CachedTierResult(*res, withOverrides(observed, overrides), b.cacheAgeSlots(at), phi, q), nil
 		}
 		return b.priorResult(t), nil
 	case qos.TierPrior:
 		return b.priorResult(t), nil
 	default: // TierFull
-		res, err := b.Estimate(ctx, t, observed)
+		res, err := b.estimateWhatIf(ctx, t, observed, overrides)
 		if err != nil {
 			return TierResult{}, err
 		}
@@ -136,30 +141,6 @@ func (b *Batcher) cacheAgeSlots(at time.Time) float64 {
 		return 0
 	}
 	return float64(age) / float64(tslot.Duration)
-}
-
-// decayParams resolves the per-road AR(1) transition parameters used to age
-// a cached field: the attached temporal filter's fitted φ/Q when one is
-// attached, else the class defaults over the network's road classes (built
-// once).
-func (b *Batcher) decayParams() (phi, q func(road int) float64) {
-	if f := b.Temporal(); f != nil && f.N() == b.sys.net.N() {
-		return func(r int) float64 { p, _ := f.RoadParams(r); return p },
-			func(r int) float64 { _, qq := f.RoadParams(r); return qq }
-	}
-	b.decayOnce.Do(func() {
-		n := b.sys.net.N()
-		params := temporal.DefaultParams()
-		b.decayPhi = make([]float64, n)
-		b.decayQ = make([]float64, n)
-		for i := 0; i < n; i++ {
-			cp := params.For(b.sys.net.Road(i).Class)
-			b.decayPhi[i] = cp.Phi
-			b.decayQ[i] = cp.Q
-		}
-	})
-	return func(r int) float64 { return b.decayPhi[r] },
-		func(r int) float64 { return b.decayQ[r] }
 }
 
 // PriorField returns the periodicity prior for slot t: μ as the speeds and

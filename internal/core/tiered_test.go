@@ -35,7 +35,7 @@ func tierFixture(t *testing.T, seed int64) (*fixture, *Batcher, tslot.Slot, map[
 
 func TestEstimateTierFull(t *testing.T) {
 	f, b, slot, observed := tierFixture(t, 11)
-	res, err := b.EstimateTier(context.Background(), qos.TierFull, slot, observed)
+	res, err := b.EstimateTier(context.Background(), qos.TierFull, slot, observed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,12 @@ func TestEstimateTierFull(t *testing.T) {
 // stored pass pinned exactly.
 func TestEstimateTierCached(t *testing.T) {
 	_, b, slot, observed := tierFixture(t, 12)
-	full, err := b.EstimateTier(context.Background(), qos.TierFull, slot, observed)
+	full, err := b.EstimateTier(context.Background(), qos.TierFull, slot, observed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cached, err := b.EstimateTier(context.Background(), qos.TierCached, slot, observed)
+	cached, err := b.EstimateTier(context.Background(), qos.TierCached, slot, observed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestEstimateTierCached(t *testing.T) {
 	// the gap must appear in that road's variance (and the mean gap
 	// elsewhere).
 	moved := map[int]float64{2: full.Speeds[2] + 6}
-	widened, err := b.EstimateTier(context.Background(), qos.TierCached, slot, moved)
+	widened, err := b.EstimateTier(context.Background(), qos.TierCached, slot, moved, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestEstimateTierCached(t *testing.T) {
 func TestEstimateTierCachedFallsThrough(t *testing.T) {
 	f, b, _, _ := tierFixture(t, 13)
 	cold := tslot.Slot(222)
-	res, err := b.EstimateTier(context.Background(), qos.TierCached, cold, nil)
+	res, err := b.EstimateTier(context.Background(), qos.TierCached, cold, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEstimateTierCachedFallsThrough(t *testing.T) {
 
 func TestEstimateTierPrior(t *testing.T) {
 	f, b, slot, _ := tierFixture(t, 14)
-	res, err := b.EstimateTier(context.Background(), qos.TierPrior, slot, nil)
+	res, err := b.EstimateTier(context.Background(), qos.TierPrior, slot, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestEstimateTierBatchedShares(t *testing.T) {
 	}
 	got := make(chan answer, 1)
 	go func() {
-		res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed)
+		res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed, nil)
 		got <- answer{res, err}
 	}()
 
@@ -325,7 +325,7 @@ func TestEstimateTierBatchedShares(t *testing.T) {
 	// path): the field pins its own observations exactly, so it pays no
 	// inflation at all — the principled formula prices only dropped
 	// evidence.
-	res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed)
+	res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestEstimateTierBatchedContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.EstimateTier(ctx, qos.TierBatched, slot, observed); err != context.Canceled {
+	if _, err := b.EstimateTier(ctx, qos.TierBatched, slot, observed, nil); err != context.Canceled {
 		t.Fatalf("cancelled follower: %v", err)
 	}
 }

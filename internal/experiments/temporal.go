@@ -34,10 +34,10 @@ const temporalForecastHorizon = 4
 // TemporalAblation walks `slots` consecutive slots on each evaluation day at
 // several probe-sparsity levels. Per slot it draws a random probe set
 // (truth + 2% noise), runs an independent GSP estimate from just those
-// probes, and separately feeds the same probes to a cross-slot filter (the
-// GSP field enters as an inflated-noise pseudo-observation, the probes as
-// direct measurements — the production feed order). MAPE is measured on the
-// query roads against held-out truth, averaged over slots and days.
+// probes, and separately fuses the same probes, once, into a cross-slot
+// filter — the production rule, under which only crowd reports reach the
+// filter. MAPE is measured on the query roads against held-out truth,
+// averaged over slots and days.
 //
 // Probe sets are NESTED across sparsity levels: one permutation (and one
 // noise draw per road) is fixed per (day, slot), and level k probes its
@@ -102,9 +102,6 @@ func TemporalAblation(env *Env, probeCounts []int, slots int) ([]TemporalRow, er
 					return nil, err
 				}
 				if _, err := filt.Advance(t); err != nil {
-					return nil, err
-				}
-				if err := filt.PseudoObserve(res.Speeds, res.SD); err != nil {
 					return nil, err
 				}
 				if err := filt.Update(observed, nil); err != nil {
@@ -204,14 +201,7 @@ func TemporalForecast(env *Env, probes, slots, horizon int) ([]ForecastRow, erro
 			for _, r := range perm[:probes] {
 				observed[r] = env.Hist.At(day, t, r) * (1 + 0.02*rng.NormFloat64())
 			}
-			res, err := env.Sys.Estimate(context.TODO(), t, observed)
-			if err != nil {
-				return nil, err
-			}
 			if _, err := filt.Advance(t); err != nil {
-				return nil, err
-			}
-			if err := filt.PseudoObserve(res.Speeds, res.SD); err != nil {
 				return nil, err
 			}
 			if err := filt.Update(observed, nil); err != nil {

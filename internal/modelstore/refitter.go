@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/tslot"
 )
@@ -26,7 +27,7 @@ const holdoutMod = 4
 // RefitReport describes one refit attempt.
 type RefitReport struct {
 	Published    bool       `json:"published"`
-	Skipped      bool       `json:"skipped"` // no data to fold
+	Skipped      bool       `json:"skipped"` // nothing closed to fold, or holdout < minHoldout
 	Version      uint64     `json:"version,omitempty"`
 	SlotsFolded  int        `json:"slots_folded"`
 	RoadsFolded  int        `json:"roads_folded"`
@@ -36,15 +37,15 @@ type RefitReport struct {
 	AttemptsUnix int64      `json:"attempted_at_unix"`
 }
 
-// Refitter periodically folds the stream.Collector's robust per-slot
-// aggregates into a clone of the live model (exponential forgetting), runs
-// the candidate through the manager's gate, and publishes + hot-swaps it on
-// success. A refused candidate leaves the live model untouched and shows up
-// in the manager's Rejected counter — the serving path can only ever move to
-// a model the gate admitted.
+// Refitter periodically folds the robust per-slot aggregates of the
+// Batcher's closed slots (core.Batcher.Closed) into a clone of the live
+// model (exponential forgetting), runs the candidate through the manager's
+// gate, and publishes + hot-swaps it on success. A refused candidate leaves
+// the live model untouched and shows up in the manager's Rejected counter —
+// the serving path can only ever move to a model the gate admitted.
 type Refitter struct {
 	mgr *Manager
-	col *stream.Collector
+	b   *core.Batcher
 	cfg RefitterConfig
 
 	mu       sync.Mutex
@@ -57,11 +58,11 @@ type Refitter struct {
 	started  bool
 }
 
-// NewRefitter wires a refitter; call Start to launch the background loop or
-// RefitOnce to drive it manually.
-func NewRefitter(mgr *Manager, col *stream.Collector, cfg RefitterConfig) (*Refitter, error) {
-	if mgr == nil || col == nil {
-		return nil, fmt.Errorf("modelstore: refitter needs a manager and a collector")
+// NewRefitter wires a refitter over the Batcher's collector and filter; call
+// Start to launch the background loop or RefitOnce to drive it manually.
+func NewRefitter(mgr *Manager, b *core.Batcher, cfg RefitterConfig) (*Refitter, error) {
+	if mgr == nil || b == nil {
+		return nil, fmt.Errorf("modelstore: refitter needs a manager and a batcher")
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Minute
@@ -71,7 +72,7 @@ func NewRefitter(mgr *Manager, col *stream.Collector, cfg RefitterConfig) (*Refi
 	}
 	return &Refitter{
 		mgr:  mgr,
-		col:  col,
+		b:    b,
 		cfg:  cfg,
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
@@ -128,9 +129,11 @@ func holdoutRoad(t tslot.Slot, road, mod int) bool {
 }
 
 // RefitOnce performs one fold→gate→publish→swap cycle synchronously and
-// returns its report. With no collector data it is a cheap no-op
-// (Skipped=true). On publication the folded slots' buckets are reset, so
-// reports are folded exactly once.
+// returns its report. It folds only closed slots, so the slot being served
+// and those a report may still walk the filter through keep their reports.
+// With no closed slot holding reports, or a holdout below minHoldout, it is
+// a cheap no-op (Skipped=true) that keeps every report. On publication the
+// folded slots' buckets are reset, so reports are folded exactly once.
 func (r *Refitter) RefitOnce() (RefitReport, error) {
 	start := time.Now()
 	rep := RefitReport{AttemptsUnix: start.Unix()}
@@ -142,12 +145,13 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 		r.mu.Unlock()
 	}()
 
-	slots := r.col.Slots()
+	col := r.b.Collector()
+	slots := col.Slots()
 	fold := make(map[tslot.Slot]map[int]float64, len(slots))
 	var holdout []HoldoutSample
 	for _, t := range slots {
-		obs := r.col.Observations(t)
-		if len(obs) == 0 {
+		obs := col.Observations(t)
+		if len(obs) == 0 || !r.b.Closed(t) {
 			continue
 		}
 		fSet := make(map[int]float64, len(obs))
@@ -170,7 +174,7 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 		}
 	}
 	rep.SlotsFolded = len(fold)
-	if len(fold) == 0 {
+	if len(fold) == 0 || rep.HoldoutObs < minHoldout {
 		rep.Skipped = true
 		return rep, nil
 	}
@@ -195,7 +199,7 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 	rep.Published = true
 	rep.Version = info.Version
 	for t := range fold {
-		r.col.Reset(t)
+		col.Reset(t)
 	}
 	return rep, nil
 }

@@ -6,9 +6,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 	"repro/internal/tslot"
 )
+
+// newBatcher builds the serving Batcher whose collector and filter a
+// refitter reads. Its filter stays at slot 0 unless a test reports through
+// Batcher.Report, so slots past maxTemporalAdvance are closed.
+func newBatcher(tb testing.TB, f *fixture) *core.Batcher {
+	tb.Helper()
+	b, err := core.NewBatcher(f.sys)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
 
 // feedSlot pushes three reports per road into the collector for one slot,
 // drawn from the recorded day's truth with deterministic jitter.
@@ -53,12 +66,15 @@ func TestRefitDrill(t *testing.T) {
 		t.Error("publish did not bump the serving model generation")
 	}
 
-	// 2. Stream a slot's reports and refit.
-	col := stream.NewCollector(f.net.N())
+	// 2. Stream two slots' reports and refit. One 20-road slot holds out
+	// 5 observations, below minHoldout; two hold out 10.
+	b := newBatcher(t, f)
+	col := b.Collector()
 	day := f.hist.Days - 1
 	slot := tslot.Slot(102)
 	feedSlot(t, f, col, day, slot)
-	refitter, err := NewRefitter(mgr, col, RefitterConfig{})
+	feedSlot(t, f, col, day, slot+1)
+	refitter, err := NewRefitter(mgr, b, RefitterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +85,11 @@ func TestRefitDrill(t *testing.T) {
 	if !rep.Published || rep.Version != 2 {
 		t.Fatalf("refit did not publish v2: %+v", rep)
 	}
-	if rep.SlotsFolded != 1 || rep.RoadsFolded == 0 {
+	if rep.SlotsFolded != 2 || rep.RoadsFolded == 0 {
 		t.Errorf("fold accounting: %+v", rep)
 	}
 	if col.SlotCount() != 0 {
-		t.Error("folded slot was not reset — reports would fold twice")
+		t.Error("folded slots were not reset — reports would fold twice")
 	}
 	if cur, _ := store.Current(); cur.Version != 2 {
 		t.Errorf("store current v%d after refit", cur.Version)
@@ -161,7 +177,7 @@ func TestRefitOnceEmptyCollectorSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refitter, err := NewRefitter(mgr, stream.NewCollector(f.net.N()), RefitterConfig{})
+	refitter, err := NewRefitter(mgr, newBatcher(t, f), RefitterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +193,74 @@ func TestRefitOnceEmptyCollectorSkips(t *testing.T) {
 	}
 }
 
+// TestRefitOnceThinHoldoutSkips: a fold whose holdout is below minHoldout
+// publishes nothing and keeps its reports, the way an empty collector skips;
+// with a second slot the holdout is large enough and the refit publishes.
+func TestRefitOnceThinHoldoutSkips(t *testing.T) {
+	f := newFixture(t, 20, 4, 9)
+	mgr, err := NewManager(f.sys, openStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBatcher(t, f)
+	feedSlot(t, f, b.Collector(), f.hist.Days-1, 102)
+	refitter, err := NewRefitter(mgr, b, RefitterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := refitter.RefitOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Skipped || rep.Published || rep.HoldoutObs >= minHoldout {
+		t.Errorf("thin-holdout refit: %+v", rep)
+	}
+	if got := b.Collector().SlotCount(); got != 1 {
+		t.Errorf("skipped refit left %d slots, want the 1 it could not fold", got)
+	}
+	feedSlot(t, f, b.Collector(), f.hist.Days-1, 103)
+	if rep, err = refitter.RefitOnce(); err != nil || !rep.Published || rep.SlotsFolded != 2 {
+		t.Errorf("refit over two slots: %+v, %v", rep, err)
+	}
+}
+
+// TestRefitOnceKeepsOpenSlots: a refit folds and resets only the slots the
+// filter's walk window has left, so the slot being served keeps its reports.
+func TestRefitOnceKeepsOpenSlots(t *testing.T) {
+	f := newFixture(t, 20, 4, 9)
+	mgr, err := NewManager(f.sys, openStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBatcher(t, f)
+	day := f.hist.Days - 1
+	feedSlot(t, f, b.Collector(), day, 100)
+	feedSlot(t, f, b.Collector(), day, 101)
+	// One report through the ingest path walks the filter to 110: slots 100
+	// and 101 are closed, 110 is the filter's own.
+	if err := b.Report(stream.Report{Road: 0, Slot: 110, Speed: f.hist.At(day, 110, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	refitter, err := NewRefitter(mgr, b, RefitterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := refitter.RefitOnce()
+	if err != nil || !rep.Published || rep.SlotsFolded != 2 {
+		t.Fatalf("refit: %+v, %v", rep, err)
+	}
+	if got := b.Collector().Slots(); len(got) != 1 || got[0] != 110 {
+		t.Errorf("collector holds slots %v after the refit, want [110]", got)
+	}
+}
+
 func TestRefitterBackgroundLoop(t *testing.T) {
 	f := newFixture(t, 12, 2, 13)
 	mgr, err := NewManager(f.sys, openStore(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := stream.NewCollector(f.net.N())
-	refitter, err := NewRefitter(mgr, col, RefitterConfig{Interval: 5 * time.Millisecond})
+	refitter, err := NewRefitter(mgr, newBatcher(t, f), RefitterConfig{Interval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +285,7 @@ func TestRefitterStopWithoutStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refitter, err := NewRefitter(mgr, stream.NewCollector(f.net.N()), RefitterConfig{})
+	refitter, err := NewRefitter(mgr, newBatcher(t, f), RefitterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

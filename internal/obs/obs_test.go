@@ -224,10 +224,16 @@ func TestPipelineRegistersEverything(t *testing.T) {
 		MOCSSolves, MOCSSelectedRoads,
 		MGSPRuns, MGSPIterations, MGSPConverged, MGSPAborted,
 		MStreamReports, MStreamReportsRejected,
+		MTemporalPredicts, MTemporalUpdates,
 	} {
 		if _, ok := snap[name]; !ok {
 			t.Fatalf("pipeline did not register %s", name)
 		}
+	}
+	// The filter fuses only crowd reports, so the GSP pseudo-observation
+	// series is gone.
+	if _, ok := snap["crowdrtse_temporal_pseudo_obs_total"]; ok {
+		t.Error("pipeline registers the retired pseudo-observation series")
 	}
 	for _, name := range []string{MOCSSeconds, MGSPSeconds, MCorrRowSeconds} {
 		if _, ok := snap[name+"_count"]; !ok {

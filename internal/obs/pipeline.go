@@ -30,17 +30,15 @@ const (
 	MStreamReports         = "crowdrtse_stream_reports_total"
 	MStreamReportsRejected = "crowdrtse_stream_reports_rejected_total"
 
-	// Temporal-filter counters (PR 8): predict steps over slot transitions,
-	// probe-measurement updates, GSP pseudo-observation fallbacks on
-	// probe-less slots, and the forecast horizon-depth histogram (bucket
-	// bounds are slots, recorded as integer seconds). SubscriptionNoop counts
-	// /v1/subscribe checks that found the slot's observation digest
-	// unchanged and so ran no propagation.
-	MTemporalPredicts  = "crowdrtse_temporal_predicts_total"
-	MTemporalUpdates   = "crowdrtse_temporal_updates_total"
-	MTemporalPseudoObs = "crowdrtse_temporal_pseudo_obs_total"
-	MForecastDepth     = "crowdrtse_forecast_depth_slots"
-	MSubscriptionNoop  = "crowdrtse_subscription_noop_refreshes_total"
+	// Temporal-filter counters: predict steps over slot transitions,
+	// per-road measurement updates, and the forecast horizon-depth histogram
+	// (bucket bounds are slots, recorded as integer seconds).
+	// SubscriptionNoop counts /v1/subscribe checks that found the slot's
+	// report mark unchanged and so ran no propagation.
+	MTemporalPredicts = "crowdrtse_temporal_predicts_total"
+	MTemporalUpdates  = "crowdrtse_temporal_updates_total"
+	MForecastDepth    = "crowdrtse_forecast_depth_slots"
+	MSubscriptionNoop = "crowdrtse_subscription_noop_refreshes_total"
 
 	// Admission-control names (PR 6). The per-tenant counters are registered
 	// with label-in-name constants by qos.Controller.RegisterMetrics through
@@ -91,18 +89,17 @@ type BatchMetrics struct {
 	Coalesced *Counter
 
 	// NoopRefreshes counts /v1/subscribe checks that found the slot's
-	// observations unchanged and so ran no propagation.
+	// report mark unchanged and so ran no propagation.
 	NoopRefreshes *Counter
 }
 
 // TemporalMetrics is the instrument handle of the state-space filter
-// (package temporal): predict steps, measurement updates, pseudo-observation
-// fallbacks, and the forecast-depth histogram (horizons in slots, recorded
-// as integer seconds — see ForecastDepthBuckets).
+// (package temporal): predict steps, measurement updates and the
+// forecast-depth histogram (horizons in slots, recorded as integer seconds —
+// see ForecastDepthBuckets).
 type TemporalMetrics struct {
 	Predicts      *Counter
 	Updates       *Counter
-	PseudoObs     *Counter
 	ForecastDepth *Histogram
 }
 
@@ -169,12 +166,11 @@ func NewPipeline(reg *Registry, clock Clock) *Pipeline {
 		},
 		Batch: BatchMetrics{
 			Coalesced:     reg.Counter(MCoalescedQueries, "requests that waited for a run another caller had already started"),
-			NoopRefreshes: reg.Counter(MSubscriptionNoop, "subscription checks that found the observations unchanged (no propagation)"),
+			NoopRefreshes: reg.Counter(MSubscriptionNoop, "subscription checks that found the slot's report mark unchanged (no propagation)"),
 		},
 		Temporal: TemporalMetrics{
 			Predicts:      reg.Counter(MTemporalPredicts, "temporal-filter predict steps over slot transitions"),
 			Updates:       reg.Counter(MTemporalUpdates, "temporal-filter probe measurement updates"),
-			PseudoObs:     reg.Counter(MTemporalPseudoObs, "temporal-filter GSP pseudo-observation fallbacks"),
 			ForecastDepth: reg.Histogram(MForecastDepth, "forecast horizon depth in slots (recorded as seconds)", ForecastDepthBuckets),
 		},
 		CorrRowCompute: reg.Histogram(MCorrRowSeconds, "correlation row Dijkstra computation latency", nil),

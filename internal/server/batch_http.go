@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -105,19 +103,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // GET /v1/subscribe — the standing-query endpoint. Both consumption modes
-// run one digest loop (nextUpdate) that answers as soon as the slot's
-// observations differ from the state the client last saw:
+// run one digest loop (nextUpdate) that answers as soon as the slot's report
+// mark (stream.Collector.Mark) differs from the one the client last saw. The
+// mark moves on every report the slot accepts and never repeats, so the
+// opaque digest built from it changes exactly when the slot's aggregates may
+// have:
 //
-// Long-poll (default): the client passes the digest of the observation state
-// it last saw (from the previous response; "" on the first call). The server
-// answers immediately when the slot's observations differ from that digest,
-// otherwise it holds the request until they change or the wait budget
-// elapses (204 No Content → poll again).
+// Long-poll (default): the client passes the digest it last saw (from the
+// previous response; "" on the first call). The server answers immediately
+// when the slot's digest differs from it, otherwise it holds the request
+// until a report lands or the wait budget elapses (204 No Content → poll
+// again).
 //
 //	GET /v1/subscribe?slot=102&roads=1,2&digest=<prev>&wait=30s
 //
 // SSE (stream=sse): the response is a text/event-stream of estimate events,
-// one per observation change (the first immediately), until the client
+// one per new report of the slot (the first immediately), until the client
 // disconnects or the request deadline closes the stream.
 //
 //	GET /v1/subscribe?slot=102&roads=1,2&stream=sse
@@ -134,8 +135,8 @@ type subscribeResponse struct {
 	SweepsSaved int  `json:"sweeps_saved,omitempty"`
 }
 
-// subscribePollInterval is how often a held long-poll / SSE stream re-checks
-// the collector for changed observations.
+// subscribePollInterval is how often a held long-poll / SSE stream re-reads
+// the slot's report mark.
 const subscribePollInterval = 25 * time.Millisecond
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
@@ -184,18 +185,20 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 }
 
 // nextUpdate is the digest loop behind both /v1/subscribe modes. It re-reads
-// the slot's observations every subscribePollInterval until their digest
+// the slot's report mark every subscribePollInterval until its digest
 // differs from last, counting every unchanged check
-// (crowdrtse_subscription_noop_refreshes_total), then estimates them through
-// the Batcher, warm-started from the slot's previous field. It returns the
-// update for roads with Seq unset, or nil when ctx or stop ends the wait
-// first; a nil stop never fires.
+// (crowdrtse_subscription_noop_refreshes_total), then estimates the slot's
+// aggregates through the Batcher, warm-started from the slot's previous
+// field. The mark is read before the aggregates, so a report landing in
+// between only brings one more update. It returns the update for roads with
+// Seq unset, or nil when ctx or stop ends the wait first; a nil stop never
+// fires.
 func (s *Server) nextUpdate(ctx context.Context, slot tslot.Slot, roads []int, last string, stop <-chan time.Time) (*subscribeResponse, error) {
 	ticker := time.NewTicker(subscribePollInterval)
 	defer ticker.Stop()
 	for {
-		obs := s.collector.Observations(slot)
-		if digest := observationDigest(slot, obs); digest != last {
+		if digest := strconv.Itoa(s.collector.Mark(slot)); digest != last {
+			obs := s.collector.Observations(slot)
 			res, err := s.batcher.Estimate(ctx, slot, obs)
 			if err != nil {
 				return nil, err
@@ -286,21 +289,4 @@ func (s *Server) subscribeSSE(w http.ResponseWriter, r *http.Request, slot tslot
 		fmt.Fprintf(w, "event: estimate\nid: %d\ndata: %s\n\n", seq, data)
 		flusher.Flush()
 	}
-}
-
-// observationDigest fingerprints a slot's observation state for the
-// long-poll/SSE change detection. Roads are visited in sorted order so the
-// digest is deterministic.
-func observationDigest(slot tslot.Slot, obs map[int]float64) string {
-	roads := make([]int, 0, len(obs))
-	for r := range obs {
-		roads = append(roads, r)
-	}
-	sort.Ints(roads)
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d:", slot)
-	for _, r := range roads {
-		fmt.Fprintf(h, "%d=%x;", r, obs[r])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -495,10 +495,11 @@ func TestSubscribeNoopChecks(t *testing.T) {
 // amortization counters after batched traffic.
 func TestMetricsExposeBatchCounters(t *testing.T) {
 	ts, _, _ := newTestServer(t)
-	// Two identical estimates: the second warm-starts.
+	// Two identical estimates: the second warm-starts. They carry no what-if
+	// override, whose field is never a warm seed.
 	for i := 0; i < 2; i++ {
 		resp := postJSON(t, ts.URL+"/v1/estimate", map[string]interface{}{
-			"slot": 9, "roads": []int{0}, "observed": map[string]float64{"1": 20.5},
+			"slot": 9, "roads": []int{0},
 		})
 		resp.Body.Close()
 	}

@@ -1,13 +1,14 @@
-// POST /v1/forecast (PR 8): the forward-looking query type the per-slot
-// pipeline cannot serve. The request is answered read-only over the shared
+// POST /v1/forecast: the forward-looking query type the per-slot pipeline
+// cannot serve. The request is answered read-only over the Batcher's
 // cross-slot filter (temporal.ForecastFrom): a snapshot of the state is
-// synced to the requested base slot, the slot's current crowd aggregates are
+// synced to the requested base slot, the slot's current crowd aggregates —
+// which the filter fuses only once a report walks it past the slot — are
 // fused into the snapshot only, and the predict step is iterated k times —
 // one step per horizon slot, mean reverting toward the periodicity prior,
 // variance honestly widening (clamped monotone non-decreasing in k). The
-// shared filter never moves: feeding it stays the batcher's job, so a
-// forecast can neither decay the warm-start state by asking about a distant
-// base slot nor double-count a slot's evidence when a dashboard polls.
+// shared filter never moves: only /v1/report walks it, so a forecast can
+// neither decay the warm-start state by asking about a distant base slot
+// nor double-count a slot's evidence when a dashboard polls.
 //
 // The route is admission-gated like the other work routes, with one twist: a
 // forecast is capped at interactive class on the QoS ladder. Forecasting is a
@@ -101,19 +102,13 @@ func (s *Server) forecastOne(req forecastRequest) (*forecastResponse, int, error
 			fmt.Errorf("horizon %d out of range (1..%d slots)", req.Horizon, maxForecastHorizon)
 	}
 	roads := req.roadsOrAll(n)
-	filt := s.batcher.Temporal()
-	if filt == nil {
-		return nil, http.StatusConflict, fmt.Errorf("no temporal filter attached")
-	}
 
 	// Answer read-only over the shared filter: a snapshot is synced to the
 	// base slot and the slot's current crowd aggregates are fused into the
-	// snapshot only. Slot, horizon and roads were validated above, so any
-	// error here is internal.
-	// The snapshot's measurement updates price probes at the system's
-	// heteroscedastic noise when a vector is installed.
+	// snapshot only, priced at the system's per-road noise. Slot, horizon
+	// and roads were validated above, so any error here is internal.
 	observed := s.collector.Observations(slot)
-	fan, err := filt.ForecastFrom(slot, k, observed, s.sys.ObsNoiseFunc())
+	fan, err := s.batcher.Temporal().ForecastFrom(slot, k, observed, s.sys.ObsNoiseFunc())
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}

@@ -107,7 +107,6 @@ func TestForecastReadOnlyFilter(t *testing.T) {
 	if filt == nil {
 		t.Fatal("server built without a temporal filter")
 	}
-	slot0, fused0 := filt.Slot(), filt.Fused()
 
 	for _, road := range []int{2, 5} {
 		resp := postJSON(t, ts.URL+"/v1/report", map[string]interface{}{
@@ -115,6 +114,7 @@ func TestForecastReadOnlyFilter(t *testing.T) {
 		})
 		resp.Body.Close()
 	}
+	slot0, fused0 := filt.Slot(), filt.Fused()
 	body := map[string]interface{}{"slot": 100, "roads": []int{2, 5}, "horizon": 4}
 	var out1 forecastResponse
 	decode(t, postJSON(t, ts.URL+"/v1/forecast", body), &out1)

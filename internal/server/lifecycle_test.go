@@ -16,7 +16,7 @@ import (
 
 // newLifecycleServer spins up a server with the full model-lifecycle stack
 // attached: store in a temp dir, manager, refitter wired to the server's own
-// report collector, and v1 already published.
+// Batcher (its report collector and filter), and v1 already published.
 func newLifecycleServer(tb testing.TB) (*httptest.Server, *Server, *core.System, *speedgen.History) {
 	tb.Helper()
 	net := network.Synthetic(network.SyntheticOptions{Roads: 40, Seed: 13})
@@ -40,7 +40,7 @@ func newLifecycleServer(tb testing.TB) (*httptest.Server, *Server, *core.System,
 	if _, _, err := mgr.Publish(sys.Model().Clone(), modelstore.Meta{Source: "offline-fit"}, nil); err != nil {
 		tb.Fatal(err)
 	}
-	refitter, err := modelstore.NewRefitter(mgr, srv.Collector(), modelstore.RefitterConfig{})
+	refitter, err := modelstore.NewRefitter(mgr, srv.Batcher(), modelstore.RefitterConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -194,5 +194,29 @@ func TestHealthzLifecycleCounters(t *testing.T) {
 	}
 	if out.Lifecycle == nil || out.Lifecycle.Published != 1 {
 		t.Errorf("lifecycle block %+v", out.Lifecycle)
+	}
+}
+
+// TestRefitKeepsServedSlot: a refit leaves the slot being served alone.
+// Forty reports at slot 100 through POST /v1/report walk the filter there,
+// so the refit has no closed slot to fold, and the next estimate of slot 100
+// still sees all forty.
+func TestRefitKeepsServedSlot(t *testing.T) {
+	ts, _, sys, h := newLifecycleServer(t)
+	for r := 0; r < sys.Network().N(); r++ {
+		resp := postJSON(t, ts.URL+"/v1/report", reportBody(r, 100, h.At(h.Days-1, 100, r)))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("report road %d: status %d", r, resp.StatusCode)
+		}
+	}
+	if resp, body := postAction(t, ts.URL, "refit"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("refit: %d (%v)", resp.StatusCode, body)
+	}
+	var out estimateResponse
+	decode(t, postJSON(t, ts.URL+"/v1/estimate", map[string]interface{}{"slot": 100, "roads": []int{1}}), &out)
+	if out.Observed != 40 || out.Provenance["1"] != "observed" {
+		t.Errorf("after the refit slot 100 sees %d observed roads, road 1 %q; want 40 and observed",
+			out.Observed, out.Provenance["1"])
 	}
 }

@@ -225,7 +225,14 @@ func TestQoSBatchShedsAtomically(t *testing.T) {
 func TestQoSDegradedTierLabels(t *testing.T) {
 	ts, _, fp := newQoSServer(t, qos.Config{})
 	hdr := map[string]string{"X-API-Key": "etl-key"}
-	body := `{"slot":20,"roads":[3,4],"observed":{"3":22.0}}`
+	// Road 3's evidence is a report: a what-if override's field never
+	// becomes the cached-tier answer.
+	rep := doReq(t, http.MethodPost, ts.URL+"/v1/report", `{"road":3,"slot":20,"speed":22.0}`, hdr)
+	rep.Body.Close()
+	if rep.StatusCode != http.StatusOK {
+		t.Fatalf("report status %d", rep.StatusCode)
+	}
+	body := `{"slot":20,"roads":[3,4]}`
 
 	// Cold slot at batch/cached pressure: the cache has nothing, the answer
 	// falls through to prior and says so.

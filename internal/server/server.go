@@ -27,8 +27,10 @@
 // or, after AttachShards, a graph-partitioned shard.Engine: identical
 // concurrent selects or estimates (batch entries included) singleflight into
 // one run, and every propagation warm-starts from the slot's previous field
-// (incremental GSP). /v1/subscribe answers both its modes from one digest
-// loop over the report collector. The amortization counters appear on
+// (incremental GSP). The Batcher also owns the report collector and the
+// cross-slot filter: /v1/report is the only route that writes evidence, and
+// /v1/subscribe answers both its modes by waiting on the collector's report
+// mark for the slot. The amortization counters appear on
 // /v1/metrics (crowdrtse_coalesced_queries_total,
 // crowdrtse_gsp_warm_starts_total, crowdrtse_warmstart_sweeps_saved_total,
 // crowdrtse_subscription_noop_refreshes_total).
@@ -62,27 +64,26 @@ import (
 	"repro/internal/detect"
 	"repro/internal/gsp"
 	"repro/internal/modelstore"
-	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/ocs"
 	"repro/internal/qos"
 	"repro/internal/shard"
 	"repro/internal/stattest"
 	"repro/internal/stream"
-	"repro/internal/temporal"
 	"repro/internal/tslot"
 )
 
 // Server is the HTTP facade over a trained system. Speed reports flow
-// through a stream.Collector, which rejects implausible values and
-// MAD-filters outliers before aggregation.
+// through the Batcher's stream.Collector, which rejects implausible values
+// and MAD-filters outliers before aggregation.
 type Server struct {
-	sys       *core.System
-	collector *stream.Collector
+	sys *core.System
 	// batcher is the serving layer in front of select and estimate:
 	// identical concurrent requests singleflight, and every propagation
-	// warm-starts from the slot's previous field.
-	batcher *core.Batcher
+	// warm-starts from the slot's previous field. collector is its report
+	// collector.
+	batcher   *core.Batcher
+	collector *stream.Collector
 
 	// Timeout bounds each request; the estimate/alerts handlers plumb it
 	// through context so GSP early-aborts with a best-so-far field.
@@ -133,17 +134,22 @@ type Server struct {
 
 // New wraps a trained system. The worker pool starts empty. Construction
 // wires the full observability chain: one obs.Registry, one pipeline
-// instrument set attached to the system (every query stage counts), the
-// collector's accepted/rejected counters, and the system's oracle-cache and
-// model-generation exports — all served by /v1/metrics and rolled up in
-// /v1/healthz.
+// instrument set attached to the system (every query stage counts), and the
+// system's oracle-cache and model-generation exports — all served by
+// /v1/metrics and rolled up in /v1/healthz. The Batcher it then builds
+// brings the report collector and the cross-slot filter (default AR(1)
+// parameters at slot 0) and counts into the same instruments; an embedder
+// with history installs a fitted filter through Batcher().AttachTemporal.
 func New(sys *core.System) *Server {
 	reg := obs.NewRegistry()
 	clock := obs.SystemClock()
 	pipe := obs.NewPipeline(reg, clock)
+	sys.Instrument(pipe)
+	batcher, _ := core.NewBatcher(sys)
 	s := &Server{
 		sys:          sys,
-		collector:    stream.NewCollector(sys.Network().N()),
+		batcher:      batcher,
+		collector:    batcher.Collector(),
 		pool:         crowd.NewPool(nil),
 		Timeout:      5 * time.Second,
 		MaxBodyBytes: 1 << 20,
@@ -155,25 +161,7 @@ func New(sys *core.System) *Server {
 		clock:        clock,
 		started:      clock.Now(),
 	}
-	sys.Instrument(pipe)
 	sys.RegisterMetrics(reg)
-	s.collector.SetMetrics(pipe.Stream)
-	// The batcher reads the pipeline through sys.Obs(), so SetClock's pipeline
-	// rebuild is picked up automatically.
-	s.batcher, _ = core.NewBatcher(sys)
-	// The cross-slot filter (PR 8): estimates feed it, probe-less warm starts
-	// seed from it, and /v1/forecast iterates its predict step. Default AR(1)
-	// parameters; embedders with history can refit via temporal.FitAR1 and
-	// re-attach.
-	net := sys.Network()
-	classes := make([]network.Class, net.N())
-	for i := range classes {
-		classes[i] = net.Road(i).Class
-	}
-	if filt, err := temporal.New(sys.Model(), 0, temporal.DefaultParams(), classes,
-		temporal.Options{Metrics: pipe.Temporal}); err == nil {
-		s.batcher.AttachTemporal(filt)
-	}
 	return s
 }
 
@@ -221,16 +209,17 @@ func (s *Server) AttachLifecycle(mgr *modelstore.Manager, refitter *modelstore.R
 	}
 }
 
-// Collector exposes the server's report collector so the serve command can
-// wire it into a background refitter and configure the eviction horizon.
+// Collector exposes the server's report collector (the Batcher's) so the
+// serve command can configure the eviction horizon. Reports added to it
+// directly, not through POST /v1/report, never move the filter.
 func (s *Server) Collector() *stream.Collector { return s.collector }
 
 // AttachShards makes the server's batcher select and propagate through a
 // graph-partitioned engine built from the server's system, so every route
-// is served halo-stitched; the batcher, its warm-start LRU and the temporal
-// filter stay the server's one copy. /v1/metrics gains the shard-labeled
-// oracle-cache series and /v1/healthz reports per-shard ownership/halo
-// sizes and cache counters. Call it before serving.
+// is served halo-stitched; the batcher, its warm-start LRU, the collector
+// and the temporal filter stay the server's one copy. /v1/metrics gains the
+// shard-labeled oracle-cache series and /v1/healthz reports per-shard
+// ownership/halo sizes and cache counters. Call it before serving.
 func (s *Server) AttachShards(eng *shard.Engine) {
 	s.mu.Lock()
 	s.shards = eng
@@ -360,7 +349,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	road, slot := *req.Road, tslot.Slot(*req.Slot)
-	if err := s.collector.Add(stream.Report{Road: road, Slot: slot, Speed: *req.Speed}); err != nil {
+	if err := s.batcher.Report(stream.Report{Road: road, Slot: slot, Speed: *req.Speed}); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -640,9 +629,11 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 	}
 	roads := req.roadsOrAll(n)
 
-	// Robust per-road aggregates of this slot's reports, plus any explicit
-	// per-request overrides.
+	// Robust per-road aggregates of this slot's reports, and the request's
+	// what-if overrides, which replace or extend them for this request only.
 	observed := s.collector.Observations(slot)
+	overrides := make(map[int]float64, len(req.Observed))
+	nObserved := len(observed)
 	for key, v := range req.Observed {
 		id, err := strconv.Atoi(key)
 		if err != nil {
@@ -651,24 +642,27 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 		if id < 0 || id >= n {
 			return nil, http.StatusBadRequest, fmt.Errorf("observed road %d out of range", id)
 		}
-		// An override feeds GSP and the slot's warm-start seed like a
-		// report, so it must pass the rule reports do.
+		// An override feeds GSP like a report, so it must pass the rule
+		// reports do.
 		if err := s.collector.CheckSpeed(v); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("observed road %d: %v", id, err)
 		}
-		observed[id] = v
+		if _, ok := observed[id]; !ok {
+			nObserved++
+		}
+		overrides[id] = v
 	}
 
-	res, ai, err := s.estimateAdmitted(ctx, slot, observed)
+	res, ai, err := s.estimateAdmitted(ctx, slot, observed, overrides)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 	// A prior-tier answer is the periodicity prior regardless of how many
 	// observations arrived — it is degraded by construction.
-	degraded := len(observed) == 0 || res.Tier == qos.TierPrior
+	degraded := nObserved == 0 || res.Tier == qos.TierPrior
 	out := &estimateResponse{
 		Slot:          req.Slot,
-		Observed:      len(observed),
+		Observed:      nObserved,
 		Estimates:     make(map[string]float64, len(roads)),
 		Converged:     res.Converged,
 		Degraded:      degraded,
@@ -722,9 +716,9 @@ func admittedTier(ctx context.Context) (qos.Tier, *admissionInfo) {
 // tier actually served against the decision, since execution may degrade
 // past it (cached → prior fallthrough on a cold slot). It returns the
 // decision (nil without QoS) for the response's quality label.
-func (s *Server) estimateAdmitted(ctx context.Context, slot tslot.Slot, observed map[int]float64) (core.TierResult, *admissionInfo, error) {
+func (s *Server) estimateAdmitted(ctx context.Context, slot tslot.Slot, observed, overrides map[int]float64) (core.TierResult, *admissionInfo, error) {
 	tier, ai := admittedTier(ctx)
-	res, err := s.batcher.EstimateTier(ctx, tier, slot, observed)
+	res, err := s.batcher.EstimateTier(ctx, tier, slot, observed, overrides)
 	if err == nil && ai != nil && s.qosCtl != nil {
 		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
 	}
@@ -778,7 +772,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	observed := s.collector.Observations(slot)
-	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed)
+	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed, nil)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
@@ -883,7 +877,7 @@ func (s *Server) handleAlertPredicates(w http.ResponseWriter, r *http.Request) {
 	}
 
 	observed := s.collector.Observations(slot)
-	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed)
+	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed, nil)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return

@@ -105,3 +105,55 @@ func TestCollectorSlotsSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorMark: a slot's mark moves on every accepted report, even one
+// that leaves the aggregate unchanged, and not on a rejected one; it drops
+// to 0 on Reset and on eviction, and never repeats an earlier non-zero
+// value.
+func TestCollectorMark(t *testing.T) {
+	c := NewCollector(4)
+	c.SetHorizon(2)
+	seen := map[int]bool{}
+	add := func(r Report) {
+		t.Helper()
+		before := c.Mark(r.Slot)
+		if err := c.Add(r); err != nil {
+			t.Fatal(err)
+		}
+		m := c.Mark(r.Slot)
+		if m == 0 || m == before || seen[m] {
+			t.Fatalf("report %+v: mark %d → %d (seen before: %v)", r, before, m, seen[m])
+		}
+		seen[m] = true
+	}
+	if c.Mark(10) != 0 {
+		t.Fatal("empty slot has a mark")
+	}
+	add(Report{Road: 0, Slot: 10, Speed: 30})
+	add(Report{Road: 1, Slot: 10, Speed: 30})
+	add(Report{Road: 0, Slot: 10, Speed: 30})
+	m := c.Mark(10)
+	for _, bad := range []Report{{Road: 9, Slot: 10, Speed: 30}, {Road: 0, Slot: 10, Speed: 500}} {
+		if err := c.Add(bad); err == nil {
+			t.Fatalf("report %+v accepted", bad)
+		}
+		if c.Mark(10) != m {
+			t.Errorf("rejected report %+v moved the mark", bad)
+		}
+	}
+	c.Reset(10)
+	if c.Mark(10) != 0 {
+		t.Errorf("mark %d after Reset, want 0", c.Mark(10))
+	}
+	add(Report{Road: 0, Slot: 10, Speed: 30})
+	add(Report{Road: 2, Slot: 11, Speed: 40})
+	// A report five slots on evicts slots 10 and 11 (horizon 2).
+	add(Report{Road: 0, Slot: 16, Speed: 30})
+	if c.Mark(10) != 0 || c.Mark(11) != 0 {
+		t.Errorf("marks after eviction: slot 10 %d, slot 11 %d, want 0", c.Mark(10), c.Mark(11))
+	}
+	add(Report{Road: 0, Slot: 10, Speed: 30})
+	if c.Mark(16) != 0 {
+		t.Errorf("slot 16 evicted by the report at 10 kept mark %d", c.Mark(16))
+	}
+}

@@ -37,9 +37,10 @@ type Collector struct {
 
 	mu      sync.RWMutex
 	buckets map[tslot.Slot]map[int][]float64
-	lastAdd time.Time  // wall time of the last accepted report
-	total   int        // accepted reports since construction
-	latest  tslot.Slot // slot of the most recent accepted report
+	marks   map[tslot.Slot]int // total at each held slot's latest report (Mark)
+	lastAdd time.Time          // wall time of the last accepted report
+	total   int                // accepted reports since construction
+	latest  tslot.Slot         // slot of the most recent accepted report
 	clock   obs.Clock
 
 	// metrics optionally counts accepted/rejected reports (SetMetrics).
@@ -59,6 +60,7 @@ func NewCollector(nRoads int) *Collector {
 		MaxSpeed: 160,
 		OutlierK: 4,
 		buckets:  make(map[tslot.Slot]map[int][]float64),
+		marks:    make(map[tslot.Slot]int),
 		clock:    obs.SystemClock(),
 	}
 }
@@ -104,6 +106,7 @@ func (c *Collector) Add(r Report) error {
 	c.lastAdd = c.clock.Now()
 	c.latest = r.Slot
 	c.total++
+	c.marks[r.Slot] = c.total
 	c.metrics.Accepted.Inc()
 	c.evictStaleLocked()
 	return nil
@@ -191,6 +194,7 @@ func (c *Collector) evictStaleLocked() {
 			c.evictedReports += len(speeds)
 		}
 		delete(c.buckets, t)
+		delete(c.marks, t)
 	}
 }
 
@@ -216,6 +220,15 @@ func (c *Collector) SlotCount() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.buckets)
+}
+
+// Mark returns slot t's report mark: TotalReports as of the slot's latest
+// accepted report, or 0 while the slot holds none (after Reset or eviction
+// too). The total only grows, so a non-zero mark is never repeated.
+func (c *Collector) Mark(t tslot.Slot) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.marks[t]
 }
 
 // Count returns the number of reports held for (slot, road).
@@ -246,6 +259,7 @@ func (c *Collector) Reset(t tslot.Slot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.buckets, t)
+	delete(c.marks, t)
 }
 
 // robustMean averages the values after MAD-based outlier rejection. With

@@ -22,11 +22,11 @@
 //
 // φ and Q are per road class (highway traffic is more persistent than local
 // streets), fit from historical consecutive-slot deviation pairs (FitAR1)
-// with sane defaults. The update fuses fresh probe answers (z = answer − μ,
-// measurement noise R from the answer dispersion); on probe-less slots the
-// GSP field stands in as a *pseudo-observation* with inflated noise, so the
-// filter tracks the spatially-propagated field without trusting it like a
-// direct measurement.
+// with sane defaults. The update fuses a slot's crowd aggregates (z =
+// aggregate − μ, measurement noise R per road), each slot once: a serving
+// filter is written only by core.Batcher.Report, which fuses a slot as a
+// report walks the filter past it. A road without a report keeps its
+// predicted state; the filter never fuses a propagated GSP field.
 //
 // # Forecast
 //
@@ -191,16 +191,10 @@ func clampPhi(phi float64) float64 {
 	return phi
 }
 
-const (
-	// measurementVar is the measurement-noise variance of a probe answer
-	// when the caller supplies no per-road noise: the crowd aggregates are
-	// already MAD-filtered means.
-	measurementVar = 1.0
-	// pseudoObsInflation multiplies the GSP field's variance when the field
-	// stands in for missing probes (4 ⇒ 2× the SD): the propagated field is
-	// smoothed evidence, not a direct measurement.
-	pseudoObsInflation = 4.0
-)
+// measurementVar is the measurement-noise variance of a probe answer when
+// the caller supplies no per-road noise: the crowd aggregates are already
+// MAD-filtered means.
+const measurementVar = 1.0
 
 // Options configure a Filter.
 type Options struct {
@@ -238,8 +232,7 @@ type Filter struct {
 	p    []float64 // deviation variance per road
 	phi  []float64 // per-road transition coefficient
 	q    []float64 // per-road process noise
-	// fused counts the measurements and pseudo-observations absorbed since
-	// construction/Reset. A filter with fused == 0 still sits at the prior, so
+	// fused counts the measurements absorbed since construction/Reset. A filter with fused == 0 still sits at the prior, so
 	// seeding anything from it is a no-op dressed as evidence.
 	fused int
 }
@@ -363,29 +356,6 @@ func (f *Filter) checkRoads(observed map[int]float64) error {
 	return nil
 }
 
-// PseudoObserve fuses a GSP field as a weak full-network observation — the
-// probe-less-slot fallback. speeds must cover every road; sd may be nil (the
-// prior σ then prices each road) or per-road propagation SDs. The noise is
-// inflated by pseudoObsInflation.
-func (f *Filter) PseudoObserve(speeds, sd []float64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(speeds) != len(f.x) {
-		return fmt.Errorf("temporal: pseudo-observation covers %d roads, want %d", len(speeds), len(f.x))
-	}
-	for r := range speeds {
-		s := f.model.Sigma(f.slot, r)
-		if r < len(sd) && sd[r] > 0 {
-			s = sd[r]
-		}
-		rv := pseudoObsInflation * s * s
-		f.updateOneLocked(r, speeds[r]-f.model.Mu(f.slot, r), rv)
-	}
-	f.fused++
-	f.opt.Metrics.PseudoObs.Inc()
-	return nil
-}
-
 // updateOneLocked is the scalar Kalman update of one road: z is the observed
 // deviation, rv the measurement variance.
 func (f *Filter) updateOneLocked(r int, z, rv float64) {
@@ -404,8 +374,8 @@ func kalman1(x, p, z, rv float64) (float64, float64) {
 	return x, p
 }
 
-// Fused reports how many measurements and pseudo-observations the filter has
-// absorbed since construction or the last Reset. Zero means the state is
+// Fused reports how many measurements the filter has absorbed since
+// construction or the last Reset. Zero means the state is
 // still the bare prior.
 func (f *Filter) Fused() int {
 	f.mu.Lock()
@@ -460,10 +430,10 @@ func (f *Filter) Forecast(k int) ([]ForecastStep, error) {
 // time-of-day, by which point the state has reverted to the prior band), the
 // supplied observations are fused into the snapshot only, and the fan is
 // rolled out k steps. Because the shared state never moves, a client cannot
-// decay the filter by asking about a distant base, concurrent feeders (the
-// batcher's estimate path) cannot race the fuse onto the wrong slot's prior,
-// and polling the same slot repeatedly re-fuses the same evidence into a
-// fresh snapshot each time instead of compounding it.
+// decay the filter by asking about a distant base, a concurrent report walk
+// cannot race the fuse onto the wrong slot's prior, and polling the same
+// slot repeatedly re-fuses the same evidence into a fresh snapshot each time
+// instead of compounding it.
 func (f *Filter) ForecastFrom(base tslot.Slot, k int, observed map[int]float64, noiseVar func(road int) float64) ([]ForecastStep, error) {
 	if !base.Valid() {
 		return nil, fmt.Errorf("temporal: invalid slot %d", base)
@@ -537,7 +507,8 @@ func (f *Filter) rollout(slot tslot.Slot, x, v []float64, k int) []ForecastStep 
 }
 
 // Reset re-initializes the state at the prior of the given slot (x = 0,
-// P = σ²) — used after a model hot-swap invalidates the deviation baseline.
+// P = σ²). core.Batcher.Report calls it to move a filter that has fused
+// nothing yet straight to the slot of a report outside its walk window.
 func (f *Filter) Reset(t tslot.Slot) error {
 	if !t.Valid() {
 		return fmt.Errorf("temporal: invalid slot %d", t)

@@ -337,37 +337,6 @@ func TestUpdateValidatesBeforeApplying(t *testing.T) {
 	}
 }
 
-func TestPseudoObservePullsTowardField(t *testing.T) {
-	_, m := testModel(t, 6)
-	f, err := New(m, 20, DefaultParams(), nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	field := make([]float64, f.N())
-	for r := range field {
-		field[r] = m.Mu(20, r) + 5
-	}
-	if err := f.PseudoObserve(field, nil); err != nil {
-		t.Fatal(err)
-	}
-	est := f.Now()
-	for r := range field {
-		if est.Speeds[r] <= m.Mu(20, r) || est.Speeds[r] >= field[r] {
-			t.Fatalf("road %d: pseudo-obs posterior %v outside (prior %v, field %v)",
-				r, est.Speeds[r], m.Mu(20, r), field[r])
-		}
-	}
-	// Inflated noise: the pull must be weaker than a direct measurement's.
-	g, _ := New(m, 20, DefaultParams(), nil, Options{})
-	if err := g.Update(map[int]float64{0: field[0]}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if g.Now().Speeds[0] <= est.Speeds[0] {
-		t.Errorf("direct update %v not stronger than pseudo-obs %v",
-			g.Now().Speeds[0], est.Speeds[0])
-	}
-}
-
 func TestFitAR1RecoversGeneratorCoefficient(t *testing.T) {
 	net := network.Synthetic(network.SyntheticOptions{Roads: 40, Seed: 9})
 	hist, err := speedgen.Generate(net, speedgen.Default(6, 11))
@@ -431,8 +400,5 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := f.ForecastFrom(0, 1, map[int]float64{99: 1}, nil); err == nil {
 		t.Error("ForecastFrom out-of-range observed road accepted")
-	}
-	if err := f.PseudoObserve(make([]float64, 2), nil); err == nil {
-		t.Error("short pseudo-observation accepted")
 	}
 }
