@@ -23,7 +23,7 @@ race:
 # The -run and -bench patterns of the targets below. run-patterns checks
 # that every alternative still selects a test or benchmark.
 FAULT_RUN = Fault
-HOTPATH_RUN = Singleflight|AbortedField|ConcurrentMixedRows|RowConcurrentDeepening|LazyMatchesEager|CertifiedMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad|ReportWalkConcurrent
+HOTPATH_RUN = Singleflight|AbortedField|ConcurrentMixedRows|RowConcurrentDeepening|LazyMatchesEager|CertifiedMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad|ReportWalkConcurrent|ReportLifetimeProperty
 HOTPATH_PKGS = ./internal/corr/ ./internal/ocs/ ./internal/core/
 FUZZ_RUN = FuzzSnapshotRoundTrip|FuzzHandlers
 FUZZ_PKGS = ./internal/modelstore/ ./internal/server/
@@ -42,7 +42,10 @@ fault-determinism:
 # deadline that no live follower or warm seed receives (its live followers
 # share the next run), eight clients reporting one slot and then the next
 # while others estimate (the filter walks once and fuses the left slot's
-# aggregates once), one row deepened from many goroutines while
+# aggregates once), a seeded random report stream over many days with
+# outages and silences of up to two days (the collector holds nothing more
+# than half a day behind the filter, each slot holds one day's reports, and
+# the filter follows the stream), one row deepened from many goroutines while
 # others read it, the greedy's eager-reference equivalence corpora (random
 # instances, and the certified rows on the 5k metro), concurrent greedy
 # solves over one shared oracle, concurrent mixed-slot queries of the
@@ -79,7 +82,9 @@ bench-smoke:
 
 # End-to-end lifecycle drill under the race detector: streamed reports are
 # folded into a refit, gated, published and hot-swapped; a corrupted
-# candidate is refused; the operator rolls back and reloads forward.
+# candidate is refused; the operator rolls back and reloads forward. The
+# RefitOnce tests include eight concurrent refits over the same closed
+# slots, which publish exactly one version.
 refit-drill:
 	$(GO) test -race -run '$(REFIT_RUN)' -v ./internal/modelstore/
 

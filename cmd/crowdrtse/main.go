@@ -20,16 +20,18 @@
 //	    diagnostics
 //	crowdrtse serve -data DIR -model model.rtf [-addr :8080] [-days D]
 //	    [-timeout 5s] [-store DIR] [-refit 5m] [-alpha 0.1]
-//	    [-report-horizon 72]
 //	    [-qos] [-tenant key=K,name=N,class=C,rps=R,quota=Q]...
 //	    [-max-inflight N] [-latency-target D] [-no-anonymous]
 //	    [-shards N] [-shard-seed S]
 //	    serve the HTTP estimation API; with -store the model-lifecycle
 //	    subsystem is active: the serving model comes from the store's
 //	    current version (bootstrapping it from -model on first run),
-//	    streamed /v1/report data is folded into validated background
-//	    refits every -refit interval, and /v1/model exposes the version
-//	    history plus reload/rollback/refit actions; with -qos (implied by
+//	    each closed slot's /v1/report data is folded once into validated
+//	    background refits every -refit interval, and /v1/model exposes the
+//	    version history plus reload/rollback/refit actions; a slot keeps
+//	    its reports until the filter's report walk leaves it half a day
+//	    behind, or a report half a day after the filter last moved
+//	    restarts it, with or without -store; with -qos (implied by
 //	    any -tenant) multi-tenant admission control is active: API keys
 //	    resolve to tenants with token-bucket rate limits, probe-budget
 //	    quotas and priority classes, and under pressure requests step down
@@ -381,7 +383,6 @@ func cmdServe(args []string) error {
 	storeDir := fs.String("store", "", "snapshot store directory (enables the model lifecycle)")
 	refitEvery := fs.Duration("refit", 5*time.Minute, "background refit interval (0 disables refits; needs -store)")
 	alpha := fs.Float64("alpha", 0.1, "exponential-forgetting weight of a refit fold")
-	horizon := fs.Int("report-horizon", 72, "collector eviction horizon in slots (0 = unbounded)")
 	trace := fs.Bool("trace", false, "emit per-request stage spans (OCS/probe/GSP) as structured JSON logs on stderr, X-Request-ID correlated")
 	pprofOn := fs.Bool("pprof", true, "mount the net/http/pprof surface under /debug/pprof/")
 	qosOn := fs.Bool("qos", false, "enable multi-tenant admission control (implied by -tenant)")
@@ -447,7 +448,6 @@ func cmdServe(args []string) error {
 
 	srv := server.New(sys)
 	srv.Timeout = *timeout
-	srv.Collector().SetHorizon(*horizon)
 	srv.EnablePprof = *pprofOn
 	if *trace {
 		srv.TraceLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))

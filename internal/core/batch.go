@@ -100,11 +100,13 @@ type Batcher struct {
 	prevSeq uint64
 
 	// collector holds the crowd reports and temporal the cross-slot filter;
-	// walkMu serializes Report's walks, the filter's only writes
-	// (temporal.go).
+	// walkMu serializes Report, which alone moves the filter and ends a
+	// slot's reports (temporal.go), and guards began: when the filter's slot
+	// began by the collector's clock, as far as the reports show it.
 	collector *stream.Collector
 	walkMu    sync.Mutex
 	temporal  *temporal.Filter
+	began     time.Time
 }
 
 // NewBatcher wraps a trained system in the serving Batcher, with an empty

@@ -65,8 +65,8 @@ func (b *Batcher) RouteETA(ctx context.Context, req RouteETARequest) (RouteETARe
 	if !req.Slot.Valid() {
 		return RouteETAResult{}, fmt.Errorf("core: invalid slot %d", req.Slot)
 	}
-	if req.Horizon < 0 || req.Horizon > maxTemporalAdvance {
-		return RouteETAResult{}, fmt.Errorf("core: route horizon %d outside [0,%d]", req.Horizon, maxTemporalAdvance)
+	if req.Horizon < 0 || req.Horizon > MaxHorizon {
+		return RouteETAResult{}, fmt.Errorf("core: route horizon %d outside [0,%d]", req.Horizon, MaxHorizon)
 	}
 	base, err := b.EstimateTier(ctx, req.Tier, req.Slot, req.Observed, nil)
 	if err != nil {

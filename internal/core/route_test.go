@@ -117,7 +117,7 @@ func TestRouteETAForecastFan(t *testing.T) {
 
 	depart := float64(tslot.Slot(100).StartMinute()) + 4.9
 	res, err := b.RouteETA(ctx, RouteETARequest{
-		Slot: 100, Src: src, Dst: dst, DepartMinute: depart, Horizon: maxTemporalAdvance,
+		Slot: 100, Src: src, Dst: dst, DepartMinute: depart, Horizon: MaxHorizon,
 		Tier: qos.TierFull,
 	})
 	if err != nil {
@@ -156,7 +156,7 @@ func TestRouteETAPriorFallback(t *testing.T) {
 	src, dst := routePair(t, f)
 	depart := float64(tslot.Slot(100).StartMinute()) + 4.9
 	res, err := b.RouteETA(context.Background(), RouteETARequest{
-		Slot: 100, Src: src, Dst: dst, DepartMinute: depart, Horizon: maxTemporalAdvance,
+		Slot: 100, Src: src, Dst: dst, DepartMinute: depart, Horizon: MaxHorizon,
 		Tier: qos.TierFull,
 	})
 	if err != nil {
@@ -225,7 +225,7 @@ func TestRouteETAConcurrentSharesSlot(t *testing.T) {
 			defer wg.Done()
 			depart := float64(tslot.Slot(100).StartMinute()) + float64(c%5)
 			res, err := b.RouteETA(ctx, RouteETARequest{
-				Slot: 100, Src: src, Dst: dst, DepartMinute: depart, Horizon: maxTemporalAdvance,
+				Slot: 100, Src: src, Dst: dst, DepartMinute: depart, Horizon: MaxHorizon,
 				Tier: qos.TierBatched,
 			})
 			if err != nil {

@@ -1,16 +1,19 @@
 // The evidence ledger. The Batcher owns the report collector and the
-// cross-slot state-space filter (package temporal), and Report is the
-// only call that moves the filter: a report that opens a slot up to
-// maxTemporalAdvance slots ahead walks the filter there, fusing each slot it
-// leaves exactly once from that slot's robust aggregates. Estimates,
-// forecasts and routes only read the filter: when a slot's warm-start LRU
-// entry is missing, the filtered posterior, predicted forward to the slot,
-// stands in as the GSP seed, and routes and /v1/forecast fuse the current,
-// not-yet-fused slot into a snapshot of it.
+// cross-slot state-space filter (package temporal), and Report is the one
+// place that decides where a report belongs and when a slot's reports end:
+// it moves the filter, fusing each slot it leaves exactly once from that
+// slot's robust aggregates, and empties each slot it enters, or the whole
+// collector once the filter's slot is half a day old by the collector's
+// clock, so a slot holds one day's reports. Estimates, forecasts and routes
+// only read the filter: when a slot's warm-start LRU entry is missing, the
+// filtered posterior, predicted forward to the slot, stands in as the GSP
+// seed, and routes and /v1/forecast fuse the current, not-yet-fused slot
+// into a snapshot of it.
 package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/gsp"
 	"repro/internal/stream"
@@ -18,11 +21,23 @@ import (
 	"repro/internal/tslot"
 )
 
-// maxTemporalAdvance is the filter's walk window: a report at most this many
-// slots ahead of the filter walks it there. A report farther ahead (or
-// behind — a backward slot is a near-full-day forward wrap) is out-of-band
-// historical work and leaves the filter where it is.
-const maxTemporalAdvance = 12
+// MaxHorizon is the farthest slot ahead a forecast reaches (12 slots = one
+// hour): the cap of /v1/forecast and /v1/route and of RouteETA, and of the
+// filter forecast that seeds a fresh slot's GSP run. Beyond it the fan has
+// reverted to the prior band. A filter that has fused nothing walks to a
+// report at most this far ahead and jumps to one farther away.
+const MaxHorizon = 12
+
+// walkWindow is half a day. A filter holding evidence walks to a report
+// fewer than walkWindow slots ahead; a report walkWindow or more slots ahead
+// is late, for a slot up to walkWindow behind the filter.
+const walkWindow = tslot.PerDay / 2
+
+// staleAfter is how long after the filter's slot began a report can first be
+// a later day's. The start Report keeps is a report's arrival, up to one
+// slot after the slot's own start, so a report walkWindow slots ahead can
+// arrive walkWindow−1 slots after it.
+const staleAfter = (walkWindow - 1) * tslot.Duration
 
 // AttachTemporal installs a fitted filter in place of the default one
 // NewBatcher builds. A nil filter, or one over another road count, is
@@ -42,49 +57,92 @@ func (b *Batcher) Temporal() *temporal.Filter { return b.temporal }
 // directly, not through Report, never moves the filter.
 func (b *Batcher) Collector() *stream.Collector { return b.collector }
 
-// temporalSteps returns the forward predict distance from the filter's slot
-// to t, and whether t lies in the walk window.
-func temporalSteps(from, to tslot.Slot) (int, bool) {
-	steps := (int(to) - int(from) + tslot.PerDay) % tslot.PerDay
-	return steps, steps <= maxTemporalAdvance
+// stepsAhead counts how many slots to lies ahead of from, cyclically, in
+// [0, tslot.PerDay).
+func stepsAhead(from, to tslot.Slot) int {
+	return (int(to) - int(from) + tslot.PerDay) % tslot.PerDay
 }
 
-// Report ingests one crowd report: the collector stores it, and then, under
-// one lock, the report may move the filter. A report 1..maxTemporalAdvance
-// slots ahead walks the filter there, fusing each slot it leaves once from
-// that slot's aggregates with the system's per-road noise. A filter that
-// has fused nothing yet jumps straight to the report's slot. Any other
-// report leaves the filter where it is.
+// Report ingests one crowd report. Under one lock it checks the report,
+// moves the filter, and only then adds the report, so a rejected report
+// never moves the filter and a slot the walk enters is emptied before the
+// report lands in it.
+//
+// A report names a slot of the day but not the day, so Report times the
+// filter's slot by the collector's clock. Until staleAfter after the slot
+// began, a filter that holds evidence walks to a report fewer than
+// walkWindow slots ahead, and a report farther ahead is late: it joins its
+// slot and leaves the filter. A filter that has fused nothing walks at most
+// MaxHorizon slots and jumps farther, but once its slot holds reports a
+// report walkWindow or more ahead is late to it too. After staleAfter, all
+// the collector holds is at least half a day old: the report empties it
+// and restarts the filter at its slot.
 func (b *Batcher) Report(r stream.Report) error {
-	if err := b.collector.Add(r); err != nil {
-		return err
-	}
 	b.walkMu.Lock()
 	defer b.walkMu.Unlock()
-	// Add checked the slot and every road against the network, which
-	// AttachTemporal holds the filter to, so no filter call below can fail.
-	f := b.temporal
-	from := f.Slot()
-	steps, ok := temporalSteps(from, r.Slot)
-	switch {
-	case steps > 0 && ok:
-		noise := b.sys.ObsNoiseFunc()
-		for t := from; t != r.Slot; t = t.Next() {
-			_ = f.Update(b.collector.Observations(t), noise)
-			_, _ = f.Advance(t.Next())
-		}
-	case steps > 0 && f.Fused() == 0:
-		_ = f.Reset(r.Slot)
+	col, f := b.collector, b.temporal
+	if err := col.Check(r); err != nil {
+		return err
 	}
-	return nil
+	now := col.Now()
+	if b.began.IsZero() {
+		b.began = now
+	}
+	from := f.Slot()
+	steps := stepsAhead(from, r.Slot)
+	switch virgin := steps > 0 && f.Fused() == 0; {
+	case now.Sub(b.began) >= staleAfter:
+		b.jump(r.Slot, tslot.PerDay)
+		b.began, steps = now, 0
+	case steps == 0:
+	case virgin && steps <= MaxHorizon, !virgin && steps < walkWindow:
+		b.walk(r.Slot)
+	case virgin && (steps < walkWindow || col.First(from) == 0):
+		b.jump(r.Slot, walkWindow)
+	default: // late
+		steps = 0
+	}
+	// The new slot began steps slots later, but not after this report came.
+	if b.began = b.began.Add(time.Duration(steps) * tslot.Duration); b.began.After(now) {
+		b.began = now
+	}
+	return col.Add(r)
 }
 
-// Closed reports whether no report walks the filter through slot t any more
-// before the day wraps: t is neither the filter's slot nor one of the
-// maxTemporalAdvance slots after it. The refitter folds only closed slots.
+// walk moves the filter one slot at a time to slot to. Each step fuses the
+// slot it leaves from that slot's aggregates with the system's per-road
+// noise, predicts one step, and empties the slot it enters and the slot
+// walkWindow−1 after it, then walkWindow+1 behind, so no slot holds two
+// days. Check has held the report to the network, which AttachTemporal
+// holds the filter to, so no filter call can fail.
+func (b *Batcher) walk(to tslot.Slot) {
+	f, col := b.temporal, b.collector
+	noise := b.sys.ObsNoiseFunc()
+	for t := f.Slot(); t != to; t = t.Next() {
+		_ = f.Update(col.Observations(t), noise)
+		in := t.Next()
+		_, _ = f.Advance(in)
+		col.Reset(in)
+		col.Reset(in.Add(walkWindow - 1))
+	}
+}
+
+// jump moves the filter straight to slot to, at the slot's prior, and
+// empties n slots from to on: walkWindow, so that like a walk it leaves the
+// collector holding nothing ahead of the filter, or the whole day.
+func (b *Batcher) jump(to tslot.Slot, n int) {
+	_ = b.temporal.Reset(to)
+	for k := 0; k < n; k++ {
+		b.collector.Reset(to.Add(k))
+	}
+}
+
+// Closed reports whether the filter is done with slot t's reports: t is not
+// the filter's slot, whose reports the walk fuses when it leaves. The walk
+// never fuses a slot behind the filter again, and empties a slot ahead of
+// it on entering it. The refitter folds only closed slots.
 func (b *Batcher) Closed(t tslot.Slot) bool {
-	_, open := temporalSteps(b.temporal.Slot(), t)
-	return !open
+	return t != b.temporal.Slot()
 }
 
 // temporalSeed synthesizes a warm-start seed for slot t from the filtered
@@ -100,8 +158,8 @@ func (b *Batcher) temporalSeed(t tslot.Slot) *gsp.Result {
 		// label a cold run warm without saving any sweeps.
 		return nil
 	}
-	steps, ok := temporalSteps(f.Slot(), t)
-	if !ok {
+	steps := stepsAhead(f.Slot(), t)
+	if steps > MaxHorizon {
 		return nil
 	}
 	if steps == 0 {

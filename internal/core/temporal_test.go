@@ -112,7 +112,9 @@ func TestReportFeedsFilter(t *testing.T) {
 }
 
 // TestReportJumpsVirginFilter: a filter that has fused nothing jumps straight
-// to the slot of a report outside its walk window, and from there walks.
+// to the slot of a report more than MaxHorizon slots ahead, and from there
+// walks. Once it holds evidence it walks to a report fewer than walkWindow
+// slots ahead, and a report walkWindow or more ahead leaves it.
 func TestReportJumpsVirginFilter(t *testing.T) {
 	f := newFixture(t, 30, 4, 65)
 	b, err := NewBatcher(f.sys)
@@ -130,8 +132,12 @@ func TestReportJumpsVirginFilter(t *testing.T) {
 		t.Fatalf("filter at slot %v fused %d after a report at 85, want 85 and 2", filt.Slot(), filt.Fused())
 	}
 	report(t, b, 200, map[int]float64{1: truth(1)})
-	if filt.Slot() != 85 {
-		t.Errorf("a filter with evidence jumped to %v", filt.Slot())
+	if filt.Slot() != 200 {
+		t.Errorf("a report 115 slots ahead left a filter with evidence at %v, want 200", filt.Slot())
+	}
+	report(t, b, 56, map[int]float64{1: truth(1)})
+	if filt.Slot() != 200 {
+		t.Errorf("a report 144 slots ahead moved a filter with evidence to %v", filt.Slot())
 	}
 }
 

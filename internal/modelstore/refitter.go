@@ -27,7 +27,7 @@ const holdoutMod = 4
 // RefitReport describes one refit attempt.
 type RefitReport struct {
 	Published    bool       `json:"published"`
-	Skipped      bool       `json:"skipped"` // nothing closed to fold, or holdout < minHoldout
+	Skipped      bool       `json:"skipped"` // no unfolded closed slot, or holdout < minHoldout
 	Version      uint64     `json:"version,omitempty"`
 	SlotsFolded  int        `json:"slots_folded"`
 	RoadsFolded  int        `json:"roads_folded"`
@@ -42,11 +42,19 @@ type RefitReport struct {
 // model (exponential forgetting), runs the candidate through the manager's
 // gate, and publishes + hot-swaps it on success. A refused candidate leaves
 // the live model untouched and shows up in the manager's Rejected counter —
-// the serving path can only ever move to a model the gate admitted.
+// the serving path can only ever move to a model the gate admitted. It only
+// reads the collector: the reports it folds keep serving until the filter's
+// walk ends their slot's day.
 type Refitter struct {
 	mgr *Manager
 	b   *core.Batcher
 	cfg RefitterConfig
+
+	// runMu runs one refit at a time; folded maps each slot it published a
+	// fold of to the slot's first report mark (stream.Collector.First) then,
+	// so each slot-day is folded once.
+	runMu  sync.Mutex
+	folded map[tslot.Slot]int
 
 	mu       sync.Mutex
 	last     RefitReport
@@ -71,11 +79,12 @@ func NewRefitter(mgr *Manager, b *core.Batcher, cfg RefitterConfig) (*Refitter, 
 		cfg.Alpha = 0.1
 	}
 	return &Refitter{
-		mgr:  mgr,
-		b:    b,
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		mgr:    mgr,
+		b:      b,
+		cfg:    cfg,
+		folded: make(map[tslot.Slot]int),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}, nil
 }
 
@@ -129,12 +138,15 @@ func holdoutRoad(t tslot.Slot, road, mod int) bool {
 }
 
 // RefitOnce performs one fold→gate→publish→swap cycle synchronously and
-// returns its report. It folds only closed slots, so the slot being served
-// and those a report may still walk the filter through keep their reports.
-// With no closed slot holding reports, or a holdout below minHoldout, it is
-// a cheap no-op (Skipped=true) that keeps every report. On publication the
-// folded slots' buckets are reset, so reports are folded exactly once.
+// returns its report. Calls run one at a time. It folds each closed slot's
+// current reports once, so the slot being served keeps its reports out of
+// the fold until the filter leaves it, and a report that lands after its
+// slot was folded is served but not folded. With no unfolded closed slot
+// holding reports, or a holdout below minHoldout, it is a cheap no-op
+// (Skipped=true) that leaves those slots to the next attempt.
 func (r *Refitter) RefitOnce() (RefitReport, error) {
+	r.runMu.Lock()
+	defer r.runMu.Unlock()
 	start := time.Now()
 	rep := RefitReport{AttemptsUnix: start.Unix()}
 	defer func() {
@@ -146,13 +158,17 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 	}()
 
 	col := r.b.Collector()
-	slots := col.Slots()
-	fold := make(map[tslot.Slot]map[int]float64, len(slots))
+	fold := make(map[tslot.Slot]map[int]float64)
+	firsts := make(map[tslot.Slot]int)
 	var holdout []HoldoutSample
-	for _, t := range slots {
-		obs := col.Observations(t)
-		if len(obs) == 0 || !r.b.Closed(t) {
+	for _, t := range col.Slots() {
+		first := col.First(t)
+		if first == 0 || first == r.folded[t] || !r.b.Closed(t) {
 			continue
+		}
+		obs := col.Observations(t)
+		if len(obs) == 0 || col.First(t) != first {
+			continue // the walk emptied the slot meanwhile
 		}
 		fSet := make(map[int]float64, len(obs))
 		hSet := make(map[int]float64)
@@ -167,6 +183,7 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 			fSet, hSet = hSet, nil
 		}
 		fold[t] = fSet
+		firsts[t] = first
 		rep.RoadsFolded += len(fSet)
 		if len(hSet) > 0 {
 			holdout = append(holdout, HoldoutSample{Slot: t, Speeds: hSet})
@@ -198,8 +215,8 @@ func (r *Refitter) RefitOnce() (RefitReport, error) {
 	}
 	rep.Published = true
 	rep.Version = info.Version
-	for t := range fold {
-		col.Reset(t)
+	for t, first := range firsts {
+		r.folded[t] = first
 	}
 	return rep, nil
 }

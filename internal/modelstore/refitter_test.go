@@ -3,6 +3,9 @@ package modelstore
 import (
 	"errors"
 	"math"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +16,7 @@ import (
 
 // newBatcher builds the serving Batcher whose collector and filter a
 // refitter reads. Its filter stays at slot 0 unless a test reports through
-// Batcher.Report, so slots past maxTemporalAdvance are closed.
+// Batcher.Report, so every other slot is closed.
 func newBatcher(tb testing.TB, f *fixture) *core.Batcher {
 	tb.Helper()
 	b, err := core.NewBatcher(f.sys)
@@ -88,8 +91,8 @@ func TestRefitDrill(t *testing.T) {
 	if rep.SlotsFolded != 2 || rep.RoadsFolded == 0 {
 		t.Errorf("fold accounting: %+v", rep)
 	}
-	if col.SlotCount() != 0 {
-		t.Error("folded slots were not reset — reports would fold twice")
+	if col.SlotCount() != 2 {
+		t.Errorf("the refit left %d slots, want the 2 it folded: it only reads the collector", col.SlotCount())
 	}
 	if cur, _ := store.Current(); cur.Version != 2 {
 		t.Errorf("store current v%d after refit", cur.Version)
@@ -224,8 +227,8 @@ func TestRefitOnceThinHoldoutSkips(t *testing.T) {
 	}
 }
 
-// TestRefitOnceKeepsOpenSlots: a refit folds and resets only the slots the
-// filter's walk window has left, so the slot being served keeps its reports.
+// TestRefitOnceKeepsOpenSlots: a refit folds only the slots the filter has
+// left, so the slot being served stays out of the fold, and it resets none.
 func TestRefitOnceKeepsOpenSlots(t *testing.T) {
 	f := newFixture(t, 20, 4, 9)
 	mgr, err := NewManager(f.sys, openStore(t))
@@ -249,8 +252,99 @@ func TestRefitOnceKeepsOpenSlots(t *testing.T) {
 	if err != nil || !rep.Published || rep.SlotsFolded != 2 {
 		t.Fatalf("refit: %+v, %v", rep, err)
 	}
-	if got := b.Collector().Slots(); len(got) != 1 || got[0] != 110 {
-		t.Errorf("collector holds slots %v after the refit, want [110]", got)
+	if got := b.Collector().Slots(); !reflect.DeepEqual(got, []tslot.Slot{100, 101, 110}) {
+		t.Errorf("collector holds slots %v after the refit, want [100 101 110]", got)
+	}
+}
+
+// TestRefitOnceFoldsEachSlotOnce: after a refit publishes, the folded slots
+// still serve their reports, and the next refit skips them, a late report
+// included. Once the filter's walk has emptied a slot and the slot fills
+// again, the refit folds the new day's reports.
+func TestRefitOnceFoldsEachSlotOnce(t *testing.T) {
+	f := newFixture(t, 20, 4, 9)
+	mgr, err := NewManager(f.sys, openStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBatcher(t, f)
+	col := b.Collector()
+	day := f.hist.Days - 1
+	feedSlot(t, f, col, day, 102)
+	feedSlot(t, f, col, day, 103)
+	refitter, err := NewRefitter(mgr, b, RefitterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := refitter.RefitOnce(); err != nil || !rep.Published || rep.SlotsFolded != 2 {
+		t.Fatalf("first refit: %+v, %v", rep, err)
+	}
+	for _, slot := range []tslot.Slot{102, 103} {
+		if got := len(col.Observations(slot)); got != f.net.N() {
+			t.Errorf("folded slot %v serves %d roads, want %d", slot, got, f.net.N())
+		}
+	}
+	if err := col.Add(stream.Report{Road: 0, Slot: 102, Speed: 50}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := refitter.RefitOnce(); err != nil || !rep.Skipped || rep.Published {
+		t.Errorf("refit over folded slots: %+v, %v", rep, err)
+	}
+	// The next day, reports through the ingest path: the first one at 102
+	// jumps the filter there and empties 102 and 103, and one at 104 walks
+	// it on, so 102 and 103 hold only the new day's reports.
+	for _, slot := range []tslot.Slot{102, 103} {
+		for r := 0; r < f.net.N(); r++ {
+			if err := b.Report(stream.Report{Road: r, Slot: slot, Speed: f.hist.At(day-1, slot, r)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := b.Report(stream.Report{Road: 0, Slot: 104, Speed: f.hist.At(day-1, 104, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := refitter.RefitOnce(); err != nil || !rep.Published || rep.SlotsFolded != 2 {
+		t.Errorf("refit over the next day's reports: %+v, %v", rep, err)
+	}
+}
+
+// TestRefitOnceConcurrent: eight concurrent refits over the same closed
+// slots publish exactly one version; the others find nothing left to fold.
+// make refit-drill runs it under the race detector.
+func TestRefitOnceConcurrent(t *testing.T) {
+	f := newFixture(t, 20, 4, 9)
+	mgr, err := NewManager(f.sys, openStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newBatcher(t, f)
+	feedSlot(t, f, b.Collector(), f.hist.Days-1, 102)
+	feedSlot(t, f, b.Collector(), f.hist.Days-1, 103)
+	refitter, err := NewRefitter(mgr, b, RefitterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var published atomic.Int32
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := refitter.RefitOnce()
+			if err != nil {
+				t.Error(err)
+			}
+			if rep.Published {
+				published.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := published.Load(); got != 1 {
+		t.Errorf("8 concurrent refits published %d versions, want 1", got)
+	}
+	if st := mgr.Status(); st.Published != 1 {
+		t.Errorf("manager counts %d publishes, want 1", st.Published)
 	}
 }
 

@@ -15,32 +15,29 @@ type Config struct {
 	// Tenants declares the API keys. Keys must be unique.
 	Tenants []TenantConfig
 	// DisableAnonymous rejects requests that present no (or an unknown) API
-	// key with 401 instead of admitting them as the anonymous tenant.
+	// key with 401 instead of admitting them as the anonymous tenant (batch
+	// class, 25 rps, burst 50, no probe quota).
 	DisableAnonymous bool
-	// Anonymous overrides the built-in anonymous tenant (keyless traffic:
-	// batch class, 25 rps, burst 50, no probe quota). Key is ignored.
-	Anonymous *TenantConfig
 
 	// MaxInFlight is the concurrent-request count treated as saturation
 	// (in-flight pressure 1.0). Default 64.
 	MaxInFlight int
 	// LatencyTarget is the request-latency quantile the service aims for;
 	// pressure from latency is 0 at or below the target and reaches 1.0 at
-	// LatencySaturation (default 4× the target). Default target 250ms.
-	LatencyTarget     time.Duration
-	LatencySaturation time.Duration
-	// QuotaWindow is the refill horizon of the per-tenant probe-budget
-	// quota: a tenant may spend ProbeQuota budget units per window
-	// (token-bucket smoothed, not a hard calendar window). Default 1 min.
-	QuotaWindow time.Duration
-	// Ladder overrides the degradation schedule (zero value → DefaultLadder).
-	Ladder Ladder
+	// latencySaturation times the target. Default 250ms.
+	LatencyTarget time.Duration
 }
 
 const (
 	defaultMaxInFlight   = 64
 	defaultLatencyTarget = 250 * time.Millisecond
-	defaultQuotaWindow   = time.Minute
+	// latencySaturation is the latency, as a multiple of LatencyTarget, at
+	// which latency pressure reaches 1.0.
+	latencySaturation = 4
+	// quotaWindow is the refill horizon of the per-tenant probe-budget
+	// quota: a tenant may spend ProbeQuota budget units per window
+	// (token-bucket smoothed, not a hard calendar window).
+	quotaWindow = time.Minute
 )
 
 // AnonymousKey is the reserved lookup key of the anonymous tenant.
@@ -116,20 +113,7 @@ func New(cfg Config, clock obs.Clock) (*Controller, error) {
 	if cfg.LatencyTarget <= 0 {
 		cfg.LatencyTarget = defaultLatencyTarget
 	}
-	if cfg.LatencySaturation <= cfg.LatencyTarget {
-		cfg.LatencySaturation = 4 * cfg.LatencyTarget
-	}
-	if cfg.QuotaWindow <= 0 {
-		cfg.QuotaWindow = defaultQuotaWindow
-	}
-	ladder := cfg.Ladder
-	if ladder == (Ladder{}) {
-		ladder = DefaultLadder()
-	}
-	if err := ladder.validate(); err != nil {
-		return nil, err
-	}
-	c := &Controller{cfg: cfg, clock: clock, ladder: ladder, byKey: make(map[string]*Tenant)}
+	c := &Controller{cfg: cfg, clock: clock, ladder: DefaultLadder(), byKey: make(map[string]*Tenant)}
 	add := func(tc TenantConfig, key string) error {
 		if _, dup := c.byKey[key]; dup {
 			return fmt.Errorf("qos: duplicate tenant key %q", key)
@@ -139,7 +123,7 @@ func New(cfg Config, clock obs.Clock) (*Controller, error) {
 			requests: newBucket(tc.RatePerSec, tc.Burst),
 		}
 		if tc.ProbeQuota > 0 {
-			t.quota = newBucket(float64(tc.ProbeQuota)/cfg.QuotaWindow.Seconds(), float64(tc.ProbeQuota))
+			t.quota = newBucket(float64(tc.ProbeQuota)/quotaWindow.Seconds(), float64(tc.ProbeQuota))
 		}
 		c.byKey[key] = t
 		c.sorted = append(c.sorted, t)
@@ -162,15 +146,6 @@ func New(cfg Config, clock obs.Clock) (*Controller, error) {
 	if !cfg.DisableAnonymous {
 		anon := TenantConfig{Name: "anon", Class: ClassBatch, MaxClass: ClassBatch,
 			RatePerSec: 25, Burst: 50}
-		if cfg.Anonymous != nil {
-			anon = *cfg.Anonymous
-			if anon.Name == "" {
-				anon.Name = "anon"
-			}
-			if anon.MaxClass < anon.Class {
-				anon.MaxClass = anon.Class
-			}
-		}
 		if err := add(anon, AnonymousKey); err != nil {
 			return nil, err
 		}
@@ -178,9 +153,6 @@ func New(cfg Config, clock obs.Clock) (*Controller, error) {
 	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].cfg.Name < c.sorted[j].cfg.Name })
 	return c, nil
 }
-
-// Ladder returns the active degradation schedule.
-func (c *Controller) Ladder() Ladder { return c.ladder }
 
 // SetSignals wires the pressure inputs: the current in-flight request count
 // and the recent request-latency quantile in seconds (the server passes the
@@ -197,9 +169,9 @@ func (c *Controller) SetSignals(inFlight, latencyP95 func() float64) {
 
 // Pressure reads the load level in [0,1]: the max of the in-flight fraction
 // (in-flight / MaxInFlight) and the latency overshoot (0 at the target
-// quantile, 1 at LatencySaturation). Reading is lock-free and on demand, so
-// the ladder reacts the moment the signals move — and recovers the moment
-// they fall.
+// quantile, 1 at latencySaturation times the target). Reading is lock-free
+// and on demand, so the ladder reacts the moment the signals move — and
+// recovers the moment they fall.
 func (c *Controller) Pressure() float64 {
 	var p float64
 	if fp := c.inFlight.Load(); fp != nil {
@@ -207,7 +179,7 @@ func (c *Controller) Pressure() float64 {
 	}
 	if fp := c.latency.Load(); fp != nil {
 		target := c.cfg.LatencyTarget.Seconds()
-		sat := c.cfg.LatencySaturation.Seconds()
+		sat := latencySaturation * target
 		if lat := (*fp)(); lat > target {
 			lp := (lat - target) / (sat - target)
 			if lp > p {

@@ -26,11 +26,6 @@ func TestNewValidates(t *testing.T) {
 	if _, err := New(Config{Tenants: []TenantConfig{{Key: "k"}, {Key: "k"}}}, nil); err == nil {
 		t.Error("duplicate keys should fail")
 	}
-	bad := DefaultLadder()
-	bad.Shed[ClassBatch] = neverShed // interactive now sheds before batch
-	if _, err := New(Config{Ladder: bad}, nil); err == nil {
-		t.Error("inverted ladder should fail")
-	}
 }
 
 func TestResolve(t *testing.T) {
@@ -135,8 +130,7 @@ func TestAdmitAtomicBatchCharge(t *testing.T) {
 func TestProbeBudgetQuota(t *testing.T) {
 	clk := obs.NewFakeClock(t0, 0)
 	c := newTestController(t, Config{
-		Tenants:     []TenantConfig{{Key: "k", Name: "ops", ProbeQuota: 60}},
-		QuotaWindow: time.Minute, // → refills 1 unit/s
+		Tenants: []TenantConfig{{Key: "k", Name: "ops", ProbeQuota: 60}}, // refills 1 unit/s
 	}, clk)
 	ten, _ := c.Resolve("k")
 
@@ -182,8 +176,7 @@ func TestProbeBudgetQuota(t *testing.T) {
 func TestProbeBudgetRefund(t *testing.T) {
 	clk := obs.NewFakeClock(t0, 0)
 	c := newTestController(t, Config{
-		Tenants:     []TenantConfig{{Key: "k", Name: "ops", ProbeQuota: 60}},
-		QuotaWindow: time.Minute,
+		Tenants: []TenantConfig{{Key: "k", Name: "ops", ProbeQuota: 60}},
 	}, clk)
 	ten, _ := c.Resolve("k")
 

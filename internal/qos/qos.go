@@ -172,7 +172,7 @@ type TenantConfig struct {
 	RatePerSec float64
 	Burst      float64
 	// ProbeQuota bounds the crowdsourcing budget (OCS budget units) the
-	// tenant may spend per QuotaWindow (Config.QuotaWindow); ≤ 0 means
+	// tenant may spend per minute (quotaWindow); ≤ 0 means
 	// unlimited. Probes cost real money — rate limits alone don't stop one
 	// tenant from draining the campaign budget with a few huge requests.
 	ProbeQuota int
@@ -280,34 +280,6 @@ func DefaultLadder() Ladder {
 	l.StepDown[ClassAlerting] = [3]float64{0.85, 0.97, neverShed}
 	l.Shed[ClassAlerting] = neverShed
 	return l
-}
-
-// validate checks the per-class monotonicity of the ladder: steps ascend and
-// shedding never undercuts a step that is still supposed to serve, and a
-// higher class never sheds at lower pressure than a lower class (the
-// "alerting before batch" inversion would defeat the whole point).
-func (l Ladder) validate() error {
-	for _, c := range Classes() {
-		steps := l.StepDown[c]
-		prev := 0.0
-		for i, s := range steps {
-			if s < prev {
-				return fmt.Errorf("qos: ladder class %s: step %d threshold %.2f below previous %.2f", c, i, s, prev)
-			}
-			prev = s
-		}
-		if l.Shed[c] < prev && l.Shed[c] < neverShed {
-			return fmt.Errorf("qos: ladder class %s: shed threshold %.2f below last step %.2f", c, l.Shed[c], prev)
-		}
-	}
-	for i := 0; i+1 < numClasses; i++ {
-		lo, hi := Class(i), Class(i+1)
-		if l.Shed[hi] < l.Shed[lo] {
-			return fmt.Errorf("qos: ladder inverts priority: %s sheds at %.2f before %s at %.2f",
-				hi, l.Shed[hi], lo, l.Shed[lo])
-		}
-	}
-	return nil
 }
 
 // tierAt resolves the ladder for one class at a pressure level. shed is true

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -81,6 +82,34 @@ func TestParseTenant(t *testing.T) {
 			t.Errorf("ParseTenant(%q) should fail", bad)
 		}
 	}
+}
+
+// validate checks the per-class monotonicity of a ladder: steps ascend and
+// shedding never undercuts a step that is still supposed to serve, and a
+// higher class never sheds at lower pressure than a lower class (the
+// "alerting before batch" inversion would defeat the whole point).
+func (l Ladder) validate() error {
+	for _, c := range Classes() {
+		steps := l.StepDown[c]
+		prev := 0.0
+		for i, s := range steps {
+			if s < prev {
+				return fmt.Errorf("qos: ladder class %s: step %d threshold %.2f below previous %.2f", c, i, s, prev)
+			}
+			prev = s
+		}
+		if l.Shed[c] < prev && l.Shed[c] < neverShed {
+			return fmt.Errorf("qos: ladder class %s: shed threshold %.2f below last step %.2f", c, l.Shed[c], prev)
+		}
+	}
+	for i := 0; i+1 < numClasses; i++ {
+		lo, hi := Class(i), Class(i+1)
+		if l.Shed[hi] < l.Shed[lo] {
+			return fmt.Errorf("qos: ladder inverts priority: %s sheds at %.2f before %s at %.2f",
+				hi, l.Shed[hi], lo, l.Shed[lo])
+		}
+	}
+	return nil
 }
 
 func TestDefaultLadderValid(t *testing.T) {

@@ -197,8 +197,8 @@ func (s *Server) nextUpdate(ctx context.Context, slot tslot.Slot, roads []int, l
 	ticker := time.NewTicker(subscribePollInterval)
 	defer ticker.Stop()
 	for {
-		if digest := strconv.Itoa(s.collector.Mark(slot)); digest != last {
-			obs := s.collector.Observations(slot)
+		if digest := strconv.Itoa(s.Collector().Mark(slot)); digest != last {
+			obs := s.Collector().Observations(slot)
 			res, err := s.batcher.Estimate(ctx, slot, obs)
 			if err != nil {
 				return nil, err

@@ -21,13 +21,9 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/stattest"
 )
-
-// maxForecastHorizon is K: the farthest slot ahead a forecast may reach
-// (12 slots = one hour). Beyond that the fan has reverted to the prior band
-// and the answer is the RTF model, not a forecast.
-const maxForecastHorizon = 12
 
 // defaultForecastHorizon is used when the request omits the horizon.
 const defaultForecastHorizon = 3
@@ -97,9 +93,9 @@ func (s *Server) forecastOne(req forecastRequest) (*forecastResponse, int, error
 	if k == 0 {
 		k = defaultForecastHorizon
 	}
-	if k < 1 || k > maxForecastHorizon {
+	if k < 1 || k > core.MaxHorizon {
 		return nil, http.StatusBadRequest,
-			fmt.Errorf("horizon %d out of range (1..%d slots)", req.Horizon, maxForecastHorizon)
+			fmt.Errorf("horizon %d out of range (1..%d slots)", req.Horizon, core.MaxHorizon)
 	}
 	roads := req.roadsOrAll(n)
 
@@ -107,7 +103,7 @@ func (s *Server) forecastOne(req forecastRequest) (*forecastResponse, int, error
 	// base slot and the slot's current crowd aggregates are fused into the
 	// snapshot only, priced at the system's per-road noise. Slot, horizon
 	// and roads were validated above, so any error here is internal.
-	observed := s.collector.Observations(slot)
+	observed := s.Collector().Observations(slot)
 	fan, err := s.batcher.Temporal().ForecastFrom(slot, k, observed, s.sys.ObsNoiseFunc())
 	if err != nil {
 		return nil, http.StatusInternalServerError, err

@@ -91,6 +91,43 @@ func TestFilterFollowsLateStart(t *testing.T) {
 	}
 }
 
+// TestNextDayStartsEmpty: after the filter has walked a full day, slot 100
+// holds none of the previous day's reports. A report there answers 1, and
+// the walk out of slot 100 fuses that day's one road, not an aggregate over
+// both days.
+func TestNextDayStartsEmpty(t *testing.T) {
+	ts, srv, h := ledgerServer(t)
+	post := func(road, slot int, speed float64) int {
+		t.Helper()
+		var out struct {
+			Answers int `json:"answers"`
+		}
+		resp := postJSON(t, ts.URL+"/v1/report", reportBody(road, slot, speed))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("report road %d slot %d: status %d", road, slot, resp.StatusCode)
+		}
+		decode(t, resp, &out)
+		return out.Answers
+	}
+	for k := 0; k < 3; k++ {
+		post(1, 100, 30)
+	}
+	post(2, 100, 30)
+	for k := 1; k < tslot.PerDay; k++ {
+		slot := (100 + k) % tslot.PerDay
+		post(0, slot, h.At(0, tslot.Slot(slot), 0))
+	}
+	if got := post(1, 100, 60); got != 1 {
+		t.Errorf("the next day's first report at slot 100 answers %d, want 1", got)
+	}
+	updates := srv.Pipeline().Temporal.Updates
+	before := updates.Value()
+	post(0, 101, h.At(0, 101, 0))
+	if got := updates.Value() - before; got != 1 {
+		t.Errorf("the walk out of slot 100 fused %d roads, want the 1 reported that day", got)
+	}
+}
+
 // TestWhatIfOverrideStaysPrivate: a what-if override ("observed":{"3":1})
 // answers its own request, on /v1/estimate and as a /v1/query entry, but
 // neither the slot's cached-tier answer nor the filter carries its value or

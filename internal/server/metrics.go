@@ -185,8 +185,9 @@ func (s *Server) SetClock(clk obs.Clock) {
 	if s.shards != nil {
 		s.shards.Instrument(s.pipe)
 	}
-	s.collector.SetClock(clk)
-	s.collector.SetMetrics(s.pipe.Stream)
+	col := s.Collector()
+	col.SetClock(clk)
+	col.SetMetrics(s.pipe.Stream)
 	s.started = clk.Now()
 }
 

@@ -46,7 +46,7 @@ type routeRequest struct {
 	// the start of the requested slot.
 	DepartMinute float64 `json:"depart_minute,omitempty"`
 	// Horizon is how many slots past the departure slot the trip may cross;
-	// 0 means the forecast default (3), capped at maxForecastHorizon.
+	// 0 means the forecast default (3), capped at core.MaxHorizon.
 	Horizon int `json:"horizon,omitempty"`
 	// Budget, when positive, triggers the route-aware OCS selection.
 	Budget int     `json:"budget,omitempty"`
@@ -123,8 +123,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if horizon == 0 {
 		horizon = defaultForecastHorizon
 	}
-	if horizon < 1 || horizon > maxForecastHorizon {
-		writeErr(w, r, http.StatusBadRequest, "horizon %d outside [1, %d]", req.Horizon, maxForecastHorizon)
+	if horizon < 1 || horizon > core.MaxHorizon {
+		writeErr(w, r, http.StatusBadRequest, "horizon %d outside [1, %d]", req.Horizon, core.MaxHorizon)
 		return
 	}
 	if req.DepartMinute < 0 || req.DepartMinute >= 24*60 {
@@ -144,7 +144,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	tier, ai := admittedTier(r.Context())
 	res, err := s.batcher.RouteETA(r.Context(), core.RouteETARequest{
 		Slot: slot, Src: req.Src, Dst: req.Dst, DepartMinute: depart,
-		Horizon: horizon, Observed: s.collector.Observations(slot), Tier: tier,
+		Horizon: horizon, Observed: s.Collector().Observations(slot), Tier: tier,
 	})
 	if err != nil {
 		status := http.StatusInternalServerError

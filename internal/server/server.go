@@ -80,10 +80,9 @@ type Server struct {
 	sys *core.System
 	// batcher is the serving layer in front of select and estimate:
 	// identical concurrent requests singleflight, and every propagation
-	// warm-starts from the slot's previous field. collector is its report
-	// collector.
-	batcher   *core.Batcher
-	collector *stream.Collector
+	// warm-starts from the slot's previous field. It owns the report
+	// collector and the cross-slot filter.
+	batcher *core.Batcher
 
 	// Timeout bounds each request; the estimate/alerts handlers plumb it
 	// through context so GSP early-aborts with a best-so-far field.
@@ -149,7 +148,6 @@ func New(sys *core.System) *Server {
 	s := &Server{
 		sys:          sys,
 		batcher:      batcher,
-		collector:    batcher.Collector(),
 		pool:         crowd.NewPool(nil),
 		Timeout:      5 * time.Second,
 		MaxBodyBytes: 1 << 20,
@@ -209,10 +207,10 @@ func (s *Server) AttachLifecycle(mgr *modelstore.Manager, refitter *modelstore.R
 	}
 }
 
-// Collector exposes the server's report collector (the Batcher's) so the
-// serve command can configure the eviction horizon. Reports added to it
-// directly, not through POST /v1/report, never move the filter.
-func (s *Server) Collector() *stream.Collector { return s.collector }
+// Collector exposes the server's report collector (the Batcher's) to
+// readers. Reports added to it directly, not through POST /v1/report, never
+// move the filter.
+func (s *Server) Collector() *stream.Collector { return s.batcher.Collector() }
 
 // AttachShards makes the server's batcher select and propagate through a
 // graph-partitioned engine built from the server's system, so every route
@@ -353,7 +351,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"answers": s.collector.Count(slot, road)})
+	writeJSON(w, http.StatusOK, map[string]int{"answers": s.Collector().Count(slot, road)})
 }
 
 type selectRequest struct {
@@ -463,9 +461,6 @@ type healthResponse struct {
 	// system even without a lifecycle manager attached.
 	ModelGeneration uint64 `json:"model_generation"`
 	ModelSwaps      uint64 `json:"model_swaps"`
-	// EvictedReportSlots counts collector slot-buckets dropped by the memory
-	// horizon (0 when the horizon is disabled).
-	EvictedReportSlots int `json:"evicted_report_slots"`
 	// Lifecycle is the model-lifecycle counter block (nil when no manager is
 	// attached).
 	Lifecycle *modelstore.Status `json:"lifecycle,omitempty"`
@@ -492,20 +487,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	lifecycle := s.lifecycle
 	shardEng := s.shards
 	s.mu.RUnlock()
-	evictedSlots, _ := s.collector.Evicted()
+	col := s.Collector()
 	out := healthResponse{
-		Status:             "ok",
-		UptimeSeconds:      s.clock.Since(s.started).Seconds(),
-		Roads:              s.sys.Network().N(),
-		Workers:            workers,
-		ReportSlots:        s.collector.SlotCount(),
-		TotalReports:       s.collector.TotalReports(),
-		LastReportAgeSec:   -1,
-		OracleCache:        s.sys.OracleCacheReport(),
-		ModelGeneration:    s.sys.ModelVersion(),
-		ModelSwaps:         s.sys.Swaps(),
-		EvictedReportSlots: evictedSlots,
-		Observability:      s.rollup(),
+		Status:           "ok",
+		UptimeSeconds:    s.clock.Since(s.started).Seconds(),
+		Roads:            s.sys.Network().N(),
+		Workers:          workers,
+		ReportSlots:      col.SlotCount(),
+		TotalReports:     col.TotalReports(),
+		LastReportAgeSec: -1,
+		OracleCache:      s.sys.OracleCacheReport(),
+		ModelGeneration:  s.sys.ModelVersion(),
+		ModelSwaps:       s.sys.Swaps(),
+		Observability:    s.rollup(),
 	}
 	if lifecycle != nil {
 		st := lifecycle.Status()
@@ -517,7 +511,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if shardEng != nil {
 		out.Shards = shardEng.Reports()
 	}
-	if last, ok := s.collector.LastReport(); ok {
+	if last, ok := col.LastReport(); ok {
 		age := s.clock.Since(last)
 		out.LastReportAgeSec = age.Seconds()
 		out.CollectorStale = s.StaleAfter > 0 && age > s.StaleAfter
@@ -631,7 +625,7 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 
 	// Robust per-road aggregates of this slot's reports, and the request's
 	// what-if overrides, which replace or extend them for this request only.
-	observed := s.collector.Observations(slot)
+	observed := s.Collector().Observations(slot)
 	overrides := make(map[int]float64, len(req.Observed))
 	nObserved := len(observed)
 	for key, v := range req.Observed {
@@ -644,7 +638,7 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 		}
 		// An override feeds GSP like a report, so it must pass the rule
 		// reports do.
-		if err := s.collector.CheckSpeed(v); err != nil {
+		if err := stream.CheckSpeed(v); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("observed road %d: %v", id, err)
 		}
 		if _, ok := observed[id]; !ok {
@@ -771,7 +765,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "slot %d out of range", slotN)
 		return
 	}
-	observed := s.collector.Observations(slot)
+	observed := s.Collector().Observations(slot)
 	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed, nil)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
@@ -876,7 +870,7 @@ func (s *Server) handleAlertPredicates(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	observed := s.collector.Observations(slot)
+	observed := s.Collector().Observations(slot)
 	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed, nil)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)

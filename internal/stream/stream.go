@@ -2,7 +2,9 @@
 // around the offline-trained model: thread-safe collection of worker speed
 // reports with outlier rejection, and online maintenance of the RTF
 // parameters by exponential forgetting — so the model tracks slow drift
-// (seasonality, roadworks) without periodic offline refits.
+// (seasonality, roadworks) without periodic offline refits. The collector
+// does not decide how long a slot's reports live: the serving report walk
+// (core.Batcher.Report) empties each slot as its day ends.
 package stream
 
 import (
@@ -24,44 +26,44 @@ type Report struct {
 	Speed float64
 }
 
+const (
+	// maxSpeed rejects implausible reports outright (km/h).
+	maxSpeed = 160
+	// outlierK is the MAD multiplier: with ≥4 reports for a road+slot, a
+	// report farther than outlierK median-absolute-deviations from the
+	// median is excluded from the aggregate.
+	outlierK = 4
+)
+
 // Collector accumulates reports per (slot, road) and serves robust
-// aggregates. Safe for concurrent use.
+// aggregates. Safe for concurrent use; it keeps a slot's reports until Reset.
 type Collector struct {
 	nRoads int
-	// MaxSpeed rejects implausible reports outright (km/h).
-	MaxSpeed float64
-	// OutlierK is the MAD multiplier: with ≥4 reports for a road+slot, a
-	// report farther than OutlierK median-absolute-deviations from the
-	// median is excluded from the aggregate.
-	OutlierK float64
 
 	mu      sync.RWMutex
-	buckets map[tslot.Slot]map[int][]float64
-	marks   map[tslot.Slot]int // total at each held slot's latest report (Mark)
-	lastAdd time.Time          // wall time of the last accepted report
-	total   int                // accepted reports since construction
-	latest  tslot.Slot         // slot of the most recent accepted report
+	buckets map[tslot.Slot]*bucket
+	lastAdd time.Time // wall time of the last accepted report
+	total   int       // accepted reports since construction
 	clock   obs.Clock
 
 	// metrics optionally counts accepted/rejected reports (SetMetrics).
 	metrics obs.StreamMetrics
+}
 
-	// horizon bounds memory: when > 0, any bucket whose cyclic slot distance
-	// from the most recently reported slot exceeds it is evicted on Add.
-	horizon        int
-	evictedSlots   int
-	evictedReports int
+// bucket is one slot's held reports.
+type bucket struct {
+	byRoad map[int][]float64
+	// first and mark are the collector's total at the slot's first and
+	// latest held report (First, Mark).
+	first, mark int
 }
 
 // NewCollector builds a collector for a network of nRoads roads.
 func NewCollector(nRoads int) *Collector {
 	return &Collector{
-		nRoads:   nRoads,
-		MaxSpeed: 160,
-		OutlierK: 4,
-		buckets:  make(map[tslot.Slot]map[int][]float64),
-		marks:    make(map[tslot.Slot]int),
-		clock:    obs.SystemClock(),
+		nRoads:  nRoads,
+		buckets: make(map[tslot.Slot]*bucket),
+		clock:   obs.SystemClock(),
 	}
 }
 
@@ -77,6 +79,15 @@ func (c *Collector) SetClock(clk obs.Clock) {
 	c.mu.Unlock()
 }
 
+// Now reads the clock that stamps accepted reports (LastReport), by which
+// core.Batcher.Report tells a late report from a later day's.
+func (c *Collector) Now() time.Time {
+	c.mu.RLock()
+	clk := c.clock
+	c.mu.RUnlock()
+	return clk.Now()
+}
+
 // SetMetrics attaches accepted/rejected counters to the collector. The
 // instruments are nil-safe, so a zero StreamMetrics simply disables counting.
 func (c *Collector) SetMetrics(m obs.StreamMetrics) {
@@ -85,85 +96,57 @@ func (c *Collector) SetMetrics(m obs.StreamMetrics) {
 	c.mu.Unlock()
 }
 
-// Add ingests one report. It returns an error for malformed reports; an
-// error does not disturb previously ingested data.
-func (c *Collector) Add(r Report) error {
-	if err := c.validate(r); err != nil {
+// Check applies Add's rules to r without storing it: the road must be on
+// the network, the slot valid and the speed plausible. A report that fails
+// counts as rejected.
+func (c *Collector) Check(r Report) error {
+	var err error
+	switch {
+	case r.Road < 0 || r.Road >= c.nRoads:
+		err = fmt.Errorf("stream: road %d out of range [0,%d)", r.Road, c.nRoads)
+	case !r.Slot.Valid():
+		err = fmt.Errorf("stream: invalid slot %d", r.Slot)
+	default:
+		err = CheckSpeed(r.Speed)
+	}
+	if err != nil {
 		c.mu.RLock()
 		rejected := c.metrics.Rejected
 		c.mu.RUnlock()
 		rejected.Inc()
+	}
+	return err
+}
+
+// Add ingests one report. It returns Check's error for a malformed report;
+// an error does not disturb previously ingested data.
+func (c *Collector) Add(r Report) error {
+	if err := c.Check(r); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	byRoad := c.buckets[r.Slot]
-	if byRoad == nil {
-		byRoad = make(map[int][]float64)
-		c.buckets[r.Slot] = byRoad
-	}
-	byRoad[r.Road] = append(byRoad[r.Road], r.Speed)
-	c.lastAdd = c.clock.Now()
-	c.latest = r.Slot
 	c.total++
-	c.marks[r.Slot] = c.total
+	b := c.buckets[r.Slot]
+	if b == nil {
+		b = &bucket{byRoad: make(map[int][]float64), first: c.total}
+		c.buckets[r.Slot] = b
+	}
+	b.byRoad[r.Road] = append(b.byRoad[r.Road], r.Speed)
+	b.mark = c.total
+	c.lastAdd = c.clock.Now()
 	c.metrics.Accepted.Inc()
-	c.evictStaleLocked()
 	return nil
-}
-
-func (c *Collector) validate(r Report) error {
-	if r.Road < 0 || r.Road >= c.nRoads {
-		return fmt.Errorf("stream: road %d out of range [0,%d)", r.Road, c.nRoads)
-	}
-	if !r.Slot.Valid() {
-		return fmt.Errorf("stream: invalid slot %d", r.Slot)
-	}
-	return c.CheckSpeed(r.Speed)
 }
 
 // CheckSpeed is the collector's plausibility rule for one speed: 0 ≤ v ≤
-// MaxSpeed. Add rejects reports that break it; the server holds per-request
-// observation overrides to the same rule.
-func (c *Collector) CheckSpeed(v float64) error {
-	if v < 0 || v > c.MaxSpeed || math.IsNaN(v) {
+// 160 km/h. Add rejects reports that break it; the server holds
+// per-request observation overrides to the same rule.
+func CheckSpeed(v float64) error {
+	if v < 0 || v > maxSpeed || math.IsNaN(v) {
 		return fmt.Errorf("stream: implausible speed %v", v)
 	}
 	return nil
-}
-
-// SetHorizon bounds the collector's memory to ±slots around the most
-// recently reported slot: whenever a report arrives, per-(slot,road)
-// accumulators whose cyclic distance from that report's slot exceeds the
-// horizon are evicted. 0 (the default) disables eviction. A long-running
-// server cycling through the day would otherwise accrete every report of
-// every slot forever; with a horizon of H the working set is at most 2H+1
-// slot buckets. Slots whose aggregates matter after they close should be
-// folded (e.g. by the refitter) before they age out; tslot.PerDay/2−1 is the
-// largest effective horizon.
-func (c *Collector) SetHorizon(slots int) {
-	if slots < 0 {
-		slots = 0
-	}
-	c.mu.Lock()
-	c.horizon = slots
-	c.evictStaleLocked()
-	c.mu.Unlock()
-}
-
-// Horizon returns the configured eviction horizon in slots (0 = unbounded).
-func (c *Collector) Horizon() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.horizon
-}
-
-// Evicted returns how many slot buckets and how many individual reports the
-// horizon policy has evicted since construction.
-func (c *Collector) Evicted() (slots, reports int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.evictedSlots, c.evictedReports
 }
 
 // Slots returns the slots currently holding reports, ascending. The
@@ -177,25 +160,6 @@ func (c *Collector) Slots() []tslot.Slot {
 	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// evictStaleLocked drops buckets outside the horizon window around the most
-// recent report's slot. Requires c.mu held for writing.
-func (c *Collector) evictStaleLocked() {
-	if c.horizon <= 0 || c.total == 0 {
-		return
-	}
-	for t, byRoad := range c.buckets {
-		if tslot.Dist(t, c.latest) <= c.horizon {
-			continue
-		}
-		c.evictedSlots++
-		for _, speeds := range byRoad {
-			c.evictedReports += len(speeds)
-		}
-		delete(c.buckets, t)
-		delete(c.marks, t)
-	}
 }
 
 // LastReport returns the wall time of the last accepted report; ok is false
@@ -223,19 +187,38 @@ func (c *Collector) SlotCount() int {
 }
 
 // Mark returns slot t's report mark: TotalReports as of the slot's latest
-// accepted report, or 0 while the slot holds none (after Reset or eviction
-// too). The total only grows, so a non-zero mark is never repeated.
+// accepted report, or 0 while the slot holds none (after Reset too). The
+// total only grows, so a non-zero mark is never repeated.
 func (c *Collector) Mark(t tslot.Slot) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.marks[t]
+	if b := c.buckets[t]; b != nil {
+		return b.mark
+	}
+	return 0
+}
+
+// First returns TotalReports as of slot t's first held report, or 0 while
+// the slot holds none. It names the reports the slot has held since its
+// last Reset: it changes only when the slot is emptied and refilled, and
+// never repeats a non-zero value.
+func (c *Collector) First(t tslot.Slot) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if b := c.buckets[t]; b != nil {
+		return b.first
+	}
+	return 0
 }
 
 // Count returns the number of reports held for (slot, road).
 func (c *Collector) Count(t tslot.Slot, road int) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.buckets[t][road])
+	if b := c.buckets[t]; b != nil {
+		return len(b.byRoad[road])
+	}
+	return 0
 }
 
 // Observations returns the robust per-road aggregates for slot t — the
@@ -244,22 +227,25 @@ func (c *Collector) Count(t tslot.Slot, road int) int {
 func (c *Collector) Observations(t tslot.Slot) map[int]float64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make(map[int]float64, len(c.buckets[t]))
-	for road, speeds := range c.buckets[t] {
-		if v, ok := robustMean(speeds, c.OutlierK); ok {
+	b := c.buckets[t]
+	if b == nil {
+		return map[int]float64{}
+	}
+	out := make(map[int]float64, len(b.byRoad))
+	for road, speeds := range b.byRoad {
+		if v, ok := robustMean(speeds, outlierK); ok {
 			out[road] = v
 		}
 	}
 	return out
 }
 
-// Reset discards all reports for slot t (e.g. after the slot closes and its
-// aggregates were folded into the online model).
+// Reset discards all reports for slot t. core.Batcher.Report calls it as
+// its filter walk ends the slot's day.
 func (c *Collector) Reset(t tslot.Slot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.buckets, t)
-	delete(c.marks, t)
 }
 
 // robustMean averages the values after MAD-based outlier rejection. With

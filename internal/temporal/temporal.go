@@ -507,8 +507,8 @@ func (f *Filter) rollout(slot tslot.Slot, x, v []float64, k int) []ForecastStep 
 }
 
 // Reset re-initializes the state at the prior of the given slot (x = 0,
-// P = σ²). core.Batcher.Report calls it to move a filter that has fused
-// nothing yet straight to the slot of a report outside its walk window.
+// P = σ²). core.Batcher.Report calls it to jump or restart the filter at a
+// report's slot.
 func (f *Filter) Reset(t tslot.Slot) error {
 	if !t.Valid() {
 		return fmt.Errorf("temporal: invalid slot %d", t)
