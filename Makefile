@@ -23,7 +23,7 @@ race:
 # The -run and -bench patterns of the targets below. run-patterns checks
 # that every alternative still selects a test or benchmark.
 FAULT_RUN = Fault
-HOTPATH_RUN = Singleflight|AbortedField|ConcurrentMixedRows|RowConcurrentDeepening|LazyMatchesEager|CertifiedMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad|ReportWalkConcurrent|ReportLifetimeProperty
+HOTPATH_RUN = Singleflight|AbortedField|ConcurrentMixedRows|RowConcurrentDeepening|LazyMatchesEager|CertifiedMatchesEager|ParallelSharedOracle|ConcurrentQueryMixedSlots|HotSwapRaceUnderLoad|ReportWalkConcurrent|ReportLifetimeProperty|ReadsRaceSilence
 HOTPATH_PKGS = ./internal/corr/ ./internal/ocs/ ./internal/core/
 FUZZ_RUN = FuzzSnapshotRoundTrip|FuzzHandlers
 FUZZ_PKGS = ./internal/modelstore/ ./internal/server/
@@ -45,7 +45,10 @@ fault-determinism:
 # aggregates once), a seeded random report stream over many days with
 # outages and silences of up to two days (the collector holds nothing more
 # than half a day behind the filter, each slot holds one day's reports, and
-# the filter follows the stream), one row deepened from many goroutines while
+# the filter follows the stream), the Batcher's reads (EstimateTier,
+# Forecast, Mark, RouteETA) racing a report walk and a twelve-hour jump of
+# the collector's clock (after it every read sees no aggregates until the
+# next report restarts the filter), one row deepened from many goroutines while
 # others read it, the greedy's eager-reference equivalence corpora (random
 # instances, and the certified rows on the 5k metro), concurrent greedy
 # solves over one shared oracle, concurrent mixed-slot queries of the

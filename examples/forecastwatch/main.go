@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/qos"
 	"repro/internal/speedgen"
 	"repro/internal/stream"
 	"repro/internal/temporal"
@@ -80,22 +81,21 @@ func run(w io.Writer) error {
 			}
 		}
 
-		// The estimate and the fan read the slot's aggregates; neither moves
-		// the filter.
-		obs := b.Collector().Observations(slot)
-		res, err := b.Estimate(context.Background(), slot, obs)
+		// The estimate and the fan read the slot's aggregates through the
+		// Batcher; neither moves the filter.
+		res, err := b.EstimateTier(context.Background(), qos.TierFull, slot, nil)
 		if err != nil {
 			return err
 		}
 
 		now := filt.Now()
-		fmt.Fprintf(w, "slot %d (%d reports in):\n", slot, len(obs))
+		fmt.Fprintf(w, "slot %d (%d reports in):\n", slot, res.ObservedRoads)
 		for _, r := range watch {
 			fmt.Fprintf(w, "  road %3d  gsp %5.1f  filtered %5.1f ± %4.1f km/h  (truth %5.1f)\n",
 				r, res.Speeds[r], now.Speeds[r], now.SD[r], hist.At(evalDay, slot, r))
 		}
 
-		fan, err := filt.ForecastFrom(slot, fanDepth, obs, sys.ObsNoiseFunc())
+		fan, _, err := b.Forecast(slot, fanDepth)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,8 @@
 //   - the batched QoS tier shares one propagation per slot (tiered.go).
 //
 // The Batcher also owns the evidence those runs read: the report collector
-// and the cross-slot filter, which only Report writes (temporal.go).
+// and the cross-slot filter, which only Report writes and every serving
+// read reaches through one read of a slot's aggregates (temporal.go).
 //
 // Callers served by another caller's run count into
 // crowdrtse_coalesced_queries_total; warm starts and the sweeps they saved
@@ -25,6 +26,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/gsp"
@@ -100,13 +102,14 @@ type Batcher struct {
 	prevSeq uint64
 
 	// collector holds the crowd reports and temporal the cross-slot filter;
-	// walkMu serializes Report, which alone moves the filter and ends a
-	// slot's reports (temporal.go), and guards began: when the filter's slot
-	// began by the collector's clock, as far as the reports show it.
+	// walkMu serializes Report, which alone moves the filter, ends a slot's
+	// reports and stores began: when the filter's slot began by the
+	// collector's clock, as far as the reports show it (nil before the
+	// first). Reads load began without the lock (temporal.go).
 	collector *stream.Collector
 	walkMu    sync.Mutex
 	temporal  *temporal.Filter
-	began     time.Time
+	began     atomic.Pointer[time.Time]
 }
 
 // NewBatcher wraps a trained system in the serving Batcher, with an empty

@@ -82,7 +82,7 @@ func TestBatcherEstimateWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eps := DefaultConfig().GSP.Epsilon
+	eps := gsp.DefaultOptions().Epsilon
 	for i := range coldB.Speeds {
 		if math.Abs(coldB.Speeds[i]-warm.Speeds[i]) > 10*eps {
 			t.Fatalf("warm estimate diverges at road %d: %v vs %v",
@@ -286,6 +286,7 @@ func TestAbortedFieldNotShared(t *testing.T) {
 	pipe := b.System().Obs()
 	truth := f.truth(f.hist.Days-1, slot)
 	observed := map[int]float64{2: truth(2), 7: truth(7), 19: truth(19)}
+	collect(t, b, slot, observed)
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -328,7 +329,7 @@ func TestAbortedFieldNotShared(t *testing.T) {
 			set:  func(l *flight[gsp.Result]) { b.slotFlight[slot] = l },
 			drop: func() { delete(b.slotFlight, slot) },
 			call: func() (gsp.Result, error) {
-				res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed, nil)
+				res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, nil)
 				return res.Result, err
 			},
 		},

@@ -38,15 +38,14 @@ import (
 	"repro/internal/tslot"
 )
 
-// Config controls the offline stage and the propagation defaults.
+// Config controls the offline stage and the correlation cache. Every
+// propagation runs gsp.DefaultOptions.
 type Config struct {
 	// Window pools ±Window neighboring slots when fitting RTF parameters
 	// (moment fit: maximum-likelihood for μ and near-ML for σ, ρ).
 	Window int
 	// Transform selects the path-correlation transform (NegLog is exact).
 	Transform corr.Transform
-	// GSP configures the propagation engine.
-	GSP gsp.Options
 	// OracleCacheSlots bounds how many per-slot correlation oracles stay
 	// resident (LRU, most recent first). ≤0 selects DefaultOracleCacheSlots
 	// (288 — a full day of slots).
@@ -62,7 +61,6 @@ func DefaultConfig() Config {
 	return Config{
 		Window:           1,
 		Transform:        corr.NegLog,
-		GSP:              gsp.DefaultOptions(),
 		OracleCacheSlots: DefaultOracleCacheSlots,
 	}
 }
@@ -393,7 +391,7 @@ func (s *System) Estimate(ctx context.Context, t tslot.Slot, observed map[int]fl
 // instead of a cold pass. The propagation counts into the attached
 // instrument set and records a "gsp" span on any trace carried by ctx.
 func (s *System) estimateState(ctx context.Context, st *modelState, t tslot.Slot, observed map[int]float64, initial *gsp.Result) (gsp.Result, error) {
-	opt := s.cfg.GSP
+	opt := gsp.DefaultOptions()
 	opt.Metrics = &s.Obs().GSP
 	// Thread the heteroscedastic uncertainty knobs (PR 9) into every run:
 	// per-road observation-noise variances and the empirical SD calibration.

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/qos"
 	"repro/internal/stream"
 	"repro/internal/tslot"
 )
@@ -279,4 +282,83 @@ func TestStragglerKeepsVirginSlot(t *testing.T) {
 			t.Errorf("the report at slot %v did not join its slot", slot)
 		}
 	}
+}
+
+// TestReadsRaceSilence: four readers — EstimateTier, Forecast, Mark and
+// RouteETA over slots 84–119 — each make a read, then keep reading while
+// reports walk the filter from 84 to 119, one slot per five minutes of the
+// collector's clock, and then the clock jumps twelve hours. Every read succeeds. After the jump every read sees no
+// aggregates, since the next report empties them all, and that report
+// restarts the filter at its slot, which then reads its one road. make
+// race-hotpath runs it under the race detector.
+func TestReadsRaceSilence(t *testing.T) {
+	f := newFixture(t, 30, 4, 73)
+	b, filt := newTemporalBatcher(t, f, 84)
+	clk := obs.NewFakeClock(time.Date(2026, 10, 5, 7, 4, 0, 0, time.UTC), 0)
+	b.Collector().SetClock(clk)
+	src, dst := routePair(t, f)
+	day, ctx := f.hist.Days-1, context.Background()
+
+	stop := make(chan struct{})
+	var wg, started sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		started.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				if i == 1 {
+					started.Done()
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				slot := tslot.Slot(84 + (c*9+i)%36)
+				var err error
+				switch c {
+				case 0:
+					_, err = b.EstimateTier(ctx, qos.Tier(i%4), slot, nil)
+				case 1:
+					_, _, err = b.Forecast(slot, 3)
+				case 2:
+					b.Mark(slot)
+				case 3:
+					_, err = b.RouteETA(ctx, RouteETARequest{Slot: slot, Src: src, Dst: dst, DepartMinute: -1, Horizon: 3})
+				}
+				if err != nil {
+					t.Errorf("reader %d at slot %v: %v", c, slot, err)
+				}
+			}
+		}(c)
+	}
+	started.Wait()
+	for slot := tslot.Slot(84); slot < 120; slot++ {
+		report(t, b, slot, map[int]float64{int(slot) % 30: f.truth(day, slot)(int(slot) % 30), 3: f.truth(day, slot)(3)})
+		clk.Advance(tslot.Duration)
+	}
+	clk.Advance(12 * time.Hour)
+	for _, slot := range []tslot.Slot{84, 100, 119} {
+		res, err := b.EstimateTier(ctx, qos.TierFull, slot, nil)
+		_, n, ferr := b.Forecast(slot, 3)
+		if err != nil || ferr != nil {
+			t.Fatal(err, ferr)
+		}
+		if m := b.Mark(slot); m != 0 || res.ObservedRoads != 0 || n != 0 {
+			t.Errorf("after the silence slot %v reads mark %d, %d estimated and %d forecast roads; want 0, 0, 0",
+				slot, m, res.ObservedRoads, n)
+		}
+	}
+	report(t, b, 90, map[int]float64{5: f.truth(day, 90)(5)})
+	res, err := b.EstimateTier(ctx, qos.TierFull, 90, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filt.Slot() != 90 || b.Mark(90) == 0 || res.ObservedRoads != 1 {
+		t.Errorf("after the next report the filter is at %v and slot 90 reads mark %d and %d roads; want 90, > 0, 1",
+			filt.Slot(), b.Mark(90), res.ObservedRoads)
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -33,9 +33,6 @@ type RouteETARequest struct {
 	// fused nothing). A trip that would enter Slot+Horizon+1 fails with
 	// router.ErrHorizonExceeded. 0 confines the trip to the departure slot.
 	Horizon int
-	// Observed is the departure slot's collected aggregates, used both for
-	// the base field and to condition the forecast fan.
-	Observed map[int]float64
 	// Tier is the admitted QoS tier for the base field.
 	Tier qos.Tier
 }
@@ -58,9 +55,10 @@ type RouteETAResult struct {
 // RouteETA plans src→dst departing in req.Slot and integrates the tiered
 // posterior field along the path. The departure slot's field goes through
 // EstimateTier — concurrent route and point queries for the slot coalesce —
-// and slots beyond it are served from one ForecastFrom fan (read-only
-// snapshot, honestly widening variance), so the ETA's per-segment provenance
-// is "observed"/"fused"/"prior" in the departure slot and "forecast" past it.
+// and slots beyond it are served from one Forecast fan (read-only snapshot,
+// honestly widening variance), both conditioned on the departure slot's
+// aggregates, so the ETA's per-segment provenance is
+// "observed"/"fused"/"prior" in the departure slot and "forecast" past it.
 func (b *Batcher) RouteETA(ctx context.Context, req RouteETARequest) (RouteETAResult, error) {
 	if !req.Slot.Valid() {
 		return RouteETAResult{}, fmt.Errorf("core: invalid slot %d", req.Slot)
@@ -68,7 +66,7 @@ func (b *Batcher) RouteETA(ctx context.Context, req RouteETARequest) (RouteETARe
 	if req.Horizon < 0 || req.Horizon > MaxHorizon {
 		return RouteETAResult{}, fmt.Errorf("core: route horizon %d outside [0,%d]", req.Horizon, MaxHorizon)
 	}
-	base, err := b.EstimateTier(ctx, req.Tier, req.Slot, req.Observed, nil)
+	base, err := b.EstimateTier(ctx, req.Tier, req.Slot, nil)
 	if err != nil {
 		return RouteETAResult{}, err
 	}
@@ -137,8 +135,8 @@ type temporalStepField struct {
 // prior per slot.
 func (b *Batcher) forecastFan(req RouteETARequest) []temporalStepField {
 	out := make([]temporalStepField, req.Horizon)
-	if f := b.temporal; f.Fused() > 0 {
-		if fan, err := f.ForecastFrom(req.Slot, req.Horizon, req.Observed, b.sys.ObsNoiseFunc()); err == nil && len(fan) == req.Horizon {
+	if b.temporal.Fused() > 0 {
+		if fan, _, err := b.Forecast(req.Slot, req.Horizon); err == nil && len(fan) == req.Horizon {
 			for i, step := range fan {
 				out[i] = temporalStepField{speeds: step.Speeds, sd: step.SD, provenance: "forecast", forecast: true}
 			}

@@ -39,10 +39,10 @@ func TestRouteETABasic(t *testing.T) {
 	}
 	src, dst := routePair(t, f)
 	truth := f.truth(f.hist.Days-1, 100)
-	obs := map[int]float64{src: truth(src), dst: truth(dst)}
+	collect(t, b, 100, map[int]float64{src: truth(src), dst: truth(dst)})
 	res, err := b.RouteETA(context.Background(), RouteETARequest{
 		Slot: 100, Src: src, Dst: dst, DepartMinute: -1, Horizon: 3,
-		Observed: obs, Tier: qos.TierFull,
+		Tier: qos.TierFull,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestRouteETAConcurrentSharesSlot(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if _, err := b.EstimateTier(ctx, qos.TierBatched, 100, nil, nil); err != nil {
+			if _, err := b.EstimateTier(ctx, qos.TierBatched, 100, nil); err != nil {
 				errs <- fmt.Errorf("point client %d: %v", c, err)
 			}
 		}(c)

@@ -4,11 +4,13 @@
 // it moves the filter, fusing each slot it leaves exactly once from that
 // slot's robust aggregates, and empties each slot it enters, or the whole
 // collector once the filter's slot is half a day old by the collector's
-// clock, so a slot holds one day's reports. Estimates, forecasts and routes
-// only read the filter: when a slot's warm-start LRU entry is missing, the
-// filtered posterior, predicted forward to the slot, stands in as the GSP
-// seed, and routes and /v1/forecast fuse the current, not-yet-fused slot
-// into a snapshot of it.
+// clock, so a slot holds one day's reports. Every other read of a slot's
+// aggregates — estimates, forecasts, routes and the report mark subscribers
+// wait on — goes through observations, which sees nothing once the next
+// report would empty the collector. Reads never move the filter: when a
+// slot's warm-start LRU entry is missing, the filtered posterior, predicted
+// forward to the slot, stands in as the GSP seed, and routes and forecasts
+// fuse the current, not-yet-fused slot into a snapshot of it.
 package core
 
 import (
@@ -54,7 +56,9 @@ func (b *Batcher) AttachTemporal(f *temporal.Filter) error {
 func (b *Batcher) Temporal() *temporal.Filter { return b.temporal }
 
 // Collector returns the batcher's report collector. A report added to it
-// directly, not through Report, never moves the filter.
+// directly, not through Report, never moves the filter. Serving reads go
+// through EstimateTier, Forecast and Mark instead, which see none of it once
+// stale.
 func (b *Batcher) Collector() *stream.Collector { return b.collector }
 
 // stepsAhead counts how many slots to lies ahead of from, cyclically, in
@@ -85,15 +89,16 @@ func (b *Batcher) Report(r stream.Report) error {
 		return err
 	}
 	now := col.Now()
-	if b.began.IsZero() {
-		b.began = now
+	began := now
+	if p := b.began.Load(); p != nil {
+		began = *p
 	}
 	from := f.Slot()
 	steps := stepsAhead(from, r.Slot)
 	switch virgin := steps > 0 && f.Fused() == 0; {
-	case now.Sub(b.began) >= staleAfter:
+	case now.Sub(began) >= staleAfter:
 		b.jump(r.Slot, tslot.PerDay)
-		b.began, steps = now, 0
+		began, steps = now, 0
 	case steps == 0:
 	case virgin && steps <= MaxHorizon, !virgin && steps < walkWindow:
 		b.walk(r.Slot)
@@ -103,10 +108,47 @@ func (b *Batcher) Report(r stream.Report) error {
 		steps = 0
 	}
 	// The new slot began steps slots later, but not after this report came.
-	if b.began = b.began.Add(time.Duration(steps) * tslot.Duration); b.began.After(now) {
-		b.began = now
+	if began = began.Add(time.Duration(steps) * tslot.Duration); began.After(now) {
+		began = now
 	}
+	b.began.Store(&began)
 	return col.Add(r)
+}
+
+// stale reports whether the filter's slot began staleAfter or more ago by
+// the collector's clock: Report's test for emptying the whole collector, so
+// a read that sees it serves nothing the next report will empty.
+func (b *Batcher) stale() bool {
+	began := b.began.Load()
+	return began != nil && b.collector.Now().Sub(*began) >= staleAfter
+}
+
+// observations is the one read of slot t's aggregates: the collector's,
+// or none once they are stale.
+func (b *Batcher) observations(t tslot.Slot) map[int]float64 {
+	if b.stale() {
+		return map[int]float64{}
+	}
+	return b.collector.Observations(t)
+}
+
+// Mark is slot t's report mark (stream.Collector.Mark) as reads see it: 0
+// once the aggregates are stale. A subscriber waits for it to change.
+func (b *Batcher) Mark(t tslot.Slot) int {
+	if b.stale() {
+		return 0
+	}
+	return b.collector.Mark(t)
+}
+
+// Forecast is the filter's read-only k-step fan from slot t
+// (temporal.Filter.ForecastFrom): a snapshot synced to t fuses t's
+// aggregates, priced at the system's per-road noise. It also returns how
+// many roads had aggregates.
+func (b *Batcher) Forecast(t tslot.Slot, k int) ([]temporal.ForecastStep, int, error) {
+	observed := b.observations(t)
+	fan, err := b.temporal.ForecastFrom(t, k, observed, b.sys.ObsNoiseFunc())
+	return fan, len(observed), err
 }
 
 // walk moves the filter one slot at a time to slot to. Each step fuses the

@@ -53,13 +53,17 @@ type TierResult struct {
 	// field, √(Σvar'/Σvar) — 1.0 at TierFull and TierPrior (the prior's
 	// spread is Σ itself, not an inflation of anything).
 	VarianceInflation float64
+	// ObservedRoads counts the roads with evidence at any tier: the slot's
+	// aggregates plus the roads only an override names.
+	ObservedRoads int
 }
 
-// EstimateTier answers an estimate request at a service tier. observed is
-// the slot's collected aggregates and overrides the request's what-if
-// speeds, which replace or extend them for this request only:
+// EstimateTier answers an estimate request at a service tier. It reads the
+// slot's aggregates itself (none once stale, see observations); overrides
+// are the request's what-if speeds, which replace or extend them for this
+// request only:
 //
-//	TierFull    — a dedicated propagation over observed plus overrides
+//	TierFull    — a dedicated propagation over aggregates plus overrides
 //	              (with the ε-equivalent singleflight and warm-start
 //	              amortizations, which do not change the answer); only an
 //	              override-free field is kept as the slot's warm seed.
@@ -77,31 +81,38 @@ type TierResult struct {
 //
 // Lower tiers never return an error: their whole point is answering when
 // the full pipeline can't be afforded.
-func (b *Batcher) EstimateTier(ctx context.Context, tier qos.Tier, t tslot.Slot, observed, overrides map[int]float64) (TierResult, error) {
+func (b *Batcher) EstimateTier(ctx context.Context, tier qos.Tier, t tslot.Slot, overrides map[int]float64) (TierResult, error) {
+	observed := b.observations(t)
+	evidence := withOverrides(observed, overrides)
+	var out TierResult
 	switch tier {
 	case qos.TierBatched:
 		res, err := b.estimateSlotShared(ctx, t, observed)
 		if err != nil {
 			return TierResult{}, err
 		}
-		return BatchedTierResult(res, withOverrides(observed, overrides)), nil
+		out = BatchedTierResult(res, evidence)
 	case qos.TierCached:
-		if res, at := b.lastResultAt(t); res != nil {
-			f := b.temporal
-			phi := func(r int) float64 { p, _ := f.RoadParams(r); return p }
-			q := func(r int) float64 { _, q := f.RoadParams(r); return q }
-			return CachedTierResult(*res, withOverrides(observed, overrides), b.cacheAgeSlots(at), phi, q), nil
+		res, at := b.lastResultAt(t)
+		if res == nil {
+			out = b.priorResult(t)
+			break
 		}
-		return b.priorResult(t), nil
+		f := b.temporal
+		phi := func(r int) float64 { p, _ := f.RoadParams(r); return p }
+		q := func(r int) float64 { _, q := f.RoadParams(r); return q }
+		out = CachedTierResult(*res, evidence, b.cacheAgeSlots(at), phi, q)
 	case qos.TierPrior:
-		return b.priorResult(t), nil
+		out = b.priorResult(t)
 	default: // TierFull
 		res, err := b.estimateWhatIf(ctx, t, observed, overrides)
 		if err != nil {
 			return TierResult{}, err
 		}
-		return FullTierResult(res), nil
+		out = FullTierResult(res)
 	}
+	out.ObservedRoads = len(evidence)
+	return out, nil
 }
 
 // estimateSlotShared coalesces every concurrent same-slot request onto one

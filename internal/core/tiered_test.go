@@ -10,8 +10,21 @@ import (
 	"repro/internal/gsp"
 	"repro/internal/obs"
 	"repro/internal/qos"
+	"repro/internal/stream"
 	"repro/internal/tslot"
 )
+
+// collect adds one report per road of speeds at slot t straight to the
+// batcher's collector: reads see them as the slot's aggregates, and the
+// filter does not move.
+func collect(tb testing.TB, b *Batcher, t tslot.Slot, speeds map[int]float64) {
+	tb.Helper()
+	for r, v := range speeds {
+		if err := b.Collector().Add(stream.Report{Road: r, Slot: t, Speed: v}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
 
 func tierFixture(t *testing.T, seed int64) (*fixture, *Batcher, tslot.Slot, map[int]float64) {
 	t.Helper()
@@ -30,12 +43,13 @@ func tierFixture(t *testing.T, seed int64) (*fixture, *Batcher, tslot.Slot, map[
 	for _, r := range []int{2, 7, 13, 21, 33} {
 		observed[r] = f.hist.At(day, slot, r)
 	}
+	collect(t, b, slot, observed)
 	return f, b, slot, observed
 }
 
 func TestEstimateTierFull(t *testing.T) {
 	f, b, slot, observed := tierFixture(t, 11)
-	res, err := b.EstimateTier(context.Background(), qos.TierFull, slot, observed, nil)
+	res, err := b.EstimateTier(context.Background(), qos.TierFull, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +75,13 @@ func TestEstimateTierFull(t *testing.T) {
 // aging term vanishes at age→0 and the evidence gap is zero on roads the
 // stored pass pinned exactly.
 func TestEstimateTierCached(t *testing.T) {
-	_, b, slot, observed := tierFixture(t, 12)
-	full, err := b.EstimateTier(context.Background(), qos.TierFull, slot, observed, nil)
+	_, b, slot, _ := tierFixture(t, 12)
+	full, err := b.EstimateTier(context.Background(), qos.TierFull, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cached, err := b.EstimateTier(context.Background(), qos.TierCached, slot, observed, nil)
+	cached, err := b.EstimateTier(context.Background(), qos.TierCached, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +107,9 @@ func TestEstimateTierCached(t *testing.T) {
 	// Evidence the cache never saw prices in: perturb one observed road and
 	// the gap must appear in that road's variance (and the mean gap
 	// elsewhere).
-	moved := map[int]float64{2: full.Speeds[2] + 6}
-	widened, err := b.EstimateTier(context.Background(), qos.TierCached, slot, moved, nil)
+	b.Collector().Reset(slot)
+	collect(t, b, slot, map[int]float64{2: full.Speeds[2] + 6})
+	widened, err := b.EstimateTier(context.Background(), qos.TierCached, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +148,7 @@ func TestEstimateTierCached(t *testing.T) {
 func TestEstimateTierCachedFallsThrough(t *testing.T) {
 	f, b, _, _ := tierFixture(t, 13)
 	cold := tslot.Slot(222)
-	res, err := b.EstimateTier(context.Background(), qos.TierCached, cold, nil, nil)
+	res, err := b.EstimateTier(context.Background(), qos.TierCached, cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +165,7 @@ func TestEstimateTierCachedFallsThrough(t *testing.T) {
 
 func TestEstimateTierPrior(t *testing.T) {
 	f, b, slot, _ := tierFixture(t, 14)
-	res, err := b.EstimateTier(context.Background(), qos.TierPrior, slot, nil, nil)
+	res, err := b.EstimateTier(context.Background(), qos.TierPrior, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +278,7 @@ func TestEstimateTierBatchedShares(t *testing.T) {
 	}
 	got := make(chan answer, 1)
 	go func() {
-		res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed, nil)
+		res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, nil)
 		got <- answer{res, err}
 	}()
 
@@ -325,7 +340,7 @@ func TestEstimateTierBatchedShares(t *testing.T) {
 	// path): the field pins its own observations exactly, so it pays no
 	// inflation at all — the principled formula prices only dropped
 	// evidence.
-	res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, observed, nil)
+	res, err := b.EstimateTier(context.Background(), qos.TierBatched, slot, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +352,7 @@ func TestEstimateTierBatchedShares(t *testing.T) {
 // TestEstimateTierBatchedContext: a follower's context expiring abandons its
 // wait without disturbing the in-flight leader.
 func TestEstimateTierBatchedContext(t *testing.T) {
-	_, b, slot, observed := tierFixture(t, 16)
+	_, b, slot, _ := tierFixture(t, 16)
 	leader := &flight[gsp.Result]{done: make(chan struct{})}
 	b.flightMu.Lock()
 	b.slotFlight[slot] = leader
@@ -351,7 +366,7 @@ func TestEstimateTierBatchedContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.EstimateTier(ctx, qos.TierBatched, slot, observed, nil); err != context.Canceled {
+	if _, err := b.EstimateTier(ctx, qos.TierBatched, slot, nil); err != context.Canceled {
 		t.Fatalf("cancelled follower: %v", err)
 	}
 }

@@ -77,7 +77,7 @@ func TestCorrRowSingleflight(t *testing.T) {
 // -race: every row must be computed exactly once no matter the interleaving.
 func TestConcurrentMixedRows(t *testing.T) {
 	net, view := seededOracleView(90, 11)
-	o := NewOracle(net.Graph(), view, NegLog, WithShards(8))
+	o := NewOracle(net.Graph(), view, NegLog)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -113,7 +113,7 @@ func TestConcurrentMixedRows(t *testing.T) {
 // lookups are pure hits.
 func TestWarmPrecomputesOnce(t *testing.T) {
 	net, view := seededOracleView(60, 3)
-	o := NewOracle(net.Graph(), view, NegLog, WithWarmWorkers(4))
+	o := NewOracle(net.Graph(), view, NegLog)
 
 	roads := []int{1, 3, 3, 5, 7, 9, 9, 11, -2, 999} // dups + out-of-range ignored
 	o.Warm(roads)

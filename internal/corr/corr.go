@@ -99,25 +99,14 @@ func (s *CacheStats) Add(other CacheStats) {
 	s.ResidentBytes += other.ResidentBytes
 }
 
-// defaultShards is the number of lock stripes guarding in-flight row
-// computations. Cache hits never touch a stripe, so this only bounds
-// contention between concurrent misses.
-const defaultShards = 32
+// flightShards is the number of lock stripes guarding in-flight row
+// computations, a power of two so shard selection is a mask. Cache hits
+// never touch a stripe, so this only bounds contention between concurrent
+// misses.
+const flightShards = 32
 
 // Option configures an Oracle at construction time.
 type Option func(*Oracle)
-
-// WithShards sets the number of singleflight lock stripes (rounded up to a
-// power of two, minimum 1). The default is 32.
-func WithShards(n int) Option {
-	return func(o *Oracle) { o.shardCount = n }
-}
-
-// WithWarmWorkers sets the goroutine-pool size used by Warm. Zero or
-// negative selects GOMAXPROCS.
-func WithWarmWorkers(n int) Option {
-	return func(o *Oracle) { o.warmWorkers = n }
-}
 
 // WithCSR supplies a prebuilt packed topology (network.Network.CSR()), so
 // the oracle skips its own packing pass. The CSR must describe exactly the
@@ -287,9 +276,6 @@ type Oracle struct {
 	rows   []atomic.Pointer[Row]
 	shards []flightShard
 
-	shardCount  int
-	warmWorkers int
-
 	// rowLatency/rowClock optionally time the row searches (see
 	// WithRowObs); both nil by default.
 	rowLatency *obs.Histogram
@@ -328,20 +314,11 @@ const rowOverheadBytes = 64
 
 // NewOracle builds an oracle over the topology g and slot parameters view.
 func NewOracle(g *graph.Graph, view rtf.View, tf Transform, opts ...Option) *Oracle {
-	o := &Oracle{g: g, view: view, tf: tf, shardCount: defaultShards}
+	o := &Oracle{g: g, view: view, tf: tf}
 	for _, opt := range opts {
 		opt(o)
 	}
-	n := o.shardCount
-	if n < 1 {
-		n = 1
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	o.shards = make([]flightShard, p)
+	o.shards = make([]flightShard, flightShards)
 	for i := range o.shards {
 		o.shards[i].pending = make(map[int]*inflight)
 	}
@@ -491,13 +468,7 @@ func (o *Oracle) Warm(roads []int) {
 	if len(todo) == 0 {
 		return
 	}
-	workers := o.warmWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(todo))
 	if workers <= 1 {
 		for _, r := range todo {
 			o.Row(r)

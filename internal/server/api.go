@@ -4,17 +4,21 @@
 //     (estimate, query entries, forecast, alert predicates, route), so slot
 //     range, road range and credible-level validation — and therefore the
 //     envelope errors they produce — are defined once instead of per-handler.
-//   - The machine-readable route inventory: apiTable is the single source of
-//     truth for endpoint names, paths, methods and deprecation status. It
-//     feeds GET /v1/ (clients discover the surface), the per-route metrics
-//     label set (metrics.go derives `routes` from it), and the
+//   - apiTable, the one declaration of each route: its name, path, methods
+//     and deprecation status (what GET /v1/ lists), its admission policy and
+//     its handler. Handler mounts every row through one wrapper, which checks
+//     the method, then admits the request, then calls the handler, so a
+//     handler only decodes, validates, calls the Batcher and encodes. The
+//     table also gives the per-route metrics label set (routes) and the
 //     route-inventory test, which asserts the envelope suite covers every
-//     entry.
+//     row.
 package server
 
 import (
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/tslot"
@@ -74,44 +78,87 @@ func (rs *RoadSetRequest) selector(def core.Selector) (core.Selector, error) {
 	return core.ParseSelector(rs.Objective)
 }
 
-// endpointInfo is one row of the machine-readable route inventory.
+// endpointInfo is one row of the route table: the exported fields are what
+// GET /v1/ lists, admit and handle how the row is served.
 type endpointInfo struct {
 	Name       string   `json:"name"`
 	Path       string   `json:"path"`
 	Methods    []string `json:"methods"`
 	Deprecated bool     `json:"deprecated,omitempty"`
+	// admit is the row's admission policy under QoS (qos_http.go).
+	admit admission
+	// handle serves a request the row's method check and admission passed;
+	// nil mounts net/http/pprof's own handlers instead (EnablePprof).
+	handle func(*Server, http.ResponseWriter, *http.Request)
 }
 
 // apiTable is the closed set of served endpoints. GET /v1/ returns it
-// verbatim, metrics.go derives the per-route counter labels from it, and
-// TestRouteInventoryCovered asserts the envelope suite exercises every row —
-// adding an endpoint without inventory, metrics and an envelope case fails
-// the build's tests, not a code review.
-var apiTable = []endpointInfo{
-	{Name: "index", Path: "/v1/", Methods: []string{http.MethodGet}},
-	{Name: "network", Path: "/v1/network", Methods: []string{http.MethodGet}},
-	{Name: "workers", Path: "/v1/workers", Methods: []string{http.MethodPost}},
-	{Name: "report", Path: "/v1/report", Methods: []string{http.MethodPost}},
-	{Name: "select", Path: "/v1/select", Methods: []string{http.MethodPost}},
-	{Name: "estimate", Path: "/v1/estimate", Methods: []string{http.MethodPost}},
-	{Name: "query", Path: "/v1/query", Methods: []string{http.MethodPost}},
-	{Name: "route", Path: "/v1/route", Methods: []string{http.MethodPost}},
-	{Name: "forecast", Path: "/v1/forecast", Methods: []string{http.MethodPost}},
-	{Name: "subscribe", Path: "/v1/subscribe", Methods: []string{http.MethodGet}},
-	{Name: "alerts", Path: "/v1/alerts", Methods: []string{http.MethodGet, http.MethodPost}},
-	{Name: "healthz", Path: "/v1/healthz", Methods: []string{http.MethodGet}},
-	{Name: "model", Path: "/v1/model", Methods: []string{http.MethodGet, http.MethodPost}},
-	{Name: "metrics", Path: "/v1/metrics", Methods: []string{http.MethodGet}},
-	{Name: "pprof", Path: "/debug/pprof/", Methods: []string{http.MethodGet}},
+// verbatim, Handler mounts every row, routes (metrics.go) takes its labels
+// from it, and TestRouteInventoryCovered asserts the envelope suite
+// exercises every row — adding an endpoint without inventory, metrics and
+// an envelope case fails the build's tests, not a code review. init fills
+// it because the index row's handler lists the table.
+var apiTable []endpointInfo
+
+func init() {
+	get, post := []string{http.MethodGet}, []string{http.MethodPost}
+	getOrPost := []string{http.MethodGet, http.MethodPost}
+	apiTable = []endpointInfo{
+		{Name: "index", Path: "/v1/", Methods: get, handle: (*Server).handleIndex},
+		{Name: "network", Path: "/v1/network", Methods: get, handle: (*Server).handleNetwork},
+		{Name: "workers", Path: "/v1/workers", Methods: post, handle: (*Server).handleWorkers},
+		{Name: "report", Path: "/v1/report", Methods: post, handle: (*Server).handleReport},
+		{Name: "select", Path: "/v1/select", Methods: post, admit: oneToken, handle: (*Server).handleSelect},
+		{Name: "estimate", Path: "/v1/estimate", Methods: post, admit: oneToken, handle: (*Server).handleEstimate},
+		{Name: "query", Path: "/v1/query", Methods: post, admit: deferred, handle: (*Server).handleQuery},
+		{Name: "route", Path: "/v1/route", Methods: post, admit: deferred, handle: (*Server).handleRoute},
+		{Name: "forecast", Path: "/v1/forecast", Methods: post, admit: planning, handle: (*Server).handleForecast},
+		{Name: "subscribe", Path: "/v1/subscribe", Methods: get, admit: oneToken, handle: (*Server).handleSubscribe},
+		{Name: "alerts", Path: "/v1/alerts", Methods: getOrPost, admit: oneToken, handle: (*Server).handleAlerts},
+		{Name: "healthz", Path: "/v1/healthz", Methods: get, handle: (*Server).handleHealthz},
+		{Name: "model", Path: "/v1/model", Methods: getOrPost, handle: (*Server).handleModel},
+		{Name: "metrics", Path: "/v1/metrics", Methods: get, handle: (*Server).handleMetrics},
+		{Name: "pprof", Path: "/debug/pprof/", Methods: get},
+	}
+	for _, e := range apiTable {
+		routes = append(routes, e.Name)
+	}
 }
 
-// routeLabels derives the metrics route-label set from the inventory.
-func routeLabels() []string {
-	names := make([]string, len(apiTable))
-	for i, e := range apiTable {
-		names[i] = e.Name
+// Handler mounts every apiTable row behind the hardening middleware (panic
+// recovery → body limit → request timeout).
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	for _, e := range apiTable {
+		switch {
+		case e.handle != nil:
+			mux.Handle(e.Path, s.serve(e))
+		case s.EnablePprof:
+			mountPprof(mux)
+		}
 	}
-	return names
+	return s.withObs(s.withRecovery(s.withBodyLimit(s.withTimeout(mux))))
+}
+
+// serve wraps one row's handler. A path the row does not name — only the
+// subtree row /v1/ receives one — is unknown whatever the method. A method
+// the row does not list gets the 405 envelope before admission, so it costs
+// no token. Then the row's admission policy runs, and the handler serves
+// what it admits.
+func (s *Server) serve(e endpointInfo) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != e.Path {
+			writeErr(w, r, http.StatusNotFound, "unknown endpoint %s (GET /v1/ lists the surface)", r.URL.Path)
+			return
+		}
+		if !slices.Contains(e.Methods, r.Method) {
+			writeErr(w, r, http.StatusMethodNotAllowed, "%s only", strings.Join(e.Methods, " or "))
+			return
+		}
+		if r, ok := s.admit(w, r, e.admit); ok {
+			e.handle(s, w, r)
+		}
+	})
 }
 
 // indexResponse is the GET /v1/ body.
@@ -119,17 +166,7 @@ type indexResponse struct {
 	Endpoints []endpointInfo `json:"endpoints"`
 }
 
-// handleIndex serves the route inventory at exactly /v1/. The "/v1/" mux
-// pattern is a subtree match, so unregistered /v1/* paths land here too —
-// they get the unified 404 envelope instead of the mux's plain-text default.
+// handleIndex serves the route inventory.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/v1/" {
-		writeErr(w, r, http.StatusNotFound, "unknown endpoint %s (GET /v1/ lists the surface)", r.URL.Path)
-		return
-	}
-	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	writeJSON(w, http.StatusOK, indexResponse{Endpoints: apiTable})
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/qos"
 	"repro/internal/tslot"
 )
 
@@ -43,10 +44,6 @@ type batchQueryResponse struct {
 const maxBatchEntries = 256
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req batchQueryRequest
 	if !decodeRequest(w, r, &req) {
 		return
@@ -104,10 +101,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // GET /v1/subscribe — the standing-query endpoint. Both consumption modes
 // run one digest loop (nextUpdate) that answers as soon as the slot's report
-// mark (stream.Collector.Mark) differs from the one the client last saw. The
-// mark moves on every report the slot accepts and never repeats, so the
-// opaque digest built from it changes exactly when the slot's aggregates may
-// have:
+// mark (core.Batcher.Mark) differs from the one the client last saw. The
+// mark moves on every report the slot accepts and never repeats, and reads
+// 0 once half a day has passed without reports, so the opaque digest built
+// from it changes exactly when the slot's aggregates may have:
 //
 // Long-poll (default): the client passes the digest it last saw (from the
 // previous response; "" on the first call). The server answers immediately
@@ -140,10 +137,6 @@ type subscribeResponse struct {
 const subscribePollInterval = 25 * time.Millisecond
 
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	q := r.URL.Query()
 	slotN, err := strconv.Atoi(q.Get("slot"))
 	if err != nil {
@@ -187,8 +180,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 // nextUpdate is the digest loop behind both /v1/subscribe modes. It re-reads
 // the slot's report mark every subscribePollInterval until its digest
 // differs from last, counting every unchanged check
-// (crowdrtse_subscription_noop_refreshes_total), then estimates the slot's
-// aggregates through the Batcher, warm-started from the slot's previous
+// (crowdrtse_subscription_noop_refreshes_total), then estimates the slot
+// through the Batcher at full tier, warm-started from the slot's previous
 // field. The mark is read before the aggregates, so a report landing in
 // between only brings one more update. It returns the update for roads with
 // Seq unset, or nil when ctx or stop ends the wait first; a nil stop never
@@ -197,15 +190,14 @@ func (s *Server) nextUpdate(ctx context.Context, slot tslot.Slot, roads []int, l
 	ticker := time.NewTicker(subscribePollInterval)
 	defer ticker.Stop()
 	for {
-		if digest := strconv.Itoa(s.Collector().Mark(slot)); digest != last {
-			obs := s.Collector().Observations(slot)
-			res, err := s.batcher.Estimate(ctx, slot, obs)
+		if digest := strconv.Itoa(s.batcher.Mark(slot)); digest != last {
+			res, err := s.batcher.EstimateTier(ctx, qos.TierFull, slot, nil)
 			if err != nil {
 				return nil, err
 			}
 			out := &subscribeResponse{
 				Slot:        int(slot),
-				Observed:    len(obs),
+				Observed:    res.ObservedRoads,
 				Digest:      digest,
 				Speeds:      make(map[string]float64, len(roads)),
 				WarmStarted: res.WarmStarted,

@@ -1,19 +1,19 @@
 // POST /v1/forecast: the forward-looking query type the per-slot pipeline
-// cannot serve. The request is answered read-only over the Batcher's
-// cross-slot filter (temporal.ForecastFrom): a snapshot of the state is
-// synced to the requested base slot, the slot's current crowd aggregates —
-// which the filter fuses only once a report walks it past the slot — are
-// fused into the snapshot only, and the predict step is iterated k times —
-// one step per horizon slot, mean reverting toward the periodicity prior,
-// variance honestly widening (clamped monotone non-decreasing in k). The
-// shared filter never moves: only /v1/report walks it, so a forecast can
-// neither decay the warm-start state by asking about a distant base slot
-// nor double-count a slot's evidence when a dashboard polls.
+// cannot serve. The request is answered read-only by core.Batcher.Forecast
+// over the Batcher's cross-slot filter: a snapshot of the state is synced to
+// the requested base slot, the slot's current crowd aggregates — which the
+// filter fuses only once a report walks it past the slot, and which read as
+// none after half a day without reports — are fused into the snapshot only,
+// and the predict step is iterated k times — one step per horizon slot,
+// mean reverting toward the periodicity prior, variance honestly widening
+// (clamped monotone non-decreasing in k). The shared filter never moves:
+// only /v1/report walks it, so a forecast can neither decay the warm-start
+// state by asking about a distant base slot nor double-count a slot's
+// evidence when a dashboard polls.
 //
 // The route is admission-gated like the other work routes, with one twist: a
-// forecast is capped at interactive class on the QoS ladder. Forecasting is a
-// planning aid, never incident response, so it must not ride the
-// never-pressure-shed alerting lane.
+// forecast is capped at interactive class on the QoS ladder (the planning
+// policy of its apiTable row).
 package server
 
 import (
@@ -62,10 +62,6 @@ type forecastResponse struct {
 }
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req forecastRequest
 	if !decodeRequest(w, r, &req) {
 		return
@@ -75,8 +71,8 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, status, "%v", err)
 		return
 	}
-	if ai := admissionFrom(r.Context()); ai != nil {
-		out.Quality = ai.Decision.Class.String()
+	if d := admissionFrom(r.Context()); d != nil {
+		out.Quality = d.Class.String()
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -99,12 +95,9 @@ func (s *Server) forecastOne(req forecastRequest) (*forecastResponse, int, error
 	}
 	roads := req.roadsOrAll(n)
 
-	// Answer read-only over the shared filter: a snapshot is synced to the
-	// base slot and the slot's current crowd aggregates are fused into the
-	// snapshot only, priced at the system's per-road noise. Slot, horizon
-	// and roads were validated above, so any error here is internal.
-	observed := s.Collector().Observations(slot)
-	fan, err := s.batcher.Temporal().ForecastFrom(slot, k, observed, s.sys.ObsNoiseFunc())
+	// Slot, horizon and roads were validated above, so any error here is
+	// internal.
+	fan, observed, err := s.batcher.Forecast(slot, k)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -112,10 +105,10 @@ func (s *Server) forecastOne(req forecastRequest) (*forecastResponse, int, error
 	out := &forecastResponse{
 		Slot:     req.Slot,
 		Horizon:  k,
-		Observed: len(observed),
+		Observed: observed,
 		Level:    level,
 		Steps:    make([]forecastStepJSON, 0, len(fan)),
-		Degraded: len(observed) == 0,
+		Degraded: observed == 0,
 	}
 	for _, st := range fan {
 		sj := forecastStepJSON{

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/speedgen"
 )
 
@@ -83,7 +83,8 @@ func TestHealthzDegradedThenOK(t *testing.T) {
 
 func TestHealthzStaleCollector(t *testing.T) {
 	srv, _ := newRawServer(t)
-	srv.StaleAfter = 1 * time.Nanosecond // any report is instantly stale
+	clk := obs.NewFakeClock(time.Unix(1_700_000_000, 0), 0)
+	srv.SetClock(clk)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	postJSON(t, ts.URL+"/v1/workers", map[string]interface{}{
@@ -92,7 +93,7 @@ func TestHealthzStaleCollector(t *testing.T) {
 	postJSON(t, ts.URL+"/v1/report", map[string]interface{}{
 		"road": 1, "slot": 100, "speed": 42.0,
 	}).Body.Close()
-	time.Sleep(time.Millisecond)
+	clk.Advance(staleAfter + time.Second)
 	var h struct {
 		Status         string `json:"status"`
 		CollectorStale bool   `json:"collector_stale"`
@@ -166,19 +167,24 @@ func TestRecoveryMiddleware(t *testing.T) {
 	}
 }
 
+// TestBodyLimit: a well-formed estimate body over the 1 MiB limit, which the
+// route would otherwise serve, is refused with the decoder's 400 naming the
+// limit.
 func TestBodyLimit(t *testing.T) {
 	srv, _ := newRawServer(t)
-	srv.MaxBodyBytes = 64
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	big := bytes.Repeat([]byte("a"), 1024)
-	resp, err := http.Post(ts.URL+"/v1/report", "application/json", bytes.NewReader(big))
+	big := `{"slot":100,"roads":[` + strings.Repeat("0,", maxBodyBytes/2) + `0]}`
+	resp, err := http.Post(ts.URL+"/v1/estimate", "application/json", strings.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized body = %d, want 400", resp.StatusCode)
+		resp.Body.Close()
+		t.Fatalf("oversized body = %d, want 400", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, resp); !strings.Contains(env.Error.Message, "request body too large") {
+		t.Errorf("oversized body answered %q, want the body limit named", env.Error.Message)
 	}
 	// A normal-sized report still works.
 	resp2 := postJSON(t, ts.URL+"/v1/report", map[string]interface{}{

@@ -5,8 +5,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/gsp"
+	"repro/internal/obs"
 	"repro/internal/speedgen"
 	"repro/internal/tslot"
 )
@@ -125,6 +127,66 @@ func TestNextDayStartsEmpty(t *testing.T) {
 	post(0, 101, h.At(0, 101, 0))
 	if got := updates.Value() - before; got != 1 {
 		t.Errorf("the walk out of slot 100 fused %d roads, want the 1 reported that day", got)
+	}
+}
+
+// TestReadsAfterSilenceServeNothing: reports arrive from 07:00 to 18:55
+// (slots 84–227), two roads a slot, on a fake clock, then nothing until 07:30
+// the next day. Slot 90 still holds day 1's two roads, which the next report
+// will empty, so no read serves them: estimate, a query entry, alerts GET
+// and POST and forecast answer 0 observed roads and degraded, and a
+// subscribe long-poll holding day 1's digest answers at once with 0 roads.
+func TestReadsAfterSilenceServeNothing(t *testing.T) {
+	ts, srv, h := ledgerServer(t)
+	clk := obs.NewFakeClock(time.Date(2026, 10, 5, 7, 2, 0, 0, time.UTC), 0)
+	srv.SetClock(clk)
+	for slot := 84; slot <= 227; slot++ {
+		reportAt(t, ts.URL, h, slot, slot%50, (slot+7)%50)
+		clk.Advance(tslot.Duration)
+	}
+	var day1 subscribeResponse
+	decode(t, doReq(t, http.MethodGet, ts.URL+"/v1/subscribe?slot=90&roads=1,2&wait=1ms", "", nil), &day1)
+	if day1.Observed != 2 {
+		t.Fatalf("on day 1 slot 90 serves %d roads, want 2", day1.Observed)
+	}
+	clk.Advance(12*time.Hour + 28*time.Minute) // 19:02 → 07:32
+
+	for _, rd := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/estimate", `{"slot":90}`},
+		{http.MethodPost, "/v1/query", `{"queries":[{"slot":90}]}`},
+		{http.MethodGet, "/v1/alerts?slot=90", ""},
+		{http.MethodPost, "/v1/alerts", `{"slot":90,"predicates":[{"road":1,"speed_below":30}]}`},
+		{http.MethodPost, "/v1/forecast", `{"slot":90,"horizon":2}`},
+	} {
+		resp := doReq(t, rd.method, ts.URL+rd.path, rd.body, nil)
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("%s %s: status %d", rd.method, rd.path, resp.StatusCode)
+		}
+		var out estimateResponse
+		if rd.path == "/v1/query" {
+			var batch batchQueryResponse
+			decode(t, resp, &batch)
+			out = *batch.Results[0]
+		} else {
+			decode(t, resp, &out)
+		}
+		if out.Observed != 0 || !out.Degraded {
+			t.Errorf("%s %s after the silence: %d observed roads, degraded %v; want 0 and true",
+				rd.method, rd.path, out.Observed, out.Degraded)
+		}
+	}
+
+	resp := doReq(t, http.MethodGet, ts.URL+"/v1/subscribe?slot=90&roads=1,2&wait=2s&digest="+day1.Digest, "", nil)
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("a long-poll holding day 1's digest answered %d, want 200 at once", resp.StatusCode)
+	}
+	var up subscribeResponse
+	decode(t, resp, &up)
+	if up.Observed != 0 || up.Digest == day1.Digest {
+		t.Errorf("the long-poll answered %d roads with digest %q (day 1's %q), want 0 roads and a new digest",
+			up.Observed, up.Digest, day1.Digest)
 	}
 }
 

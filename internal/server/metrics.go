@@ -18,12 +18,12 @@ const (
 	MHTTPSeconds   = "crowdrtse_http_request_seconds"
 )
 
-// routes is the stable list of instrumented endpoints, derived from the
-// apiTable inventory (api.go) so the metrics label set, GET /v1/ and the
-// route-inventory test cannot drift apart; anything else counts under
-// "other" (404s, scrapes of wrong paths) so the by-route counters stay a
-// closed set.
-var routes = routeLabels()
+// routes is the stable list of instrumented endpoints, the names of the
+// apiTable rows (filled by api.go's init) so the metrics label set, GET /v1/
+// and the route-inventory test cannot drift apart; anything else counts
+// under "other" (404s, scrapes of wrong paths) so the by-route counters stay
+// a closed set.
+var routes []string
 
 // httpMetrics is the request-level instrument block: per-route request
 // counters, per-status-class response counters, an in-flight gauge and one
@@ -147,10 +147,6 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 
 // handleMetrics serves the registry in the Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
 }
@@ -185,7 +181,7 @@ func (s *Server) SetClock(clk obs.Clock) {
 	if s.shards != nil {
 		s.shards.Instrument(s.pipe)
 	}
-	col := s.Collector()
+	col := s.batcher.Collector()
 	col.SetClock(clk)
 	col.SetMetrics(s.pipe.Stream)
 	s.started = clk.Now()

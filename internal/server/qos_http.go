@@ -1,18 +1,20 @@
 // Admission control (PR 6). When a qos.Controller is enabled (EnableQoS),
-// every work route — select, estimate, query, subscribe, alerts — passes
-// through withAdmission: the request is authenticated to a tenant (API key
-// via Authorization: Bearer or X-API-Key; keyless traffic is the anonymous
-// tenant unless disabled), charged against the tenant's token bucket, and
-// placed on the QoS ladder at the current pressure. Admitted requests carry
-// their tenant/class/tier decision in the context; the estimate/query/alerts
-// handlers serve the decided tier through core.Batcher.EstimateTier and
-// label the response with `quality` and the SD inflation. Shed requests get
-// a 429 in the unified error envelope with a Retry-After header.
+// each apiTable row's admission policy decides what a request to it costs:
+// the request is authenticated to a tenant (API key via Authorization:
+// Bearer or X-API-Key; keyless traffic is the anonymous tenant unless
+// disabled), charged against the tenant's token bucket, and placed on the
+// QoS ladder at the current pressure. The row's wrapper (serve, api.go)
+// admits only after the method check passed, so a wrong-method request is
+// refused without a charge, and the decision travels to the handler in the
+// context; the estimate/query/alerts handlers serve the decided tier
+// through core.Batcher.EstimateTier and label the response with `quality`
+// and the SD inflation. Shed requests get a 429 in the unified error
+// envelope with a Retry-After header.
 //
-// Cheap control-plane routes (network, workers, report, healthz, model,
-// metrics, pprof) bypass admission: shedding a health check during overload
-// would blind the operator at exactly the wrong moment, and reports are the
-// signal that ends the overload.
+// Cheap control-plane routes (index, network, workers, report, healthz,
+// model, metrics, pprof) bypass admission: shedding a health check during
+// overload would blind the operator at exactly the wrong moment, and
+// reports are the signal that ends the overload.
 //
 // The select and subscribe routes are admission-gated but always serve full
 // fidelity once admitted (OCS has no cheaper tier; a subscription is already
@@ -31,30 +33,31 @@ import (
 	"repro/internal/qos"
 )
 
-// qosRoutes lists the admission-gated routes; everything else bypasses the
-// controller.
-var qosRoutes = map[string]bool{
-	"select": true, "estimate": true, "query": true, "subscribe": true, "alerts": true,
-	"forecast": true, "route": true,
-}
+// admission is a route row's admission policy.
+type admission int
 
-// admissionInfo travels with an admitted request through the context.
-type admissionInfo struct {
-	Tenant   *qos.Tenant
-	Decision qos.Decision
-	// Deferred marks the batch query route: the token charge waits until the
-	// handler knows the entry count, so an n-entry batch is charged n tokens
-	// all-or-nothing (atomic shed, never half-admitted).
-	Deferred bool
-}
+const (
+	// bypass: never charged or shed (the control plane).
+	bypass admission = iota
+	// oneToken: one token at the door.
+	oneToken
+	// deferred: the handler charges admitBatch once it knows the price, one
+	// token per batch entry (query) or per route segment (route), all or
+	// nothing.
+	deferred
+	// planning: one token, with the class capped at interactive. A forecast
+	// is a planning aid, never incident response, so it must not ride the
+	// never-pressure-shed alerting lane.
+	planning
+)
 
 type admissionKey struct{}
 
 // admissionFrom returns the request's admission decision, nil when QoS is
 // disabled or the route bypasses it.
-func admissionFrom(ctx context.Context) *admissionInfo {
-	ai, _ := ctx.Value(admissionKey{}).(*admissionInfo)
-	return ai
+func admissionFrom(ctx context.Context) *qos.Decision {
+	d, _ := ctx.Value(admissionKey{}).(*qos.Decision)
+	return d
 }
 
 // EnableQoS builds and attaches the admission controller, wiring its
@@ -90,69 +93,52 @@ func apiKey(r *http.Request) string {
 	return strings.TrimSpace(r.Header.Get("X-API-Key"))
 }
 
-// withAdmission is the admission middleware. It sits inside withObs (the
-// decision wants the request ID for its envelope and the in-flight gauge
-// already incremented) and outside withTimeout (a shed request must not
-// consume a work deadline).
-func (s *Server) withAdmission(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctl := s.qosCtl
-		if ctl == nil || !qosRoutes[routeName(r.URL.Path)] {
-			next.ServeHTTP(w, r)
-			return
+// admit runs a row's admission policy. It returns the request to serve,
+// carrying its decision (a deferred row's holds the tenant and class only),
+// and false when the request was refused, with the envelope written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, policy admission) (*http.Request, bool) {
+	ctl := s.qosCtl
+	if ctl == nil || policy == bypass {
+		return r, true
+	}
+	tenant, ok := ctl.Resolve(apiKey(r))
+	if !ok {
+		writeErr(w, r, http.StatusUnauthorized, "unknown API key")
+		return nil, false
+	}
+	class := tenant.DefaultClass()
+	if raw := r.Header.Get("X-Priority"); raw != "" {
+		c, err := qos.ParseClass(raw)
+		if err != nil {
+			writeErr(w, r, http.StatusBadRequest, "%v", err)
+			return nil, false
 		}
-		tenant, ok := ctl.Resolve(apiKey(r))
-		if !ok {
-			writeErr(w, r, http.StatusUnauthorized, "unknown API key")
-			return
+		class = c // Admit clamps to the tenant's MaxClass
+	}
+	if policy == planning && class > qos.ClassInteractive {
+		class = qos.ClassInteractive
+	}
+	d := qos.Decision{Tenant: tenant, Class: class}
+	if policy != deferred {
+		if d = ctl.Admit(tenant, class, 1); !d.Admit {
+			writeShed(w, r, d)
+			return nil, false
 		}
-		class := tenant.DefaultClass()
-		if raw := r.Header.Get("X-Priority"); raw != "" {
-			c, err := qos.ParseClass(raw)
-			if err != nil {
-				writeErr(w, r, http.StatusBadRequest, "%v", err)
-				return
-			}
-			class = c // Admit clamps to the tenant's MaxClass
-		}
-		// Forecasts are planning aids, never incident response: cap them at
-		// interactive so they can't ride the never-pressure-shed alerting lane.
-		if routeName(r.URL.Path) == "forecast" && class > qos.ClassInteractive {
-			class = qos.ClassInteractive
-		}
-		ai := &admissionInfo{Tenant: tenant}
-		if rn := routeName(r.URL.Path); rn == "query" || rn == "route" {
-			// Defer the token charge to the handler: the fair price is one
-			// token per batch entry (known after the body parses) or per
-			// route segment (known after the planner runs).
-			ai.Deferred = true
-			ai.Decision = qos.Decision{Tenant: tenant, Class: class}
-		} else {
-			d := ctl.Admit(tenant, class, 1)
-			if !d.Admit {
-				writeShed(w, r, d)
-				return
-			}
-			ai.Decision = d
-		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), admissionKey{}, ai)))
-	})
+	}
+	return r.WithContext(context.WithValue(r.Context(), admissionKey{}, &d)), true
 }
 
-// admitBatch performs the deferred batch charge: entries tokens, all or
+// admitBatch performs a deferred row's charge: entries tokens, all or
 // nothing. Reports whether the request may proceed; on false the 429 has
-// been written.
-func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request, ai *admissionInfo, entries int) bool {
-	if ai == nil || !ai.Deferred {
+// been written. Without QoS (nil d) every request proceeds.
+func (s *Server) admitBatch(w http.ResponseWriter, r *http.Request, d *qos.Decision, entries int) bool {
+	if d == nil {
 		return true
 	}
-	d := s.qosCtl.Admit(ai.Tenant, ai.Decision.Class, float64(entries))
-	if !d.Admit {
-		writeShed(w, r, d)
+	if *d = s.qosCtl.Admit(d.Tenant, d.Class, float64(entries)); !d.Admit {
+		writeShed(w, r, *d)
 		return false
 	}
-	ai.Decision = d
-	ai.Deferred = false
 	return true
 }
 

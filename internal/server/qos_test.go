@@ -180,6 +180,26 @@ func TestEstimateGetAliasRemoved(t *testing.T) {
 	}
 }
 
+// TestWrongMethodCostsNoToken: a method its route does not list is refused
+// with the 405 envelope before admission, so a burst-1 tenant's GET
+// /v1/estimate leaves its one token for the next valid POST.
+func TestWrongMethodCostsNoToken(t *testing.T) {
+	ts, _, _ := newQoSServer(t, qos.Config{Tenants: []qos.TenantConfig{
+		{Key: "one-key", Name: "one", Class: qos.ClassInteractive, RatePerSec: 0.001, Burst: 1},
+	}})
+	hdr := map[string]string{"X-API-Key": "one-key"}
+	get := doReq(t, http.MethodGet, ts.URL+"/v1/estimate", "", hdr)
+	get.Body.Close()
+	if get.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /v1/estimate = %d, want 405", get.StatusCode)
+	}
+	post := doReq(t, http.MethodPost, ts.URL+"/v1/estimate", `{"slot":10,"roads":[1]}`, hdr)
+	post.Body.Close()
+	if post.StatusCode != http.StatusOK {
+		t.Errorf("the POST after a refused GET = %d, want 200 (the GET cost a token)", post.StatusCode)
+	}
+}
+
 // TestQoSBatchShedsAtomically pins satellite 2 for POST /v1/query: an
 // n-entry batch is charged n tokens all-or-nothing — a refused batch leaves
 // the bucket untouched, so a smaller batch still fits.

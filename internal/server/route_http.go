@@ -101,10 +101,6 @@ type routeResponse struct {
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req routeRequest
 	if !decodeRequest(w, r, &req) {
 		return
@@ -141,10 +137,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if depart == 0 {
 		depart = float64(slot.StartMinute())
 	}
-	tier, ai := admittedTier(r.Context())
+	tier, d := admittedTier(r.Context())
 	res, err := s.batcher.RouteETA(r.Context(), core.RouteETARequest{
 		Slot: slot, Src: req.Src, Dst: req.Dst, DepartMinute: depart,
-		Horizon: horizon, Observed: s.Collector().Observations(slot), Tier: tier,
+		Horizon: horizon, Tier: tier,
 	})
 	if err != nil {
 		status := http.StatusInternalServerError
@@ -159,11 +155,11 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// Cost-aware admission, deferred until the path length is known: a
 	// k-segment route is charged k tokens, all or nothing, like a k-entry
 	// batch query.
-	if !s.admitBatch(w, r, ai, len(res.ETA.Segments)) {
+	if !s.admitBatch(w, r, d, len(res.ETA.Segments)) {
 		return
 	}
-	if ai != nil && s.qosCtl != nil {
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
+	if d != nil {
+		s.qosCtl.Observe(d.Tenant, d.Tier, res.Tier)
 	}
 
 	out := &routeResponse{
@@ -187,7 +183,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 			Provenance: seg.Provenance,
 		})
 	}
-	if ai != nil {
+	if d != nil {
 		out.Quality = res.Tier.String()
 		out.VarianceInflation = res.VarianceInflation
 	}

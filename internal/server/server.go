@@ -20,17 +20,23 @@
 //	GET  /v1/metrics                 Prometheus text exposition of every pipeline instrument
 //	GET  /debug/pprof/...            standard pprof surface (EnablePprof, on by default)
 //
-// Reports are kept per slot; an estimate uses the aggregated reports of its
-// slot as the GSP observations. All handlers are safe for concurrent use.
+// Each route is declared once, as a row of apiTable (api.go): Handler
+// mounts every row behind one wrapper that checks the method, then admits
+// the request under the row's QoS policy, then calls the row's handler. A
+// handler only decodes, validates, calls the Batcher and encodes. Reports
+// are kept per slot; an estimate uses the aggregated reports of its slot as
+// the GSP observations. All handlers are safe for concurrent use.
 //
 // Selection and estimation run through one core.Batcher, over the System
 // or, after AttachShards, a graph-partitioned shard.Engine: identical
 // concurrent selects or estimates (batch entries included) singleflight into
 // one run, and every propagation warm-starts from the slot's previous field
-// (incremental GSP). The Batcher also owns the report collector and the
-// cross-slot filter: /v1/report is the only route that writes evidence, and
-// /v1/subscribe answers both its modes by waiting on the collector's report
-// mark for the slot. The amortization counters appear on
+// (incremental GSP). The Batcher also owns the evidence ledger, the report
+// collector and the cross-slot filter: /v1/report is the only route that
+// writes evidence, and every other route reads it only through the Batcher
+// (EstimateTier, Forecast, RouteETA, and the report mark /v1/subscribe
+// waits on), which serves none of it after half a day without reports. The
+// amortization counters appear on
 // /v1/metrics (crowdrtse_coalesced_queries_total,
 // crowdrtse_gsp_warm_starts_total, crowdrtse_warmstart_sweeps_saved_total,
 // crowdrtse_subscription_noop_refreshes_total).
@@ -88,11 +94,6 @@ type Server struct {
 	// through context so GSP early-aborts with a best-so-far field.
 	// Zero disables the per-request deadline.
 	Timeout time.Duration
-	// MaxBodyBytes bounds POST bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// StaleAfter is how old the newest report may be before /v1/healthz
-	// declares the collector stale (default 10 min).
-	StaleAfter time.Duration
 	// EnablePprof mounts the net/http/pprof surface under /debug/pprof/
 	// (default true).
 	EnablePprof bool
@@ -146,18 +147,16 @@ func New(sys *core.System) *Server {
 	sys.Instrument(pipe)
 	batcher, _ := core.NewBatcher(sys)
 	s := &Server{
-		sys:          sys,
-		batcher:      batcher,
-		pool:         crowd.NewPool(nil),
-		Timeout:      5 * time.Second,
-		MaxBodyBytes: 1 << 20,
-		StaleAfter:   10 * time.Minute,
-		EnablePprof:  true,
-		reg:          reg,
-		pipe:         pipe,
-		httpm:        newHTTPMetrics(reg),
-		clock:        clock,
-		started:      clock.Now(),
+		sys:         sys,
+		batcher:     batcher,
+		pool:        crowd.NewPool(nil),
+		Timeout:     5 * time.Second,
+		EnablePprof: true,
+		reg:         reg,
+		pipe:        pipe,
+		httpm:       newHTTPMetrics(reg),
+		clock:       clock,
+		started:     clock.Now(),
 	}
 	sys.RegisterMetrics(reg)
 	return s
@@ -166,29 +165,12 @@ func New(sys *core.System) *Server {
 // Batcher exposes the server's coalescing layer (tests and embedders).
 func (s *Server) Batcher() *core.Batcher { return s.batcher }
 
-// Handler returns the HTTP routing table wrapped in the hardening
-// middleware (panic recovery → body limit → request timeout).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/", s.handleIndex)
-	mux.HandleFunc("/v1/network", s.handleNetwork)
-	mux.HandleFunc("/v1/workers", s.handleWorkers)
-	mux.HandleFunc("/v1/report", s.handleReport)
-	mux.HandleFunc("/v1/select", s.handleSelect)
-	mux.HandleFunc("/v1/estimate", s.handleEstimate)
-	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/v1/route", s.handleRoute)
-	mux.HandleFunc("/v1/forecast", s.handleForecast)
-	mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
-	mux.HandleFunc("/v1/alerts", s.handleAlerts)
-	mux.HandleFunc("/v1/healthz", s.handleHealthz)
-	mux.HandleFunc("/v1/model", s.handleModel)
-	mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	if s.EnablePprof {
-		mountPprof(mux)
-	}
-	return s.withObs(s.withRecovery(s.withBodyLimit(s.withAdmission(s.withTimeout(mux)))))
-}
+// maxBodyBytes bounds request bodies; staleAfter is how old the newest
+// report may be before /v1/healthz declares the collector stale.
+const (
+	maxBodyBytes = 1 << 20
+	staleAfter   = 10 * time.Minute
+)
 
 // AttachLifecycle enables the model-lifecycle admin surface: /v1/model gains
 // history and the rollback/reload/refit actions, and /v1/healthz reports the
@@ -208,8 +190,9 @@ func (s *Server) AttachLifecycle(mgr *modelstore.Manager, refitter *modelstore.R
 }
 
 // Collector exposes the server's report collector (the Batcher's) to
-// readers. Reports added to it directly, not through POST /v1/report, never
-// move the filter.
+// embedders that read it; the handlers read the ledger through the Batcher.
+// Reports added to it directly, not through POST /v1/report, never move the
+// filter.
 func (s *Server) Collector() *stream.Collector { return s.batcher.Collector() }
 
 // AttachShards makes the server's batcher select and propagate through a
@@ -247,8 +230,8 @@ func (s *Server) withRecovery(next http.Handler) http.Handler {
 // the decoder buffer arbitrary amounts of memory.
 func (s *Server) withBodyLimit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Body != nil && s.MaxBodyBytes > 0 {
-			r.Body = http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -274,10 +257,6 @@ type networkInfo struct {
 }
 
 func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	net := s.sys.Network()
 	writeJSON(w, http.StatusOK, networkInfo{Roads: net.N(), Edges: net.M()})
 }
@@ -289,10 +268,6 @@ type workersRequest struct {
 }
 
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req workersRequest
 	if !decodeRequest(w, r, &req) {
 		return
@@ -325,10 +300,6 @@ type reportRequest struct {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req reportRequest
 	if !decodeRequest(w, r, &req) {
 		return
@@ -351,7 +322,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"answers": s.Collector().Count(slot, road)})
+	writeJSON(w, http.StatusOK, map[string]int{"answers": s.batcher.Collector().Count(slot, road)})
 }
 
 type selectRequest struct {
@@ -373,10 +344,6 @@ type selectResponse struct {
 }
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req selectRequest
 	if !decodeRequest(w, r, &req) {
 		return
@@ -421,18 +388,17 @@ func (s *Server) selectCharged(w http.ResponseWriter, r *http.Request, req core.
 		writeErr(w, r, http.StatusConflict, "no workers registered")
 		return ocs.Solution{}, false
 	}
-	ai := admissionFrom(r.Context())
-	charged := ai != nil && s.qosCtl != nil
-	if charged {
-		if ok, retry := s.qosCtl.ConsumeProbeBudget(ai.Tenant, req.Budget); !ok {
-			writeQuotaExhausted(w, r, ai.Tenant, req.Budget, retry.Seconds())
+	d := admissionFrom(r.Context())
+	if d != nil {
+		if ok, retry := s.qosCtl.ConsumeProbeBudget(d.Tenant, req.Budget); !ok {
+			writeQuotaExhausted(w, r, d.Tenant, req.Budget, retry.Seconds())
 			return ocs.Solution{}, false
 		}
 	}
 	sol, err := s.batcher.Select(r.Context(), req)
 	if err != nil {
-		if charged {
-			s.qosCtl.RefundProbeBudget(ai.Tenant, req.Budget)
+		if d != nil {
+			s.qosCtl.RefundProbeBudget(d.Tenant, req.Budget)
 		}
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return ocs.Solution{}, false
@@ -478,16 +444,12 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	s.mu.RLock()
 	workers := s.pool.Size()
 	lifecycle := s.lifecycle
 	shardEng := s.shards
 	s.mu.RUnlock()
-	col := s.Collector()
+	col := s.batcher.Collector()
 	out := healthResponse{
 		Status:           "ok",
 		UptimeSeconds:    s.clock.Since(s.started).Seconds(),
@@ -514,7 +476,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if last, ok := col.LastReport(); ok {
 		age := s.clock.Since(last)
 		out.LastReportAgeSec = age.Seconds()
-		out.CollectorStale = s.StaleAfter > 0 && age > s.StaleAfter
+		out.CollectorStale = age > staleAfter
 	} else {
 		out.CollectorStale = true // never heard from the crowd
 	}
@@ -597,10 +559,6 @@ type estimateRequest struct {
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, r, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
 	var req estimateRequest
 	if !decodeRequest(w, r, &req) {
 		return
@@ -623,11 +581,9 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 	}
 	roads := req.roadsOrAll(n)
 
-	// Robust per-road aggregates of this slot's reports, and the request's
-	// what-if overrides, which replace or extend them for this request only.
-	observed := s.Collector().Observations(slot)
+	// The request's what-if overrides, which replace or extend the slot's
+	// aggregates for this request only.
 	overrides := make(map[int]float64, len(req.Observed))
-	nObserved := len(observed)
 	for key, v := range req.Observed {
 		id, err := strconv.Atoi(key)
 		if err != nil {
@@ -641,22 +597,19 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 		if err := stream.CheckSpeed(v); err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("observed road %d: %v", id, err)
 		}
-		if _, ok := observed[id]; !ok {
-			nObserved++
-		}
 		overrides[id] = v
 	}
 
-	res, ai, err := s.estimateAdmitted(ctx, slot, observed, overrides)
+	res, d, err := s.estimateAdmitted(ctx, slot, overrides)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 	// A prior-tier answer is the periodicity prior regardless of how many
 	// observations arrived — it is degraded by construction.
-	degraded := nObserved == 0 || res.Tier == qos.TierPrior
+	degraded := res.ObservedRoads == 0 || res.Tier == qos.TierPrior
 	out := &estimateResponse{
 		Slot:          req.Slot,
-		Observed:      nObserved,
+		Observed:      res.ObservedRoads,
 		Estimates:     make(map[string]float64, len(roads)),
 		Converged:     res.Converged,
 		Degraded:      degraded,
@@ -682,7 +635,7 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 			out.Provenance[key] = gsp.ProvPrior.String()
 		}
 	}
-	if ai != nil {
+	if d != nil {
 		out.Quality = res.Tier.String()
 		out.VarianceInflation = res.VarianceInflation
 		out.SD = make(map[string]float64, len(roads))
@@ -698,25 +651,25 @@ func (s *Server) estimateOne(ctx context.Context, req estimateRequest) (*estimat
 // admittedTier is the service tier the request's admission decision picked,
 // and the decision; without QoS (nil decision) every request runs the full
 // pipeline.
-func admittedTier(ctx context.Context) (qos.Tier, *admissionInfo) {
-	ai := admissionFrom(ctx)
-	if ai == nil {
+func admittedTier(ctx context.Context) (qos.Tier, *qos.Decision) {
+	d := admissionFrom(ctx)
+	if d == nil {
 		return qos.TierFull, nil
 	}
-	return ai.Decision.Tier, ai
+	return d.Tier, d
 }
 
 // estimateAdmitted estimates the slot at the admitted tier and records the
 // tier actually served against the decision, since execution may degrade
 // past it (cached → prior fallthrough on a cold slot). It returns the
 // decision (nil without QoS) for the response's quality label.
-func (s *Server) estimateAdmitted(ctx context.Context, slot tslot.Slot, observed, overrides map[int]float64) (core.TierResult, *admissionInfo, error) {
-	tier, ai := admittedTier(ctx)
-	res, err := s.batcher.EstimateTier(ctx, tier, slot, observed, overrides)
-	if err == nil && ai != nil && s.qosCtl != nil {
-		s.qosCtl.Observe(ai.Tenant, ai.Decision.Tier, res.Tier)
+func (s *Server) estimateAdmitted(ctx context.Context, slot tslot.Slot, overrides map[int]float64) (core.TierResult, *qos.Decision, error) {
+	tier, d := admittedTier(ctx)
+	res, err := s.batcher.EstimateTier(ctx, tier, slot, overrides)
+	if err == nil && d != nil {
+		s.qosCtl.Observe(d.Tenant, d.Tier, res.Tier)
 	}
-	return res, ai, err
+	return res, d, err
 }
 
 type alertJSON struct {
@@ -745,14 +698,8 @@ type alertsResponse struct {
 // probabilistic predicates ("speed < 20 with ≥90% confidence") against the
 // calibrated posterior.
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		// fall through to the scan below
-	case http.MethodPost:
+	if r.Method == http.MethodPost {
 		s.handleAlertPredicates(w, r)
-		return
-	default:
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET or POST only")
 		return
 	}
 	slotN, err := strconv.Atoi(r.URL.Query().Get("slot"))
@@ -765,8 +712,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "slot %d out of range", slotN)
 		return
 	}
-	observed := s.Collector().Observations(slot)
-	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed, nil)
+	res, d, err := s.estimateAdmitted(r.Context(), slot, nil)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
@@ -776,9 +722,9 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	out := alertsResponse{Slot: slotN, Observed: len(observed), Alerts: []alertJSON{},
-		Degraded: len(observed) == 0 || res.Tier == qos.TierPrior}
-	if ai != nil {
+	out := alertsResponse{Slot: slotN, Observed: res.ObservedRoads, Alerts: []alertJSON{},
+		Degraded: res.ObservedRoads == 0 || res.Tier == qos.TierPrior}
+	if d != nil {
 		out.Quality = res.Tier.String()
 	}
 	for _, a := range alerts {
@@ -870,8 +816,7 @@ func (s *Server) handleAlertPredicates(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	observed := s.Collector().Observations(slot)
-	res, ai, err := s.estimateAdmitted(r.Context(), slot, observed, nil)
+	res, d, err := s.estimateAdmitted(r.Context(), slot, nil)
 	if err != nil {
 		writeErr(w, r, http.StatusInternalServerError, "%v", err)
 		return
@@ -879,11 +824,11 @@ func (s *Server) handleAlertPredicates(w http.ResponseWriter, r *http.Request) {
 
 	out := alertsPredicateResponse{
 		Slot:     req.Slot,
-		Observed: len(observed),
+		Observed: res.ObservedRoads,
 		Results:  make([]predicateResultJSON, 0, len(req.Predicates)),
-		Degraded: len(observed) == 0 || res.Tier == qos.TierPrior,
+		Degraded: res.ObservedRoads == 0 || res.Tier == qos.TierPrior,
 	}
-	if ai != nil {
+	if d != nil {
 		out.Quality = res.Tier.String()
 	}
 	for _, p := range req.Predicates {
@@ -1007,7 +952,5 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		default:
 			writeErr(w, r, http.StatusBadRequest, "unknown action %q (want rollback|reload|refit)", req.Action)
 		}
-	default:
-		writeErr(w, r, http.StatusMethodNotAllowed, "GET or POST only")
 	}
 }
